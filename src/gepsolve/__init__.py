@@ -29,7 +29,6 @@ from .linalg import (
     cholesky_factorize,
     incomplete_cholesky,
     jacobi_eigh,
-    matvec,
     read_dense_text,
     read_matrix_market,
     solve_spd,
@@ -56,6 +55,7 @@ from .precond import (
     transformed_dominant_eigenvalue,
 )
 from .solvers import (
+    RUNNERS,
     SolverConfig,
     SolveTrace,
     SplitMergeState,
@@ -66,6 +66,7 @@ from .solvers import (
     run_pmd,
     run_power,
     run_split_merge,
+    solve,
     split_merge_step,
 )
 from .deflation import DeflatedOperator, deflate, top_k

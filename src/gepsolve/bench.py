@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -22,8 +22,7 @@ from .linalg import LinearSolver
 from .objective import estimate_curvature_bound
 from .precond import build_preconditioner
 from .reference import reference_solution
-from .solvers import METHODS, SolverConfig, run_gd, run_lanczos, run_pmd, \
-    run_power, run_split_merge
+from .solvers import METHODS, SolverConfig, solve
 from .synthetic import SyntheticSpec, gen_synthetic
 
 SCHEMA_VERSION = 1
@@ -90,13 +89,10 @@ class SuiteConfig:
         return cls.from_dict(data)
 
     def to_dict(self) -> dict:
-        return {
-            "cells": [{"n": c.n, "kappa_b": c.kappa_b} for c in self.cells],
-            "methods": list(self.methods), "trials": self.trials, "tol": self.tol,
-            "max_iterations": self.max_iterations, "kappa_a": self.kappa_a,
-            "seed": self.seed, "rho": self.rho, "linsolve": self.linsolve,
-            "pcg_cap": self.pcg_cap, "pmd_precond": self.pmd_precond,
-        }
+        out = {k: getattr(self, k) for k in self._KEYS}
+        out["cells"] = [{"n": c.n, "kappa_b": c.kappa_b} for c in self.cells]
+        out["methods"] = list(self.methods)
+        return out
 
 
 def ci_suite(methods, trials: int = 20, seed: int = 0, **overrides) -> SuiteConfig:
@@ -193,23 +189,6 @@ def _x0_fingerprint(x0: np.ndarray) -> str:
     return hashlib.blake2b(x0.tobytes(), digest_size=8).hexdigest()
 
 
-def _run_one(method, pair, config, x0, shared) -> tuple[str, object]:
-    try:
-        if method == "gd":
-            trace = run_gd(pair, config, x0)
-        elif method == "pmd":
-            trace = run_pmd(pair, config, shared["precond"], x0)
-        elif method == "power":
-            trace = run_power(pair, config, x0)
-        elif method == "split-merge":
-            trace = run_split_merge(pair, config, x0)
-        else:
-            trace = run_lanczos(pair, config, x0)
-        return trace.status, trace
-    except GepSolveError as exc:
-        return f"error:{type(exc).__name__}", None
-
-
 def run_suite(config: SuiteConfig, trace_dir=None) -> BenchmarkReport:
     """Execute the suite and aggregate per cell and method.
 
@@ -223,15 +202,17 @@ def run_suite(config: SuiteConfig, trace_dir=None) -> BenchmarkReport:
             n=cell.n, kappa_b=cell.kappa_b, kappa_a=config.kappa_a, seed=pair_seed))
         ref = reference_solution(pair)
 
-        shared = {"solver": None, "precond": None, "bound": None}
-        if config.linsolve == "pcg":
-            shared["solver"] = LinearSolver.pcg(pair.b, cap=config.pcg_cap)
-        else:
-            shared["solver"] = LinearSolver.exact(pair.b)
-        if "pmd" in config.methods:
-            shared["precond"] = build_preconditioner(pair.b, config.pmd_precond)
-        if "gd" in config.methods:
-            shared["bound"] = estimate_curvature_bound(pair.b)
+        # one linear solver, metric and curvature bound per cell, shared by
+        # every run on it
+        base = SolverConfig(
+            tol=config.tol, max_iterations=config.max_iterations, rho=config.rho,
+            linear_solver=(LinearSolver.pcg(pair.b, cap=config.pcg_cap)
+                           if config.linsolve == "pcg" else LinearSolver.exact(pair.b)),
+            preconditioner=(build_preconditioner(pair.b, config.pmd_precond)
+                            if "pmd" in config.methods else None),
+            curvature_bound=(estimate_curvature_bound(pair.b)
+                             if "gd" in config.methods else None),
+            reference=ref.u)
 
         x0s = []
         fps = []
@@ -246,23 +227,21 @@ def run_suite(config: SuiteConfig, trace_dir=None) -> BenchmarkReport:
         for method in config.methods:
             outcomes = []
             for t, x0 in enumerate(x0s):
-                run_config = SolverConfig(
-                    method=method, tol=config.tol,
-                    max_iterations=config.max_iterations,
-                    seed=_derived_seed([config.seed, ci, 2, t]),
-                    rho=config.rho, curvature_bound=shared["bound"],
-                    linear_solver=shared["solver"], reference=ref.u)
-                status, trace = _run_one(method, pair, run_config, x0, shared)
-                if trace is None:
-                    outcomes.append(RunOutcome(t, status, 0, 0, 0, 0, 0, float("nan")))
-                else:
-                    final = trace.final()
-                    outcomes.append(RunOutcome(
-                        t, status, trace.iterations, trace.counters.matvecs,
-                        trace.counters.solves, trace.counters.pcg_inner,
-                        final.elapsed_ns, final.lam))
-                    if trace_dir is not None:
-                        _write_trace(trace_dir, cell, method, t, trace)
+                run_config = replace(base, method=method,
+                                     seed=_derived_seed([config.seed, ci, 2, t]))
+                try:
+                    trace = solve(pair, run_config, x0)
+                except GepSolveError as exc:
+                    outcomes.append(RunOutcome(t, f"error:{type(exc).__name__}",
+                                               0, 0, 0, 0, 0, float("nan")))
+                    continue
+                final = trace.final()
+                outcomes.append(RunOutcome(
+                    t, trace.status, trace.iterations, trace.counters.matvecs,
+                    trace.counters.solves, trace.counters.pcg_inner,
+                    final.elapsed_ns, final.lam))
+                if trace_dir is not None:
+                    _write_trace(trace_dir, cell, method, t, trace)
             method_stats.append(_aggregate(method, cell, outcomes))
             good = [o for o in outcomes if o.status == "converged"]
             if good:
@@ -296,10 +275,8 @@ def _aggregate(method, cell, outcomes) -> MethodCellStats:
             elapsed_ns_mean=float(np.mean([o.elapsed_ns for o in good])),
         )
     else:
-        stats = {k: float("nan") for k in (
-            "iterations_median", "iterations_mean", "iterations_std",
-            "matvecs_mean", "solves_mean", "pcg_inner_mean",
-            "elapsed_ns_median", "elapsed_ns_mean")}
+        # every statistic but the three tallies passed below
+        stats = dict.fromkeys(STATISTICS[3:], float("nan"))
     return MethodCellStats(
         method=method, n=cell.n, kappa_b=cell.kappa_b, trials=len(outcomes),
         successes=len(good), success_rate=len(good) / max(len(outcomes), 1),

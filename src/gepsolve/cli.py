@@ -22,8 +22,7 @@ from .linalg import LinearSolver, read_dense_text, read_matrix_market, \
 from .objective import MatrixPair
 from .precond import build_preconditioner
 from .reference import reference_solution
-from .solvers import METHODS, SolverConfig, run_gd, run_lanczos, run_pmd, \
-    run_power, run_split_merge
+from .solvers import METHODS, SolverConfig, solve
 from .synthetic import SyntheticSpec, gen_synthetic
 
 EXIT_OK = 0
@@ -112,23 +111,13 @@ def _build_config(args, pair, reference) -> SolverConfig:
         solver = LinearSolver.pcg(pair.b, cap=args.pcg_cap)
     else:
         solver = LinearSolver.exact(pair.b)
+    precond = None
+    if args.method == "pmd":
+        precond = build_preconditioner(pair.b, PRECOND_KINDS[args.precond])
     return SolverConfig(
         method=args.method, tol=args.tol, max_iterations=args.max_iters,
         seed=args.seed, rho=args.rho, stepsize=args.stepsize,
-        linear_solver=solver, reference=reference)
-
-
-def _dispatch(pair, config, args, x0):
-    if config.method == "gd":
-        return run_gd(pair, config, x0)
-    if config.method == "pmd":
-        precond = build_preconditioner(pair.b, PRECOND_KINDS[args.precond])
-        return run_pmd(pair, config, precond, x0)
-    if config.method == "power":
-        return run_power(pair, config, x0)
-    if config.method == "split-merge":
-        return run_split_merge(pair, config, x0)
-    return run_lanczos(pair, config, x0)
+        linear_solver=solver, preconditioner=precond, reference=reference)
 
 
 def _cmd_gen(args) -> int:
@@ -157,7 +146,7 @@ def _cmd_solve(args) -> int:
         ref_lambda = ref.lam
     config = _build_config(args, pair, reference)
     x0 = np.random.default_rng(args.seed).standard_normal(pair.n)
-    trace = _dispatch(pair, config, args, x0)
+    trace = solve(pair, config, x0)
     if args.trace:
         trace.to_csv(args.trace)
     final = trace.final()

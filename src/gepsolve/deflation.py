@@ -9,13 +9,14 @@ the single-pair solvers apply unchanged stage after stage.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from .errors import DimensionMismatch, NotNormalized, StageFailure
 from .linalg import Counters
 from .objective import MatrixPair
-from .solvers import SolverConfig, SolveTrace, run_gd, run_lanczos, run_pmd, \
-    run_power, run_split_merge
+from .solvers import SolverConfig, solve
 
 NORMALIZATION_ATOL = 1e-10
 
@@ -64,20 +65,6 @@ def deflate(a, b, u: np.ndarray) -> DeflatedOperator:
     return DeflatedOperator(a, b, u)
 
 
-_RUNNERS = {
-    "gd": run_gd,
-    "power": run_power,
-    "split-merge": run_split_merge,
-    "lanczos": run_lanczos,
-}
-
-
-def _run_stage(pair: MatrixPair, config: SolverConfig, x0: np.ndarray) -> SolveTrace:
-    if config.method == "pmd":
-        return run_pmd(pair, config, None, x0)
-    return _RUNNERS[config.method](pair, config, x0)
-
-
 def top_k(pair: MatrixPair, k: int, config: SolverConfig,
           x0: np.ndarray | None = None) -> list[tuple[float, np.ndarray]]:
     """Leading k generalized eigenpairs by repeated solve-and-deflate.
@@ -100,25 +87,11 @@ def top_k(pair: MatrixPair, k: int, config: SolverConfig,
     pairs: list[tuple[float, np.ndarray]] = []
     operand = pair.a
     start = np.asarray(x0, dtype=np.float64)
+    stage_config = replace(config, reference=None)
 
     for stage in range(1, k + 1):
         staged = MatrixPair(operand, pair.b)
-        stage_config = SolverConfig(
-            method=config.method, tol=config.tol,
-            max_iterations=config.max_iterations, seed=config.seed,
-            rho=config.rho, stepsize=config.stepsize,
-            stepsize_interval=config.stepsize_interval,
-            curvature_method=config.curvature_method,
-            curvature_bound=config.curvature_bound,
-            transformed_bound=config.transformed_bound,
-            linear_solver=config.linear_solver,
-            preconditioner=config.preconditioner,
-            reference=None,
-            lanczos_cycle=config.lanczos_cycle,
-            reorthogonalize=config.reorthogonalize,
-            normalize_every=config.normalize_every,
-            rho_doubling_cap=config.rho_doubling_cap)
-        trace = _run_stage(staged, stage_config, start)
+        trace = solve(staged, stage_config, start)
         if not trace.converged:
             raise StageFailure(stage, pairs,
                                f"stage {stage} ended {trace.status} after "

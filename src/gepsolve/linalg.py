@@ -46,9 +46,6 @@ class Counters:
     solves: int = 0
     pcg_inner: int = 0
 
-    def snapshot(self) -> "Counters":
-        return Counters(self.matvecs, self.solves, self.pcg_inner)
-
 
 def _round_significant(values: np.ndarray, digits: int = 12) -> np.ndarray:
     """Round to a fixed number of significant digits, mapping -0.0 to 0.0."""
@@ -170,9 +167,6 @@ class SymmetricMatrix:
             return self._dense @ x
         return self._sparse @ x
 
-    def __matmul__(self, x):
-        return self.matvec(x)
-
     def lower_entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Nonzero lower-triangle entries as (rows, cols, values)."""
         if self.kind == "dense":
@@ -188,11 +182,6 @@ class SymmetricMatrix:
             r, c, v = self.lower_entries()
             self._fp = _entry_fingerprint(self.n, r, c, v)
         return self._fp
-
-
-def matvec(m, x: np.ndarray, counters: Counters | None = None) -> np.ndarray:
-    """Apply a symmetric operator to a vector, counting the application."""
-    return m.matvec(x, counters)
 
 
 def add_scaled(a: SymmetricMatrix, b: SymmetricMatrix, eta: float) -> SymmetricMatrix:

@@ -139,16 +139,10 @@ def shift_to_psd(pair: MatrixPair, margin: float = 0.0) -> MatrixPair:
     return MatrixPair(add_scaled(pair.a, pair.b, eta), pair.b)
 
 
-def _quadratic(pair: MatrixPair, x: np.ndarray,
-               counters: Counters | None) -> tuple[float, float, np.ndarray, np.ndarray]:
-    ax = pair.a.matvec(x, counters)
-    bx = pair.b.matvec(x, counters)
-    return float(x @ ax), float(x @ bx), ax, bx
-
-
 def eval_f(pair: MatrixPair, x: np.ndarray, counters: Counters | None = None) -> float:
     """Objective value; x'Ax is clamped at zero before the square root."""
-    xax, xbx, _, _ = _quadratic(pair, x, counters)
+    xax = float(x @ pair.a.matvec(x, counters))
+    xbx = float(x @ pair.b.matvec(x, counters))
     return xbx - np.sqrt(max(xax, 0.0))
 
 

@@ -1,24 +1,26 @@
 """Iterative solvers for the dominant generalized eigenpair.
 
-All runners share the trace contract: one record per iteration with the
-objective value, the eigenvalue estimate, the stopping quantity, cumulative
-matvec/solve counts, and wall time. With a reference vector the stopping
-rule is the principal-angle sine; without one it is the scale-free gradient
-criterion ||A d - q B d|| / (sqrt(d'Ad) q) for the unit direction d with
-Rayleigh quotient q, which coincides with ||grad f|| / lambda at the scale
-where the objective is stationary along the ray.
+Every method runs through ``solve(pair, config, x0)`` and the ``RUNNERS``
+registry: a runner supplies its set-up and one step, and one driver loop
+owns the checks, counters, recording, stopping and the trace. The trace
+holds one record per iteration with the objective value, the
+eigenvalue estimate, the stopping quantity, cumulative matvec/solve counts,
+and wall time. With a reference vector the stopping rule is the
+principal-angle sine; without one it is the scale-free gradient criterion
+||A d - q B d|| / (sqrt(d'Ad) q) for the unit direction d with Rayleigh
+quotient q, which coincides with ||grad f|| / lambda at the scale where the
+objective is stationary along the ray.
 
 Iterates of the power and surrogate methods are kept as unit directions and
 each step is taken from the ray minimiser c d with c = sqrt(d'Ad)/(2 d'Bd);
 the recorded objective is then -q/4, nonincreasing, and the eigenvalue
-estimate 2 sqrt(x'Ax) equals q. The rescale map is invariant to the
-normalization itself, so cadence only affects floating-point bookkeeping.
+estimate 2 sqrt(x'Ax) equals q.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -40,6 +42,10 @@ METHODS = ("gd", "pmd", "power", "split-merge", "lanczos")
 
 TRACE_HEADER = "k,f,lambda,sin_theta,matvecs,solves,elapsed_ns"
 
+# A nonpositive surrogate margin doubles rho at most this many times per
+# step before the step gives up with NumericalError.
+RHO_DOUBLING_CAP = 30
+
 
 @dataclass
 class SolverConfig:
@@ -53,7 +59,6 @@ class SolverConfig:
     rho: float = 1.0
     stepsize: float | None = None
     stepsize_interval: tuple[float, float] | None = None
-    curvature_method: str = "dominant"
     curvature_bound: CurvatureBound | None = None
     transformed_bound: float | None = None
     linear_solver: LinearSolver | None = None
@@ -61,8 +66,6 @@ class SolverConfig:
     reference: np.ndarray | None = None
     lanczos_cycle: int = 20
     reorthogonalize: bool = True
-    normalize_every: int = 1
-    rho_doubling_cap: int = 30
 
 
 @dataclass
@@ -78,7 +81,8 @@ class TraceRecord:
 
 @dataclass
 class SolveTrace:
-    """Result of one run: per-iteration records plus terminal state."""
+    """Result of one run: per-iteration records, terminal state, and the
+    method's diagnostics (stepsize, bounds, setup, escalations, drift)."""
 
     method: str
     status: str  # converged | max-iterations | degenerate
@@ -87,11 +91,7 @@ class SolveTrace:
     counters: Counters
     criterion: str  # sin-theta | gradient
     criterion_values: list[float] = field(default_factory=list)
-    stepsize: float | None = None
-    rho_escalations: int = 0
-    fallback_steps: int = 0
-    basis_drift: list[float] = field(default_factory=list)
-    setup: dict = field(default_factory=dict)
+    diagnostics: dict = field(default_factory=dict)
 
     @property
     def iterations(self) -> int:
@@ -124,31 +124,6 @@ def check_stopping(x: np.ndarray, u_ref: np.ndarray, tol: float) -> tuple[float,
     return sin, sin <= tol
 
 
-def _validate_config(config: SolverConfig, n: int) -> None:
-    if config.method not in METHODS:
-        raise InputError(f"unknown method {config.method!r}")
-    if not (config.tol > 0.0):
-        raise InputError(f"tolerance must be positive, got {config.tol}")
-    if config.max_iterations < 1:
-        raise InputError(f"iteration cap must be at least 1, got {config.max_iterations}")
-    if config.rho < 1.0:
-        raise InputError(f"rho must be at least 1, got {config.rho}")
-    if config.normalize_every < 1:
-        raise InputError(f"normalization cadence must be at least 1")
-    if config.reference is not None and np.shape(config.reference) != (n,):
-        raise DimensionMismatch(
-            f"reference shape {np.shape(config.reference)} vs order {n}")
-
-
-def _start_vector(x0: np.ndarray, n: int) -> np.ndarray:
-    x = np.asarray(x0, dtype=np.float64)
-    if x.shape != (n,):
-        raise DimensionMismatch(f"start vector shape {x.shape} vs order {n}")
-    if float(np.linalg.norm(x)) == 0.0:
-        raise ZeroVector("start vector has zero norm")
-    return x.copy()
-
-
 class _Recorder:
     """Collects trace records against a shared clock and counter set."""
 
@@ -178,72 +153,284 @@ class _Recorder:
         return ok
 
 
-def _first_order(pair: MatrixPair, config: SolverConfig, x0: np.ndarray,
-                 precond: Preconditioner | None, method: str) -> SolveTrace:
-    _validate_config(config, pair.n)
-    x = _start_vector(x0, pair.n)
-    rng = np.random.default_rng(config.seed)
-    setup: dict = {}
+class _Degenerate(Exception):
+    """The iterate carries no A-energy; args[0] is the f the last record shows."""
 
-    if precond is None:
-        bound = config.curvature_bound or estimate_curvature_bound(
-            pair.b, config.curvature_method)
-        limit = 2.0 / bound.bound
-        setup["curvature_bound"] = bound.bound
-        setup["curvature_method"] = bound.method
-        default_interval = (0.9 * limit, 0.99 * limit)
-    else:
-        if config.transformed_bound is not None:
-            lam_t = config.transformed_bound
-        elif precond.kind == "cholesky":
-            # exact metric: the transformed B is the identity
-            lam_t = 1.0
+
+class _Runner:
+    """One method: set-up in ``__init__``; ``measure`` gives (f, lambda,
+    gradient ratio) at an iterate and ``advance`` the next iterate."""
+
+    def __init__(self, pair: MatrixPair, config: SolverConfig):
+        self.pair = pair
+        self.gradient_stop = config.reference is None
+        self.diagnostics: dict = {}
+
+    def start(self, x: np.ndarray) -> np.ndarray:
+        return x
+
+    def iterate(self, x: np.ndarray, rec: _Recorder, cap: int) -> tuple[str, np.ndarray]:
+        """The driver loop; returns (status, final iterate)."""
+        counters = rec.counters
+        try:
+            for k in range(cap + 1):
+                f, lam, ratio = self.measure(x, counters)
+                if rec.add(k, f, lam, x, ratio):
+                    return "converged", x
+                if k < cap:
+                    x = self.advance(x, counters)
+        except _Degenerate as exc:
+            rec.add(len(rec.records), exc.args[0], 0.0, x, None)
+            return "degenerate", x
+        return "max-iterations", x
+
+
+class _FirstOrder(_Runner):
+    """gd (no metric) and pmd: x <- x - alpha M^{-1} grad f(x)."""
+
+    def __init__(self, pair: MatrixPair, config: SolverConfig,
+                 precond: Preconditioner | None = None):
+        super().__init__(pair, config)
+        self.precond = precond
+        if precond is None:
+            bound = config.curvature_bound or estimate_curvature_bound(pair.b)
+            limit = 2.0 / bound.bound
+            self.diagnostics["curvature_bound"] = bound.bound
+            self.diagnostics["curvature_method"] = bound.method
         else:
-            lam_t = transformed_dominant_eigenvalue(pair.b, precond)
-        limit = 1.0 / lam_t
-        setup["transformed_bound"] = lam_t
-        default_interval = (0.9 * limit, 0.99 * limit)
+            if config.transformed_bound is not None:
+                lam_t = config.transformed_bound
+            elif precond.kind == "cholesky":
+                # exact metric: the transformed B is the identity
+                lam_t = 1.0
+            else:
+                lam_t = transformed_dominant_eigenvalue(pair.b, precond)
+            limit = 1.0 / lam_t
+            self.diagnostics["transformed_bound"] = lam_t
 
-    if config.stepsize is not None:
-        alpha = float(config.stepsize)
-        if not (0.0 < alpha < limit):
-            raise InvalidStepsize(f"stepsize {alpha} outside (0, {limit})")
-    else:
-        lo, hi = config.stepsize_interval or default_interval
-        if not (0.0 < lo <= hi < limit):
-            raise InvalidStepsize(f"interval [{lo}, {hi}] not inside (0, {limit})")
-        alpha = float(rng.uniform(lo, hi))
+        if config.stepsize is not None:
+            alpha = float(config.stepsize)
+            if not (0.0 < alpha < limit):
+                raise InvalidStepsize(f"stepsize {alpha} outside (0, {limit})")
+        else:
+            lo, hi = config.stepsize_interval or (0.9 * limit, 0.99 * limit)
+            if not (0.0 < lo <= hi < limit):
+                raise InvalidStepsize(f"interval [{lo}, {hi}] not inside (0, {limit})")
+            alpha = float(np.random.default_rng(config.seed).uniform(lo, hi))
+        self.alpha = alpha
+        self.diagnostics["stepsize"] = alpha
 
-    counters = Counters()
-    rec = _Recorder(counters, config.reference, config.tol)
-    status = "max-iterations"
-    xx = float(x @ x)
-
-    for k in range(config.max_iterations + 1):
-        ax = pair.a.matvec(x, counters)
-        bx = pair.b.matvec(x, counters)
+    def measure(self, x, counters):
+        ax = self.pair.a.matvec(x, counters)
+        bx = self.pair.b.matvec(x, counters)
         xax = float(x @ ax)
-        if xax <= DEGENERATE_RTOL * xx:
-            rec.add(k, float(x @ bx), 0.0, x, None)
-            status = "degenerate"
-            break
+        if xax <= DEGENERATE_RTOL * float(x @ x):
+            raise _Degenerate(float(x @ bx))
         root = np.sqrt(xax)
-        f = float(x @ bx) - root
         lam = 2.0 * root
-        g = 2.0 * bx - ax / root
-        ratio = float(np.linalg.norm(g)) / lam
-        if rec.add(k, f, lam, x, ratio):
-            status = "converged"
-            break
-        if k == config.max_iterations:
-            break
-        d = g if precond is None else apply_gram_inverse(precond, g, counters)
-        x = x - alpha * d
-        xx = float(x @ x)
+        self.g = 2.0 * bx - ax / root
+        ratio = float(np.linalg.norm(self.g)) / lam if self.gradient_stop else None
+        return float(x @ bx) - root, lam, ratio
 
-    return SolveTrace(method, status, rec.records, x, counters,
-                      "sin-theta" if config.reference is not None else "gradient",
-                      rec.values, stepsize=alpha, setup=setup)
+    def advance(self, x, counters):
+        g = self.g
+        d = g if self.precond is None else apply_gram_inverse(self.precond, g, counters)
+        return x - self.alpha * d
+
+
+class _Ray(_Runner):
+    """Unit iterates measured by their Rayleigh quotient (power, split-merge);
+    x'Bx comes from the previous step's solve byproducts."""
+
+    def __init__(self, pair: MatrixPair, config: SolverConfig):
+        super().__init__(pair, config)
+        self.solver = config.linear_solver or LinearSolver.exact(pair.b)
+        self.diagnostics.update(setup_matvecs=1, solver_mode=self.solver.mode)
+
+    def start(self, x):
+        x /= np.linalg.norm(x)
+        self.bq = float(x @ self.pair.b.matvec(x))  # setup matvec, uncounted
+        return x
+
+    def measure(self, x, counters):
+        ax = self.pair.a.matvec(x, counters)
+        xax = float(x @ ax)
+        if xax <= DEGENERATE_RTOL:
+            raise _Degenerate(0.0)
+        q = xax / self.bq
+        ratio = None
+        if self.gradient_stop:
+            bd = self.pair.b.matvec(x, counters)
+            ratio = float(np.linalg.norm(ax - q * bd)) / (np.sqrt(xax) * q)
+        self.ax = ax
+        self.xax = xax
+        return -q / 4.0, q, ratio
+
+
+class _Power(_Ray):
+    def advance(self, x, counters):
+        w = solve_spd(self.solver, self.pair.b, self.ax, counters)
+        norm_w = float(np.linalg.norm(w))
+        if norm_w == 0.0:
+            raise _Degenerate(0.0)
+        self.bq = float(w @ self.ax) / (norm_w * norm_w)
+        return w / norm_w
+
+
+class _SplitMerge(_Ray):
+    def __init__(self, pair: MatrixPair, config: SolverConfig):
+        super().__init__(pair, config)
+        self.rho = config.rho
+        self.diagnostics.update(rho_escalations=0, fallback_steps=0)
+
+    def advance(self, x, counters):
+        scale = np.sqrt(self.xax) / (2.0 * self.bq)  # ray minimiser of f along x
+        x_next, state = split_merge_step(self.pair, scale * x, self.rho, self.solver,
+                                         counters, ax=scale * self.ax)
+        self.diagnostics["rho_escalations"] += state.doublings
+        self.diagnostics["fallback_steps"] += 1 if state.fallback else 0
+        norm = float(np.linalg.norm(x_next))
+        self.bq = float(x_next @ state.b_next) / (norm * norm)
+        return x_next / norm
+
+
+class _Lanczos(_Runner):
+    """Restarted Lanczos; its own cycle loop replaces the shared one."""
+
+    def __init__(self, pair: MatrixPair, config: SolverConfig):
+        super().__init__(pair, config)
+        self.solver = config.linear_solver or LinearSolver.exact(pair.b)
+        self.cycle = config.lanczos_cycle
+        if self.cycle < 2:
+            raise InputError(f"cycle length must be at least 2, got {self.cycle}")
+        self.reorthogonalize = config.reorthogonalize
+        self.diagnostics.update(solver_mode=self.solver.mode, basis_drift=[])
+
+    def iterate(self, x, rec, cap):
+        a, b, solver, cycle = self.pair.a, self.pair.b, self.solver, self.cycle
+        counters = rec.counters
+        n = b.n
+        drift = self.diagnostics["basis_drift"]
+        builds = 0
+
+        while True:
+            bx = b.matvec(x, counters)
+            nb2 = float(x @ bx)
+            if nb2 <= 0.0:
+                raise ZeroVector("restart vector has zero B-norm")
+            nb = np.sqrt(nb2)
+            v = x / nb
+            bv = bx / nb
+            basis = np.empty((n, cycle))
+            bimages = np.empty((n, cycle))
+            alphas: list[float] = []
+            betas: list[float] = []
+            v_prev = None
+            beta_prev = 0.0
+            broke = False
+
+            m = 0
+            while m < cycle and builds < cap:
+                basis[:, m] = v
+                bimages[:, m] = bv
+                av = a.matvec(v, counters)
+                u = solve_spd(solver, b, av, counters)
+                alpha = float(av @ v)
+                w = u - alpha * v
+                if v_prev is not None:
+                    w -= beta_prev * v_prev
+                if self.reorthogonalize:
+                    w -= basis[:, : m + 1] @ (bimages[:, : m + 1].T @ w)
+                bw = b.matvec(w, counters)
+                beta = float(np.sqrt(max(0.0, float(w @ bw))))
+                alphas.append(alpha)
+                betas.append(beta)
+                m += 1
+                builds += 1
+                tiny = 1e-13 * max(1.0, max(abs(al) for al in alphas), max(betas))
+                if beta <= tiny:
+                    broke = True
+                    break
+                if m < cycle:
+                    v_prev = v
+                    v = w / beta
+                    bv = bw / beta
+
+            off = betas[: m - 1]
+            tri = np.diag(alphas) + np.diag(off, 1) + np.diag(off, -1)
+            evals, vecs = jacobi_eigh(tri)
+            theta = float(evals[-1])
+            ritz = basis[:, :m] @ vecs[:, -1]
+
+            gram = bimages[:, :m].T @ basis[:, :m]
+            drift.append(float(np.max(np.abs(gram - np.eye(m)))))
+
+            ratio = None
+            if self.gradient_stop:
+                aritz = a.matvec(ritz, counters)
+                britz = b.matvec(ritz, counters)
+                raz = float(ritz @ aritz)
+                if raz > 0.0 and theta > 0.0:
+                    ratio = float(np.linalg.norm(aritz - theta * britz)) / (np.sqrt(raz) * theta)
+                else:
+                    ratio = float("inf")
+            if rec.add(builds, -theta / 4.0, theta, ritz, ratio):
+                return "converged", ritz
+            if broke:
+                raise Breakdown(
+                    f"continuation norm vanished at build {builds} with the Ritz pair unconverged")
+            if builds >= cap:
+                return "max-iterations", ritz
+            x = ritz
+
+
+RUNNERS = {
+    "gd": _FirstOrder,
+    "pmd": lambda pair, config: _FirstOrder(
+        pair, config, config.preconditioner or build_preconditioner(pair.b, "cholesky")),
+    "power": _Power,
+    "split-merge": _SplitMerge,
+    "lanczos": _Lanczos,
+}
+
+
+def _run(method: str, pair: MatrixPair, config: SolverConfig, x0) -> SolveTrace:
+    """The driver: checks, set-up, the method's loop, the trace."""
+    n = pair.n
+    if config.method not in METHODS:
+        raise InputError(f"unknown method {config.method!r}")
+    if not (config.tol > 0.0):
+        raise InputError(f"tolerance must be positive, got {config.tol}")
+    if config.max_iterations < 1:
+        raise InputError(f"iteration cap must be at least 1, got {config.max_iterations}")
+    if config.rho < 1.0:
+        raise InputError(f"rho must be at least 1, got {config.rho}")
+    if config.reference is not None and np.shape(config.reference) != (n,):
+        raise DimensionMismatch(
+            f"reference shape {np.shape(config.reference)} vs order {n}")
+    x = np.array(x0, dtype=np.float64)
+    if x.shape != (n,):
+        raise DimensionMismatch(f"start vector shape {x.shape} vs order {n}")
+    if float(np.linalg.norm(x)) == 0.0:
+        raise ZeroVector("start vector has zero norm")
+
+    runner = RUNNERS[method](pair, config)
+    x = runner.start(x)
+    rec = _Recorder(Counters(), config.reference, config.tol)
+    status, x = runner.iterate(x, rec, config.max_iterations)
+    criterion = "sin-theta" if config.reference is not None else "gradient"
+    return SolveTrace(method, status, rec.records, x, rec.counters, criterion,
+                      rec.values, runner.diagnostics)
+
+
+def solve(pair: MatrixPair, config: SolverConfig, x0: np.ndarray) -> SolveTrace:
+    """Run ``config.method`` on the pair from x0 and return its trace.
+
+    The clock of the trace starts after the method's set-up (factorization,
+    stability bound, stepsize draw), so ``elapsed_ns`` times the iterations
+    alone. Method-specific outputs land in ``trace.diagnostics``.
+    """
+    return _run(config.method, pair, config, x0)
 
 
 def run_gd(pair: MatrixPair, config: SolverConfig, x0: np.ndarray) -> SolveTrace:
@@ -253,13 +440,16 @@ def run_gd(pair: MatrixPair, config: SolverConfig, x0: np.ndarray) -> SolveTrace
     satisfy alpha * bound in (0, 2); otherwise one value is drawn uniformly
     from [0.9, 0.99] * (2 / bound) once per run using config.seed.
     """
-    return _first_order(pair, config, x0, None, "gd")
+    return _run("gd", pair, config, x0)
 
 
 def run_pmd(pair: MatrixPair, config: SolverConfig,
             precond: Preconditioner | None = None,
             x0: np.ndarray | None = None) -> SolveTrace:
     """Preconditioned mirror descent: x <- x - alpha (P'P)^{-1} grad f(x).
+
+    The metric is ``precond`` when given, else ``config.preconditioner``,
+    else the exact Cholesky factor of B.
 
     Stability demands alpha * lambda_1(P^{-T} B P^{-1}) < 1; with the exact
     Cholesky metric that eigenvalue is 1 and alpha = 1/2 reproduces the
@@ -277,11 +467,9 @@ def run_pmd(pair: MatrixPair, config: SolverConfig,
     below lambda_2 / lambda_1: a clustered top of the spectrum, not a wide
     gap.
     """
-    if precond is None:
-        precond = config.preconditioner
-    if precond is None:
-        precond = build_preconditioner(pair.b, "cholesky")
-    return _first_order(pair, config, x0, precond, "pmd")
+    if precond is not None:
+        config = replace(config, preconditioner=precond)
+    return _run("pmd", pair, config, x0)
 
 
 def run_power(pair: MatrixPair, config: SolverConfig, x0: np.ndarray) -> SolveTrace:
@@ -291,65 +479,27 @@ def run_power(pair: MatrixPair, config: SolverConfig, x0: np.ndarray) -> SolveTr
     renormalized every iteration; the Rayleigh quotient of the new direction
     comes free from the solve byproduct (w'Bw = w'Ax for exact solves), so
     no extra B-matvecs are spent on the trace. One B-matvec of setup seeds
-    the quotient of the start vector and is reported in setup, not in the
-    run counters.
+    the quotient of the start vector and is reported in diagnostics, not in
+    the run counters.
     """
-    _validate_config(config, pair.n)
-    x = _start_vector(x0, pair.n)
-    solver = config.linear_solver or LinearSolver.exact(pair.b)
-    counters = Counters()
-
-    x /= np.linalg.norm(x)
-    bq = float(x @ pair.b.matvec(x))  # setup matvec, uncounted
-    rec = _Recorder(counters, config.reference, config.tol)
-    setup = {"setup_matvecs": 1, "solver_mode": solver.mode}
-    status = "max-iterations"
-
-    for k in range(config.max_iterations + 1):
-        ax = pair.a.matvec(x, counters)
-        xax = float(x @ ax)
-        if xax <= DEGENERATE_RTOL:
-            rec.add(k, 0.0, 0.0, x, None)
-            status = "degenerate"
-            break
-        q = xax / bq
-        ratio = None
-        if config.reference is None:
-            bd = pair.b.matvec(x, counters)
-            ratio = float(np.linalg.norm(ax - q * bd)) / (np.sqrt(xax) * q)
-        if rec.add(k, -q / 4.0, q, x, ratio):
-            status = "converged"
-            break
-        if k == config.max_iterations:
-            break
-        w = solve_spd(solver, pair.b, ax, counters)
-        norm_w = float(np.linalg.norm(w))
-        if norm_w == 0.0:
-            rec.add(k + 1, 0.0, 0.0, x, None)
-            status = "degenerate"
-            break
-        bq = float(w @ ax) / (norm_w * norm_w)
-        x = w / norm_w
-
-    return SolveTrace("power", status, rec.records, x, counters,
-                      "sin-theta" if config.reference is not None else "gradient",
-                      rec.values, setup=setup)
+    return _run("power", pair, config, x0)
 
 
 @dataclass
 class SplitMergeState:
     """Scalars and cached vectors of one surrogate step.
 
-    quad_a = x'Ax, quad_ab = x'A B^{-1} A x, quad_aba = x'(A B^{-1} A)
-    B^{-1} (A B^{-1} A)'... in solver notation: with g = Ax, w = B^{-1}g,
-    h = Aw, t = B^{-1}h these are g'x, g'w, g't. resid = h - (quad_ab /
-    quad_a) g is the component of h with no B^{-1}-projection onto g;
-    resid_energy = quad_aba - quad_ab^2 / quad_a is its B^{-1} energy,
-    nonnegative up to roundoff. pd_margin is the positivity margin sigma of
-    the corrected surrogate; w_first and w_second weight w and t in the
-    step. b_next is B x_next reconstructed from solve byproducts (exact for
-    exact solves). fallback marks a degenerate step that fell back to the
-    power update; doublings counts rho escalations inside the step.
+    In solver notation g = Ax, w = B^{-1}g, h = Aw and t = B^{-1}h. Then
+    quad_a = x'Ax, quad_ab = g'w = x'AB^{-1}Ax and quad_aba = g't = w'Aw.
+    With ratio = quad_ab / quad_a, the part of w that is A-orthogonal to x
+    is w - ratio x; resid = h - ratio g is its A-image and resid_energy =
+    quad_aba - quad_ab * ratio its A-energy, nonnegative by Cauchy-Schwarz
+    up to roundoff. pd_margin is the positivity margin sigma of the
+    corrected surrogate at rho_used, the rho after ``doublings``
+    escalations inside the step; w_first and w_second weight w and t in
+    the step. b_next is B x_next rebuilt from solve byproducts (exact for
+    exact solves). fallback marks a step whose second direction carried no
+    new energy and which took the power update instead; it has no resid.
     """
 
     quad_a: float
@@ -373,11 +523,9 @@ class SplitMergeState:
 DEGENERATE_STEP_RTOL = 1e-14
 
 
-def split_merge_step(pair: MatrixPair, state: SplitMergeState | None, x: np.ndarray,
-                     rho: float, solver: LinearSolver,
+def split_merge_step(pair: MatrixPair, x: np.ndarray, rho: float, solver: LinearSolver,
                      counters: Counters | None = None,
-                     ax: np.ndarray | None = None,
-                     doubling_cap: int = 30) -> tuple[np.ndarray, SplitMergeState]:
+                     ax: np.ndarray | None = None) -> tuple[np.ndarray, SplitMergeState]:
     """One Split-Merge step x+ = w_first B^{-1}Ax + w_second B^{-1}AB^{-1}Ax.
 
     Exactly two solves, two A-matvecs, and four inner products: a = x'Ax,
@@ -385,13 +533,12 @@ def split_merge_step(pair: MatrixPair, state: SplitMergeState | None, x: np.ndar
     already solved (t - (b/a) w). When the second direction carries no new
     energy (resid_energy <= 1e-14 b^2/a, which also absorbs roundoff
     negatives) the step degrades to the power update w / (2 sqrt(a)). A
-    nonpositive margin doubles rho until positive, up to doubling_cap.
+    nonpositive margin doubles rho until positive, up to RHO_DOUBLING_CAP
+    times.
 
     ``ax`` may carry a precomputed A x (the run loop shares it with its
-    bookkeeping); ``state`` from the previous step is accepted for interface
-    symmetry but nothing in it survives a change of x.
+    bookkeeping).
     """
-    del state  # nothing cacheable across distinct iterates
     x = np.asarray(x, dtype=np.float64)
     g = ax if ax is not None else pair.a.matvec(x, counters)
     quad_a = float(x @ g)
@@ -425,9 +572,9 @@ def split_merge_step(pair: MatrixPair, state: SplitMergeState | None, x: np.ndar
         if margin > 0.0:
             break
         doublings += 1
-        if doublings > doubling_cap:
+        if doublings > RHO_DOUBLING_CAP:
             raise NumericalError(
-                f"margin stayed nonpositive after {doubling_cap} rho doublings")
+                f"margin stayed nonpositive after {RHO_DOUBLING_CAP} rho doublings")
         rho_k *= 2.0
 
     w_second = 1.0 / (4.0 * margin * rho_k * quad_a)
@@ -447,58 +594,9 @@ def run_split_merge(pair: MatrixPair, config: SolverConfig, x0: np.ndarray) -> S
     the recorded objective -q/4 never increases outside rho-escalation
     steps and the eigenvalue estimate is the Rayleigh quotient. rho resets
     to the configured value every iteration; escalations and power
-    fallbacks are tallied on the trace.
+    fallbacks are tallied in diagnostics.
     """
-    _validate_config(config, pair.n)
-    x = _start_vector(x0, pair.n)
-    solver = config.linear_solver or LinearSolver.exact(pair.b)
-    counters = Counters()
-
-    x /= np.linalg.norm(x)
-    bq = float(x @ pair.b.matvec(x))  # setup matvec, uncounted
-    rec = _Recorder(counters, config.reference, config.tol)
-    setup = {"setup_matvecs": 1, "solver_mode": solver.mode}
-    status = "max-iterations"
-    escalations = 0
-    fallbacks = 0
-    state = None
-
-    for k in range(config.max_iterations + 1):
-        g = pair.a.matvec(x, counters)
-        xax = float(x @ g)
-        if xax <= DEGENERATE_RTOL * float(x @ x):
-            rec.add(k, 0.0, 0.0, x, None)
-            status = "degenerate"
-            break
-        q = xax / bq
-        ratio = None
-        if config.reference is None:
-            bd = pair.b.matvec(x, counters)
-            ratio = float(np.linalg.norm(g - q * bd)) / (np.sqrt(xax) * q)
-        if rec.add(k, -q / 4.0, q, x, ratio):
-            status = "converged"
-            break
-        if k == config.max_iterations:
-            break
-
-        scale = np.sqrt(xax) / (2.0 * bq)  # ray minimiser of f along x
-        x_next, state = split_merge_step(pair, state, scale * x, config.rho, solver,
-                                         counters, ax=scale * g,
-                                         doubling_cap=config.rho_doubling_cap)
-        escalations += state.doublings
-        fallbacks += 1 if state.fallback else 0
-        if (k + 1) % config.normalize_every == 0:
-            norm = float(np.linalg.norm(x_next))
-            x = x_next / norm
-            bq = float(x_next @ state.b_next) / (norm * norm)
-        else:
-            x = x_next
-            bq = float(x_next @ state.b_next)
-
-    return SolveTrace("split-merge", status, rec.records, x, counters,
-                      "sin-theta" if config.reference is not None else "gradient",
-                      rec.values, rho_escalations=escalations,
-                      fallback_steps=fallbacks, setup=setup)
+    return _run("split-merge", pair, config, x0)
 
 
 def run_lanczos(pair: MatrixPair, config: SolverConfig, x0: np.ndarray) -> SolveTrace:
@@ -508,97 +606,8 @@ def run_lanczos(pair: MatrixPair, config: SolverConfig, x0: np.ndarray) -> Solve
     three-term recurrence, optional full reorthogonalization against the
     stored B-images of the basis, then restarts from the top Ritz vector.
     One trace record per cycle at k = cumulative basis builds; the max
-    off-diagonal of V'BV - I per cycle lands in basis_drift. A vanishing
-    continuation norm with the Ritz pair unconverged raises Breakdown.
+    off-diagonal of V'BV - I per cycle lands in diagnostics["basis_drift"].
+    A vanishing continuation norm with the Ritz pair unconverged raises
+    Breakdown.
     """
-    _validate_config(config, pair.n)
-    x = _start_vector(x0, pair.n)
-    solver = config.linear_solver or LinearSolver.exact(pair.b)
-    counters = Counters()
-    n = pair.n
-    cycle = config.lanczos_cycle
-    if cycle < 2:
-        raise InputError(f"cycle length must be at least 2, got {cycle}")
-
-    rec = _Recorder(counters, config.reference, config.tol)
-    setup = {"solver_mode": solver.mode}
-    status = "max-iterations"
-    drift: list[float] = []
-    builds = 0
-
-    while True:
-        bx = pair.b.matvec(x, counters)
-        nb2 = float(x @ bx)
-        if nb2 <= 0.0:
-            raise ZeroVector("restart vector has zero B-norm")
-        nb = np.sqrt(nb2)
-        v = x / nb
-        bv = bx / nb
-        basis = np.empty((n, cycle))
-        bimages = np.empty((n, cycle))
-        alphas: list[float] = []
-        betas: list[float] = []
-        v_prev = None
-        beta_prev = 0.0
-        broke = False
-
-        m = 0
-        while m < cycle and builds < config.max_iterations:
-            basis[:, m] = v
-            bimages[:, m] = bv
-            av = pair.a.matvec(v, counters)
-            u = solve_spd(solver, pair.b, av, counters)
-            alpha = float(av @ v)
-            w = u - alpha * v
-            if v_prev is not None:
-                w -= beta_prev * v_prev
-            if config.reorthogonalize:
-                w -= basis[:, : m + 1] @ (bimages[:, : m + 1].T @ w)
-            bw = pair.b.matvec(w, counters)
-            beta = float(np.sqrt(max(0.0, float(w @ bw))))
-            alphas.append(alpha)
-            betas.append(beta)
-            m += 1
-            builds += 1
-            tiny = 1e-13 * max(1.0, max(abs(al) for al in alphas), max(betas))
-            if beta <= tiny:
-                broke = True
-                break
-            if m < cycle:
-                v_prev = v
-                v = w / beta
-                bv = bw / beta
-
-        tri = np.diag(np.array(alphas))
-        if m > 1:
-            off = np.array(betas[: m - 1])
-            tri += np.diag(off, 1) + np.diag(off, -1)
-        evals, vecs = jacobi_eigh(tri)
-        theta = float(evals[-1])
-        ritz = basis[:, :m] @ vecs[:, -1]
-
-        gram = bimages[:, :m].T @ basis[:, :m]
-        drift.append(float(np.max(np.abs(gram - np.eye(m)))))
-
-        ratio = None
-        if config.reference is None:
-            aritz = pair.a.matvec(ritz, counters)
-            britz = pair.b.matvec(ritz, counters)
-            raz = float(ritz @ aritz)
-            if raz > 0.0 and theta > 0.0:
-                ratio = float(np.linalg.norm(aritz - theta * britz)) / (np.sqrt(raz) * theta)
-            else:
-                ratio = float("inf")
-        if rec.add(builds, -theta / 4.0, theta, ritz, ratio):
-            status = "converged"
-            break
-        if broke:
-            raise Breakdown(
-                f"continuation norm vanished at build {builds} with the Ritz pair unconverged")
-        if builds >= config.max_iterations:
-            break
-        x = ritz
-
-    return SolveTrace("lanczos", status, rec.records, ritz, counters,
-                      "sin-theta" if config.reference is not None else "gradient",
-                      rec.values, basis_drift=drift, setup=setup)
+    return _run("lanczos", pair, config, x0)

@@ -323,8 +323,8 @@ def test_criterion_05_large_stepsize_wins_when_metric_is_hard(capsys):
             slow = run_pmd(pair, SolverConfig(method="pmd", tol=1e-5, seed=t,
                                               stepsize=0.5, reference=ref.u),
                            pc, x0)
-            alphas.append(fast.stepsize)
-            rate = pmd_rate(fast.stepsize, ratios)
+            alphas.append(fast.diagnostics["stepsize"])
+            rate = pmd_rate(fast.diagnostics["stepsize"], ratios)
             large_rates[kb].append(rate)
             predicted = rate < half_rates[kb]
             observed = fast.iterations < slow.iterations
@@ -363,7 +363,7 @@ def test_criterion_06_step_oracle_and_transform_equivalence(capsys):
                           SymmetricMatrix.from_dense(b))
         x = rng.standard_normal(n)
         rho = float(rng.choice([1.0, 4.0]))
-        got, st = split_merge_step(pair, None, x, rho, LinearSolver.exact(pair.b))
+        got, st = split_merge_step(pair, x, rho, LinearSolver.exact(pair.b))
         if st.fallback:
             fallbacks += 1
             continue

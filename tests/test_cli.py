@@ -135,6 +135,28 @@ def test_topk_json_output(tmp_path, capsys):
     assert payload["lambdas"] == sorted(payload["lambdas"], reverse=True)
 
 
+def test_topk_pmd_builds_the_requested_metric_once(tmp_path, monkeypatch):
+    # Every stage of top_k must run in the metric named by --precond, and
+    # the metric is factored once for all stages, not once per stage.
+    import gepsolve.precond
+
+    a_path, b_path = gen_files(tmp_path, n=10, kappa_b=8.0, seed=7)
+    real = gepsolve.precond.build_preconditioner
+    built = []
+
+    def spy(b, kind, *args, **kwargs):
+        built.append(kind)
+        return real(b, kind, *args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("gepsolve") and hasattr(module, "build_preconditioner"):
+            monkeypatch.setattr(module, "build_preconditioner", spy)
+    rc = main(["topk", "--a", a_path, "--b", b_path, "--k", "3",
+               "--method", "pmd", "--precond", "diag", "--tol", "1e-6"])
+    assert rc == 0
+    assert built == ["diagonal"]
+
+
 def test_topk_k_out_of_range_exit_three(tmp_path, capsys):
     a_path, b_path = gen_files(tmp_path, n=6, kappa_b=5.0, seed=8)
     rc = main(["topk", "--a", a_path, "--b", b_path, "--k", "99"])

@@ -96,8 +96,8 @@ def test_drift_small_with_reorthogonalization():
                                            max_iterations=20,
                                            reorthogonalize=True), x0)
     assert trace.status == "max-iterations"
-    assert len(trace.basis_drift) == 1
-    assert trace.basis_drift[0] < 1e-12
+    assert len(trace.diagnostics["basis_drift"]) == 1
+    assert trace.diagnostics["basis_drift"][0] < 1e-12
 
 
 def test_drift_grows_without_reorthogonalization():
@@ -108,8 +108,8 @@ def test_drift_grows_without_reorthogonalization():
         trace = run_lanczos(pair, SolverConfig(method="lanczos", tol=1e-300,
                                                max_iterations=cap,
                                                reorthogonalize=False), x0)
-        assert len(trace.basis_drift) == 1
-        drifts[cap] = trace.basis_drift[0]
+        assert len(trace.diagnostics["basis_drift"]) == 1
+        drifts[cap] = trace.diagnostics["basis_drift"][0]
     assert drifts[3] < drifts[5] < drifts[20]
     assert drifts[20] > 0.9
 
@@ -124,7 +124,7 @@ def test_multi_cycle_record_indices_and_drift_lists():
                                            reorthogonalize=False), x0)
     assert trace.status == "max-iterations"
     assert [r.k for r in trace.records] == [20, 40, 45]
-    assert len(trace.basis_drift) == 3
+    assert len(trace.diagnostics["basis_drift"]) == 3
 
 
 def test_random_pair_agrees_with_reference():
@@ -167,5 +167,5 @@ def test_deterministic():
     first = run_lanczos(pair, config, x0)
     second = run_lanczos(pair, config, x0)
     assert [r.lam for r in first.records] == [r.lam for r in second.records]
-    assert first.basis_drift == second.basis_drift
+    assert first.diagnostics["basis_drift"] == second.diagnostics["basis_drift"]
     npt.assert_array_equal(first.x, second.x)

@@ -128,7 +128,7 @@ def test_valid_fixed_stepsize_accepted():
                                       curvature_bound=bound,
                                       reference=np.array([1.0, 0.0])),
                    np.array([1.0, 1.0]))
-    assert trace.stepsize == 0.4
+    assert trace.diagnostics["stepsize"] == 0.4
     assert trace.converged
 
 
@@ -170,8 +170,8 @@ def test_gd_descent_lemma():
                                           max_iterations=60,
                                           seed=trial),
                        rng.standard_normal(10))
-        alpha = trace.stepsize
-        bound = trace.setup["curvature_bound"]
+        alpha = trace.diagnostics["stepsize"]
+        bound = trace.diagnostics["curvature_bound"]
         margin = alpha * (1.0 - alpha * bound / 2.0)
         assert margin > 0.0
         for prev, nxt, ratio in zip(trace.records, trace.records[1:],
@@ -214,8 +214,8 @@ def test_gd_sampled_stepsize_in_interval():
     trace = run_gd(pair, SolverConfig(method="gd", tol=1e-3, max_iterations=5,
                                       seed=9),
                    np.ones(8))
-    limit = 2.0 / trace.setup["curvature_bound"]
-    assert 0.9 * limit <= trace.stepsize <= 0.99 * limit
+    limit = 2.0 / trace.diagnostics["curvature_bound"]
+    assert 0.9 * limit <= trace.diagnostics["stepsize"] <= 0.99 * limit
 
 
 def test_gd_deterministic_given_seed():
@@ -225,7 +225,7 @@ def test_gd_deterministic_given_seed():
     cfg = dict(method="gd", tol=1e-7, seed=5, max_iterations=3000)
     t1 = run_gd(pair, SolverConfig(**cfg), x0)
     t2 = run_gd(pair, SolverConfig(**cfg), x0)
-    assert t1.stepsize == t2.stepsize
+    assert t1.diagnostics["stepsize"] == t2.diagnostics["stepsize"]
     assert [r.f for r in t1.records] == [r.f for r in t2.records]
     npt.assert_array_equal(t1.x, t2.x)
 
@@ -296,7 +296,7 @@ def test_pmd_default_preconditioner_is_exact_metric():
     trace = run_pmd(pair, SolverConfig(method="pmd", tol=1e-3,
                                        max_iterations=50),
                     x0=np.ones(10))
-    assert trace.setup["transformed_bound"] == 1.0
+    assert trace.diagnostics["transformed_bound"] == 1.0
 
 
 def test_pmd_explicit_precond_overrides_config():
@@ -306,9 +306,9 @@ def test_pmd_explicit_precond_overrides_config():
                        preconditioner=build_preconditioner(pair.b, "identity"))
     with_override = run_pmd(pair, cfg, build_preconditioner(pair.b, "cholesky"),
                             np.ones(2))
-    assert with_override.setup["transformed_bound"] == 1.0
+    assert with_override.diagnostics["transformed_bound"] == 1.0
     without = run_pmd(pair, cfg, x0=np.ones(2))
-    assert without.setup["transformed_bound"] > 2.0
+    assert without.diagnostics["transformed_bound"] > 2.0
 
 
 def spectrum_pair(n, seed, values):
@@ -443,7 +443,7 @@ def test_power_cost_per_iteration():
     k = trace.iterations
     assert trace.counters.solves == k
     assert trace.counters.matvecs == k + 1
-    assert trace.setup["setup_matvecs"] == 1
+    assert trace.diagnostics["setup_matvecs"] == 1
 
 
 def test_power_reference_free_costs_one_matvec_per_check():

@@ -150,7 +150,7 @@ def test_step_matches_dense_formulas():
                           SymmetricMatrix.from_dense(b))
         x = rng.standard_normal(n)
         rho = float(rng.choice([1.0, 4.0]))
-        got, st = split_merge_step(pair, None, x, rho, LinearSolver.exact(pair.b))
+        got, st = split_merge_step(pair, x, rho, LinearSolver.exact(pair.b))
         if st.fallback:
             fallbacks += 1
             continue
@@ -173,7 +173,7 @@ def test_step_two_by_two_unit_state():
         pair = MatrixPair(SymmetricMatrix.from_dense(a),
                           SymmetricMatrix.from_dense(b))
         x = np.array([1.0, 1.0])
-        got, st = split_merge_step(pair, None, x, 1.0, LinearSolver.exact(pair.b))
+        got, st = split_merge_step(pair, x, 1.0, LinearSolver.exact(pair.b))
         assert not st.fallback
         want, _, _ = dense_step(a, b, x, st.rho_used)
         npt.assert_allclose(got, want, rtol=1e-12)
@@ -184,7 +184,7 @@ def test_step_cost_two_solves_two_matvecs():
     solver = LinearSolver.exact(pair.b)
     counters = Counters()
     x = np.linspace(1.0, 2.0, 6)
-    split_merge_step(pair, None, x, 1.0, solver, counters)
+    split_merge_step(pair, x, 1.0, solver, counters)
     assert counters.matvecs == 2
     assert counters.solves == 2
 
@@ -195,17 +195,17 @@ def test_step_precomputed_product_saves_one_matvec():
     x = np.linspace(1.0, 2.0, 6)
     ax = pair.a.matvec(x)
     counters = Counters()
-    with_ax, _ = split_merge_step(pair, None, x, 1.0, solver, counters, ax=ax)
+    with_ax, _ = split_merge_step(pair, x, 1.0, solver, counters, ax=ax)
     assert counters.matvecs == 1
     assert counters.solves == 2
-    plain, _ = split_merge_step(pair, None, x, 1.0, solver)
+    plain, _ = split_merge_step(pair, x, 1.0, solver)
     npt.assert_array_equal(with_ax, plain)
 
 
 def test_step_eigenvector_fixed_point():
     pair = diag_pair([4.0, 1.0], [1.0, 1.0])
     x = np.array([1.0, 0.0])
-    x_next, st = split_merge_step(pair, None, x, 1.0, LinearSolver.exact(pair.b))
+    x_next, st = split_merge_step(pair, x, 1.0, LinearSolver.exact(pair.b))
     assert st.fallback
     assert st.w_second == 0.0
     npt.assert_array_equal(x_next, np.array([1.0, 0.0]))
@@ -216,9 +216,9 @@ def test_step_near_eigenvector_threshold():
     # is treated as degenerate while 1e-4 still takes the genuine step.
     pair = diag_pair([4.0, 1.0], [1.0, 1.0])
     solver = LinearSolver.exact(pair.b)
-    _, st_tiny = split_merge_step(pair, None, np.array([1.0, 1e-9]), 1.0, solver)
+    _, st_tiny = split_merge_step(pair, np.array([1.0, 1e-9]), 1.0, solver)
     assert st_tiny.fallback
-    _, st_real = split_merge_step(pair, None, np.array([1.0, 1e-4]), 1.0, solver)
+    _, st_real = split_merge_step(pair, np.array([1.0, 1e-4]), 1.0, solver)
     assert not st_real.fallback
     assert st_real.pd_margin > 0.0
 
@@ -232,7 +232,7 @@ def test_step_identity_metric_reduction():
         pair = MatrixPair(SymmetricMatrix.from_dense(a),
                           SymmetricMatrix.from_dense(np.eye(n)))
         x = rng.standard_normal(n)
-        got, st = split_merge_step(pair, None, x, 1.0, LinearSolver.exact(pair.b))
+        got, st = split_merge_step(pair, x, 1.0, LinearSolver.exact(pair.b))
         want = ep_step(a, x, 1.0)
         npt.assert_allclose(got, want, rtol=1e-12,
                             atol=1e-12 * float(np.linalg.norm(want)))
@@ -244,13 +244,13 @@ def test_step_tiny_scale_exhausts_doublings():
     pair = make_pair(6, 9, cond_a=10.0, cond_b=5.0)
     x = 1e-20 * np.linspace(1.0, 2.0, 6)
     with pytest.raises(NumericalError):
-        split_merge_step(pair, None, x, 1.0, LinearSolver.exact(pair.b))
+        split_merge_step(pair, x, 1.0, LinearSolver.exact(pair.b))
 
 
 def test_step_degenerate_direction_raises():
     pair = diag_pair([0.0, 1.0], [1.0, 1.0])
     with pytest.raises(DegenerateDirection):
-        split_merge_step(pair, None, np.array([1.0, 0.0]), 1.0,
+        split_merge_step(pair, np.array([1.0, 0.0]), 1.0,
                          LinearSolver.exact(pair.b))
 
 
@@ -259,7 +259,7 @@ def test_step_state_vector_bookkeeping():
     # and b_next must be the metric image of the returned iterate.
     pair = make_pair(8, 21)
     x = np.random.default_rng(4).standard_normal(8)
-    x_next, st = split_merge_step(pair, None, x, 1.0, LinearSolver.exact(pair.b))
+    x_next, st = split_merge_step(pair, x, 1.0, LinearSolver.exact(pair.b))
     npt.assert_allclose(pair.b.matvec(st.w), st.ax, rtol=0,
                         atol=1e-10 * float(np.linalg.norm(st.ax)))
     npt.assert_allclose(pair.b.matvec(st.t), st.h, rtol=0,
@@ -315,7 +315,7 @@ def test_run_from_top_eigenvector_converges_immediately():
     assert trace.status == "converged"
     assert trace.iterations == 0
     assert len(trace.records) == 1
-    assert trace.fallback_steps == 0
+    assert trace.diagnostics["fallback_steps"] == 0
     assert trace.counters.solves == 0
     assert trace.counters.matvecs == 1
 
@@ -331,7 +331,7 @@ def test_run_counters_reference_mode():
     assert len(trace.records) == k + 1
     assert trace.counters.matvecs == 2 * k + 1
     assert trace.counters.solves == 2 * k
-    assert trace.setup["setup_matvecs"] == 1
+    assert trace.diagnostics["setup_matvecs"] == 1
 
 
 def test_run_counters_reference_free():
@@ -373,7 +373,7 @@ def test_run_rho_escalation_recovers():
     trace = run_split_merge(pair, config,
                             np.random.default_rng(2).standard_normal(32))
     assert trace.status == "converged"
-    assert trace.rho_escalations >= 1
+    assert trace.diagnostics["rho_escalations"] >= 1
     assert config.rho == 1.0
     assert abs(trace.final().lam - lam_ref) <= 1e-6 * lam_ref
     assert abs(trace.final().f - (-lam_ref / 4.0)) <= 1e-6 * lam_ref
@@ -389,7 +389,7 @@ def test_run_fallback_tally_near_convergence():
                                                max_iterations=60),
                             np.array([1.0, 1.0, 1.0]))
     assert trace.status == "max-iterations"
-    assert trace.fallback_steps >= 1
+    assert trace.diagnostics["fallback_steps"] >= 1
     assert direction_gap(trace.x, np.array([1.0, 0.0, 0.0])) <= 1e-12
 
 
@@ -405,7 +405,7 @@ def test_run_pcg_backend():
     assert trace.records[-1].sin_theta <= 1e-5
     assert trace.counters.pcg_inner > 0
     assert trace.counters.solves == 2 * trace.iterations
-    assert trace.setup["solver_mode"] == "pcg"
+    assert trace.diagnostics["solver_mode"] == "pcg"
 
 
 def test_run_full_success_rate_at_scale():
