@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import os
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -285,7 +286,6 @@ def _aggregate(method, cell, outcomes) -> MethodCellStats:
 
 
 def _write_trace(trace_dir, cell, method, trial, trace) -> None:
-    import os
     sub = os.path.join(str(trace_dir), f"n{cell.n}_kb{cell.kappa_b:g}")
     os.makedirs(sub, exist_ok=True)
     trace.to_csv(os.path.join(sub, f"{method}_t{trial}.csv"))
@@ -304,7 +304,6 @@ def matvec_equivalent_cost(matvecs: int, solves: int, n: int, exact_mode: bool) 
 
 def export_report(report: BenchmarkReport, out_dir) -> tuple[str, str]:
     """Write report.json and the long-format report.csv; returns the paths."""
-    import os
     os.makedirs(str(out_dir), exist_ok=True)
     json_path = os.path.join(str(out_dir), "report.json")
     csv_path = os.path.join(str(out_dir), "report.csv")

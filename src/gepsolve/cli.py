@@ -138,13 +138,8 @@ def _cmd_gen(args) -> int:
 
 def _cmd_solve(args) -> int:
     pair = _load_pair(args)
-    reference = None
-    ref_lambda = None
-    if args.ref == "internal":
-        ref = reference_solution(pair)
-        reference = ref.u
-        ref_lambda = ref.lam
-    config = _build_config(args, pair, reference)
+    ref = reference_solution(pair) if args.ref == "internal" else None
+    config = _build_config(args, pair, None if ref is None else ref.u)
     x0 = np.random.default_rng(args.seed).standard_normal(pair.n)
     trace = solve(pair, config, x0)
     if args.trace:
@@ -153,8 +148,8 @@ def _cmd_solve(args) -> int:
     print(f"status      {trace.status}")
     print(f"iterations  {trace.iterations}")
     print(f"lambda      {final.lam!r}")
-    if ref_lambda is not None:
-        print(f"reference   {ref_lambda!r}")
+    if ref is not None:
+        print(f"reference   {ref.lam!r}")
     print(f"criterion   {trace.criterion} = {trace.criterion_values[-1]:.3e}")
     print(f"matvecs     {trace.counters.matvecs}")
     print(f"solves      {trace.counters.solves}")
