@@ -114,14 +114,23 @@ class SolveTrace:
 
 def check_stopping(x: np.ndarray, u_ref: np.ndarray, tol: float) -> tuple[float, bool]:
     """Sine of the principal angle between x and the reference direction,
-    and whether it meets the tolerance. Scale and sign free."""
-    nx = float(np.linalg.norm(x))
-    nu = float(np.linalg.norm(u_ref))
-    if nx == 0.0 or nu == 0.0:
-        raise ZeroVector("stopping check on a zero vector")
-    cos = min(1.0, abs(float(x @ u_ref)) / (nx * nu))
-    sin = float(np.sqrt(max(0.0, 1.0 - cos * cos)))
+    and whether it meets the tolerance. Scale and sign free; measured from
+    the part of x normal to the unit reference, which keeps the digits that
+    sqrt(1 - cos^2) loses (it reads 0 below about 1.5e-8)."""
+    sin = _sin_to_unit(x, _unit(u_ref))
     return sin, sin <= tol
+
+
+def _unit(v: np.ndarray) -> np.ndarray:
+    norm = float(np.linalg.norm(v))
+    if norm == 0.0:
+        raise ZeroVector("stopping check on a zero vector")
+    return v / norm
+
+
+def _sin_to_unit(x: np.ndarray, unit: np.ndarray) -> float:
+    x = _unit(x)
+    return float(np.linalg.norm(x - float(x @ unit) * unit))
 
 
 class _Recorder:
@@ -129,7 +138,8 @@ class _Recorder:
 
     def __init__(self, counters: Counters, reference, tol: float):
         self.counters = counters
-        self.reference = reference
+        # normalized once; every record measures its angle against it
+        self.unit = None if reference is None else _unit(reference)
         self.tol = tol
         self.records: list[TraceRecord] = []
         self.values: list[float] = []
@@ -138,13 +148,12 @@ class _Recorder:
     def add(self, k: int, f: float, lam: float, x: np.ndarray,
             grad_ratio: float | None) -> bool:
         """Append a record; returns True when the stopping rule fires."""
-        if self.reference is not None:
-            sin, ok = check_stopping(x, self.reference, self.tol)
-            crit = sin
+        if self.unit is not None:
+            sin = crit = _sin_to_unit(x, self.unit)
         else:
             sin = float("nan")
             crit = grad_ratio if grad_ratio is not None else float("inf")
-            ok = crit <= self.tol
+        ok = crit <= self.tol
         now = time.perf_counter_ns() - self.start
         self.records.append(TraceRecord(k, float(f), float(lam), sin,
                                         self.counters.matvecs, self.counters.solves,

@@ -78,6 +78,32 @@ def test_check_stopping_sign_free():
     assert sin == 0.0 and ok
 
 
+def test_check_stopping_resolves_tiny_angles():
+    # cos rounds to 1 below an angle of about 1.5e-8, so sqrt(1 - cos^2)
+    # read 0 here; the normal component keeps the angle.
+    rng = np.random.default_rng(3)
+    q = np.linalg.qr(rng.standard_normal((5, 2)))[0]
+    theta = 1e-9
+    x = 3.0 * (math.cos(theta) * q[:, 0] + math.sin(theta) * q[:, 1])
+    sin, ok = check_stopping(x, -2.0 * q[:, 0], 1e-10)
+    npt.assert_allclose(sin, math.sin(theta), rtol=1e-6)
+    assert not ok
+
+
+def test_sin_theta_stopping_reaches_tolerances_below_1e8():
+    # the run stops on the angle it reads, so a 0 read too early leaves the
+    # returned vector up to 1.5e-8 off
+    pair = rand_pair(12, 31)
+    u = top_vector(pair)
+    u = u / np.linalg.norm(u)
+    trace = run_power(pair, SolverConfig(method="power", tol=1e-10, reference=u,
+                                         max_iterations=5000),
+                      np.random.default_rng(4).standard_normal(12))
+    assert trace.status == "converged"
+    x = trace.x / np.linalg.norm(trace.x)
+    assert float(np.linalg.norm(x - (x @ u) * u)) <= 2e-10
+
+
 def test_check_stopping_zero_vector():
     with pytest.raises(ZeroVector):
         check_stopping(np.zeros(2), np.ones(2), 1e-5)
