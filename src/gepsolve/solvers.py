@@ -19,6 +19,7 @@ estimate 2 sqrt(x'Ax) equals q.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field, replace
 
@@ -37,8 +38,6 @@ from .linalg import Counters, LinearSolver, jacobi_eigh, solve_spd
 from .objective import DEGENERATE_RTOL, CurvatureBound, MatrixPair, estimate_curvature_bound
 from .precond import Preconditioner, apply_gram_inverse, build_preconditioner, \
     transformed_dominant_eigenvalue
-
-METHODS = ("gd", "pmd", "power", "split-merge", "lanczos")
 
 TRACE_HEADER = "k,f,lambda,sin_theta,matvecs,solves,elapsed_ns"
 
@@ -129,8 +128,11 @@ def _unit(v: np.ndarray) -> np.ndarray:
 
 
 def _sin_to_unit(x: np.ndarray, unit: np.ndarray) -> float:
-    x = _unit(x)
-    return float(np.linalg.norm(x - float(x @ unit) * unit))
+    xx = float(x @ x)
+    if xx == 0.0:
+        raise ZeroVector("stopping check on a zero vector")
+    normal = x - float(x @ unit) * unit
+    return math.sqrt(float(normal @ normal) / xx)
 
 
 class _Recorder:
@@ -401,6 +403,7 @@ RUNNERS = {
     "split-merge": _SplitMerge,
     "lanczos": _Lanczos,
 }
+METHODS = tuple(RUNNERS)
 
 
 def _run(method: str, pair: MatrixPair, config: SolverConfig, x0) -> SolveTrace:
