@@ -3,10 +3,10 @@
 Every method runs through ``solve(pair, config, x0)`` and the ``RUNNERS``
 registry: a runner supplies its set-up and one step, and one driver loop
 owns the checks, counters, recording, stopping and the trace. The trace
-holds one record per iteration with the objective value, the
-eigenvalue estimate, the stopping quantity, cumulative matvec/solve counts,
-and wall time. With a reference vector the stopping rule is the
-principal-angle sine; without one it is the scale-free gradient criterion
+holds one record per iteration with the objective value, the eigenvalue
+estimate, the stopping quantity, cumulative matvec/solve counts, and wall
+time. With a reference vector the stopping rule is the principal-angle
+sine; without one it is the scale-free gradient criterion
 ||A d - q B d|| / (sqrt(d'Ad) q) for the unit direction d with Rayleigh
 quotient q, which coincides with ||grad f|| / lambda at the scale where the
 objective is stationary along the ray.
@@ -121,6 +121,7 @@ def check_stopping(x: np.ndarray, u_ref: np.ndarray, tol: float) -> tuple[float,
 
 
 def _unit(v: np.ndarray) -> np.ndarray:
+    v = np.asarray(v, dtype=np.float64)
     norm = float(np.linalg.norm(v))
     if norm == 0.0:
         raise ZeroVector("stopping check on a zero vector")
