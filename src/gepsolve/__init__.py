@@ -55,7 +55,6 @@ from .precond import (
     transformed_dominant_eigenvalue,
 )
 from .solvers import (
-    RUNNERS,
     SolverConfig,
     SolveTrace,
     SplitMergeState,
