@@ -3,6 +3,7 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+import scipy.linalg
 import scipy.sparse
 
 from gepsolve import (
@@ -329,6 +330,24 @@ def test_ic0_solve_applies_both_triangles():
     npt.assert_allclose(f.solve(r), np.linalg.solve(l @ l.T, r),
                         rtol=0, atol=1e-11)
 
+
+
+@pytest.mark.parametrize("source", ["sparse-grid", "dense-input"])
+def test_ic0_triangular_solves_match_lapack(source):
+    """Both substitutions and the pair agree with LAPACK on the same L."""
+    if source == "sparse-grid":
+        mat = grid_laplacian(9)
+    else:
+        mat = SymmetricMatrix.from_dense(rand_spd(30, 8))
+    f = incomplete_cholesky(mat)
+    assert f.kind == "sparse"
+    l = f.lower()
+    r = np.random.default_rng(23).standard_normal(mat.n)
+    y = scipy.linalg.solve_triangular(l, r, lower=True)
+    x = scipy.linalg.solve_triangular(l, r, lower=True, trans="T")
+    xy = scipy.linalg.solve_triangular(l, y, lower=True, trans="T")
+    for got, want in ((f.solve_lower(r), y), (f.solve_upper(r), x), (f.solve(r), xy)):
+        assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
 
 def coupled_ring(t):
     """Positive definite for t < 1, yet zero-fill factorization loses the

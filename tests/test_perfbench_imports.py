@@ -6,11 +6,14 @@ own suite, instead of only when the benchmark runs.
 
 from pathlib import Path
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 import scipy.linalg
 
-from gepsolve import MatrixPair, SolverConfig, SymmetricMatrix, build_preconditioner
+from gepsolve import (LinearSolver, MatrixPair, SolverConfig, SymmetricMatrix,
+                      build_preconditioner)
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -27,6 +30,16 @@ def workloads(monkeypatch):
     import workloads
 
     return workloads
+
+
+class StubClock:
+    """The benchmark clock's interface without its calibration kernel."""
+
+    def calibrate(self):
+        pass
+
+    def ns(self, t0, t1):
+        return t1 - t0
 
 
 def test_benchmark_calls_every_runner_with_a_configured_metric(workloads):
@@ -46,3 +59,26 @@ def test_benchmark_calls_every_runner_with_a_configured_metric(workloads):
     pmd = workloads.call_runner("pmd", pair, SolverConfig(
         method="pmd", tol=1e-8, preconditioner=precond), x0)
     assert pmd.diagnostics["transformed_bound"] != 1.0
+
+
+def test_kernel_probes_run_on_a_sparse_pencil_with_an_ic0_metric(workloads):
+    import pencils
+    import probes
+
+    a, b = pencils.grid_pencil(6, layout_seed=0)
+    pair = MatrixPair(pencils.to_symmetric(a), pencils.to_symmetric(b))
+    vecs = pencils.dense_oracle(a.toarray(), b.toarray(), 3)[1]
+    ops = workloads.Operands(pair, LinearSolver.pcg(pair.b, cap=30),
+                             build_preconditioner(pair.b, "incomplete-cholesky"), None)
+    workload = SimpleNamespace(probe_calls={"matvec": 2, "solve": 2, "factor": 2})
+    out = probes.kernels(StubClock(), workload, ops, vecs)
+    assert set(out) == {
+        "linalg.matvec.A.us", "linalg.matvec.B.us", "linalg.solve_spd.us",
+        "linalg.solve_spd.pcg_inner_per_solve", "linalg.CholeskyFactor.solve.us",
+        "precond.apply_gram_inverse.us", "linalg.jacobi_eigh.tri20.us",
+        "precond.transformed_dominant_eigenvalue.ms",
+        "deflation.DeflatedOperator.matvec.depth1.us",
+        "deflation.DeflatedOperator.matvec.depth2.us",
+        "deflation.DeflatedOperator.matvec.depth3.us",
+    }
+    assert all(np.isfinite(v) and v > 0 for v in out.values()), out

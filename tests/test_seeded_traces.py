@@ -18,6 +18,7 @@ from gepsolve import (
     SolverConfig,
     SymmetricMatrix,
     SyntheticSpec,
+    build_preconditioner,
     gen_synthetic,
     run_gd,
     run_lanczos,
@@ -114,6 +115,24 @@ def test_power_with_pcg_on_grid_pencil_is_pinned():
     config = SolverConfig(method="power", tol=1e-6, reference=u, linear_solver=solver)
     assert_pinned(run_power(pair, config, x0),
                   ("converged", 338, 1430, 338, 1091, -1.9398485990183374, 7.75939439607335))
+
+
+def test_pmd_with_ic0_metric_on_grid_pencil_is_pinned():
+    """pmd in the IC(0) metric of B = 10 x 10 Laplacian + 0.5 I: every
+    iteration, and the transformed-bound estimate, go through the sparse
+    triangular solves of the incomplete factor."""
+    grid = grid_pencil()
+    lap = grid.a.dense()
+    pair = MatrixPair(grid.b, SymmetricMatrix.from_sparse(
+        scipy.sparse.csr_matrix(lap + 0.5 * np.eye(grid.n))))
+    u = scipy.linalg.eigh(pair.a.dense(), pair.b.dense())[1][:, -1]
+    x0 = np.random.default_rng(2).standard_normal(pair.n)
+    config = SolverConfig(method="pmd", tol=1e-6, seed=0, reference=u,
+                          preconditioner=build_preconditioner(pair.b, "incomplete-cholesky"))
+    trace = run_pmd(pair, config, None, x0)
+    assert_pinned(trace, ("converged", 43, 88, 43, 0, -0.5626170667571296, 2.250468265381885))
+    assert trace.diagnostics["transformed_bound"] == pytest.approx(
+        1.137183612040044, rel=RTOL, abs=0)
 
 
 @pytest.mark.parametrize("method, lams", [
