@@ -10,6 +10,7 @@ from .errors import (
     GepSolveError,
     InputError,
     InvalidStepsize,
+    NonFiniteEntries,
     NotNormalized,
     NotPositiveDefinite,
     NotSquare,

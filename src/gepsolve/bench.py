@@ -140,10 +140,6 @@ class MethodCellStats:
     failures: list[dict] = field(default_factory=list)
 
     def statistic(self, name: str) -> float:
-        if name == "trials":
-            return float(self.trials)
-        if name == "successes":
-            return float(self.successes)
         return float(getattr(self, name))
 
 

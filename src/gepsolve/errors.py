@@ -31,6 +31,10 @@ class AsymmetricEntries(InputError):
     """Entries violate the required symmetry tolerance."""
 
 
+class NonFiniteEntries(InputError):
+    """A matrix holds a NaN or infinite entry."""
+
+
 class ParseError(InputError):
     """A matrix file could not be parsed."""
 

@@ -10,16 +10,17 @@ concurrent runs cannot interfere.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 import scipy.sparse
+import scipy.sparse.linalg
 
 from .errors import (
     AsymmetricEntries,
-    Breakdown,
     DimensionMismatch,
+    NonFiniteEntries,
     NotPositiveDefinite,
     NotSquare,
     NumericalError,
@@ -77,13 +78,18 @@ def _entry_fingerprint(n: int, rows: np.ndarray, cols: np.ndarray, vals: np.ndar
     return int.from_bytes(h.digest(), "little")
 
 
+def _check_finite(values: np.ndarray) -> None:
+    if not np.all(np.isfinite(values)):
+        raise NonFiniteEntries("matrix has a NaN or infinite entry")
+
+
 class SymmetricMatrix:
     """Square symmetric matrix with dense or CSR storage.
 
     Use :meth:`from_dense` or :meth:`from_sparse`; the constructor is not
-    part of the public surface. Symmetry is checked on entry against
-    ``SYMMETRY_RTOL`` relative to the largest entry and the stored data is
-    exactly symmetrized afterwards.
+    part of the public surface. NaN and infinite entries are rejected on
+    entry, symmetry is checked against ``SYMMETRY_RTOL`` relative to the
+    largest entry, and the stored data is exactly symmetrized afterwards.
     """
 
     def __init__(self, n: int, kind: str, dense=None, sparse=None):
@@ -98,6 +104,7 @@ class SymmetricMatrix:
         a = np.ascontiguousarray(arr, dtype=np.float64)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise NotSquare(f"expected a square 2-d array, got shape {a.shape}")
+        _check_finite(a)
         scale = np.max(np.abs(a)) if a.size else 0.0
         gap = np.max(np.abs(a - a.T)) if a.size else 0.0
         if gap > SYMMETRY_RTOL * max(scale, 1e-300):
@@ -110,6 +117,7 @@ class SymmetricMatrix:
         s = scipy.sparse.csr_array(mat, dtype=np.float64)
         if s.ndim != 2 or s.shape[0] != s.shape[1]:
             raise NotSquare(f"expected a square sparse matrix, got shape {s.shape}")
+        _check_finite(s.data)
         diff = (s - s.T).tocoo()
         scale = np.max(np.abs(s.data)) if s.nnz else 0.0
         gap = np.max(np.abs(diff.data)) if diff.nnz else 0.0
@@ -127,6 +135,7 @@ class SymmetricMatrix:
         rows = np.asarray(rows, dtype=np.int64)
         cols = np.asarray(cols, dtype=np.int64)
         vals = np.asarray(vals, dtype=np.float64)
+        _check_finite(vals)
         off = rows != cols
         r = np.concatenate([rows, cols[off]])
         c = np.concatenate([cols, rows[off]])
@@ -196,9 +205,12 @@ def add_scaled(a: SymmetricMatrix, b: SymmetricMatrix, eta: float) -> SymmetricM
 class CholeskyFactor:
     """Lower-triangular factor L with B = L L', dense or sparse storage.
 
-    Sparse factors keep the strict lower part in CSR plus the diagonal, with
-    the transposed strict part cached for backward substitution. The
-    fingerprint of the source matrix is stored for staleness checks.
+    Sparse factors keep the strict lower part in CSR plus the diagonal, and
+    solve through a SuperLU handle on L built once in natural order with
+    diagonal pivoting: L is already triangular with positive pivots, so the
+    handle's L U is L itself and both substitutions run compiled, the
+    backward one as a transposed solve. The fingerprint of the source
+    matrix is stored for staleness checks.
     """
 
     def __init__(self, n, source_fingerprint, dense_l=None, strict_lower=None,
@@ -208,12 +220,10 @@ class CholeskyFactor:
         self.complete = complete
         self._l = dense_l
         self._strict = strict_lower
-        if strict_lower is not None:
-            self._strict_t = strict_lower.T.tocsr()
-            self._strict_t.sort_indices()
-        else:
-            self._strict_t = None
         self._diag = diag
+        self._lu = None if strict_lower is None else scipy.sparse.linalg.splu(
+            scipy.sparse.csc_array(strict_lower + scipy.sparse.diags_array(diag)),
+            permc_spec="NATURAL", diag_pivot_thresh=0.0)
 
     @property
     def kind(self) -> str:
@@ -228,25 +238,14 @@ class CholeskyFactor:
         """Solve L y = b."""
         if self._l is not None:
             return scipy.linalg.solve_triangular(self._l, b, lower=True, check_finite=False)
-        x = np.empty_like(b, dtype=np.float64)
-        indptr, indices, data = self._strict.indptr, self._strict.indices, self._strict.data
-        for i in range(self.n):
-            lo, hi = indptr[i], indptr[i + 1]
-            x[i] = (b[i] - np.dot(data[lo:hi], x[indices[lo:hi]])) / self._diag[i]
-        return x
+        return self._lu.solve(np.asarray(b, dtype=np.float64))
 
     def solve_upper(self, b: np.ndarray) -> np.ndarray:
         """Solve L' x = b."""
         if self._l is not None:
             return scipy.linalg.solve_triangular(self._l, b, lower=True, trans="T",
                                                  check_finite=False)
-        x = np.empty_like(b, dtype=np.float64)
-        up = self._strict_t
-        indptr, indices, data = up.indptr, up.indices, up.data
-        for i in range(self.n - 1, -1, -1):
-            lo, hi = indptr[i], indptr[i + 1]
-            x[i] = (b[i] - np.dot(data[lo:hi], x[indices[lo:hi]])) / self._diag[i]
-        return x
+        return self._lu.solve(np.asarray(b, dtype=np.float64), trans="T")
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """Solve (L L') x = b."""
@@ -284,7 +283,6 @@ def incomplete_cholesky(b: SymmetricMatrix,
     """
     if b.kind == "dense":
         src = scipy.sparse.csr_array(b._dense)
-        src.eliminate_zeros()
     else:
         src = b._sparse
     low = scipy.sparse.tril(src, format="csr")

@@ -33,7 +33,7 @@ class Preconditioner:
             l = self.factor
             if l.kind == "dense":
                 return l._l.T @ x
-            return (l._strict.T @ x) + self._factor_diag() * x
+            return (l._strict.T @ x) + l._diag * x
         if self.kind == "diagonal":
             return self.scale * x
         return x.copy()
@@ -64,9 +64,6 @@ class Preconditioner:
         if self.kind == "diagonal":
             return np.diag(self.scale ** 2)
         return np.eye(self.n)
-
-    def _factor_diag(self) -> np.ndarray:
-        return self.factor._diag
 
     def _check(self, x):
         if np.shape(x) != (self.n,):

@@ -210,12 +210,8 @@ class _FirstOrder(_Runner):
             self.diagnostics["curvature_bound"] = bound.bound
             self.diagnostics["curvature_method"] = bound.method
         else:
-            if config.transformed_bound is not None:
-                lam_t = config.transformed_bound
-            elif precond.kind == "cholesky":
-                # exact metric: the transformed B is the identity
-                lam_t = 1.0
-            else:
+            lam_t = config.transformed_bound
+            if lam_t is None:
                 lam_t = transformed_dominant_eigenvalue(pair.b, precond)
             limit = 1.0 / lam_t
             self.diagnostics["transformed_bound"] = lam_t

@@ -5,13 +5,19 @@ import numpy.testing as npt
 import pytest
 import scipy.linalg
 
+import gepsolve.deflation
+import gepsolve.solvers
 from gepsolve import (
     MatrixPair,
     SolverConfig,
     SymmetricMatrix,
+    SyntheticSpec,
+    build_preconditioner,
     deflate,
+    gen_synthetic,
     run_split_merge,
     top_k,
+    transformed_dominant_eigenvalue,
 )
 from gepsolve.errors import DimensionMismatch, NotNormalized, StageFailure
 
@@ -209,3 +215,23 @@ def test_top_k_other_methods_agree():
         lams = [lam for lam, _ in got]
         npt.assert_allclose(lams, vals[::-1][:2], rtol=0,
                             atol=1e-5 * float(vals[-1]))
+
+
+def test_top_k_pmd_estimates_the_transformed_bound_once(monkeypatch):
+    """B and the metric do not change between stages, so neither does the
+    bound; the stage eigenvalues are those of a per-stage estimate."""
+    bounds = []
+
+    def counted(b, p):
+        bounds.append(transformed_dominant_eigenvalue(b, p))
+        return bounds[-1]
+
+    for module in (gepsolve.deflation, gepsolve.solvers):
+        monkeypatch.setattr(module, "transformed_dominant_eigenvalue", counted)
+    pair = gen_synthetic(SyntheticSpec(n=128, kappa_b=10.0, seed=0))
+    config = SolverConfig(method="pmd", tol=1e-6, seed=0,
+                          preconditioner=build_preconditioner(pair.b, "diagonal"))
+    lams = [lam for lam, _ in top_k(pair, 4, config)]
+    assert bounds == [pytest.approx(1.8542976099281945, rel=1e-12)]
+    assert lams == pytest.approx([5.781358715214289, 5.548403712873271,
+                                  4.797243940241131, 4.671534000377313], rel=1e-12, abs=0)

@@ -22,6 +22,7 @@ from gepsolve import (
 from gepsolve.errors import (
     AsymmetricEntries,
     DimensionMismatch,
+    NonFiniteEntries,
     NotPositiveDefinite,
     NotSquare,
     ParseError,
@@ -66,6 +67,27 @@ def test_from_dense_rejects_nonsquare():
 def test_from_dense_rejects_asymmetric():
     with pytest.raises(AsymmetricEntries):
         SymmetricMatrix.from_dense(np.array([[1.0, 2.0], [0.5, 1.0]]))
+
+
+@pytest.mark.parametrize("i, j, value", [(0, 1, np.nan), (1, 1, np.inf)])
+def test_from_dense_rejects_non_finite(i, j, value):
+    # a NaN symmetry gap compares false against the tolerance
+    a = rand_spd(4, 3)
+    a[i, j] = a[j, i] = value
+    with pytest.raises(NonFiniteEntries):
+        SymmetricMatrix.from_dense(a)
+
+
+def test_from_sparse_rejects_non_finite():
+    a = rand_spd(4, 3)
+    a[2, 0] = a[0, 2] = np.nan
+    with pytest.raises(NonFiniteEntries):
+        SymmetricMatrix.from_sparse(scipy.sparse.csr_array(a))
+
+
+def test_from_lower_entries_rejects_non_finite():
+    with pytest.raises(NonFiniteEntries):
+        SymmetricMatrix.from_lower_entries(2, [0, 1, 1], [0, 0, 1], [2.0, np.nan, 3.0])
 
 
 def test_from_dense_symmetrizes_roundoff():
@@ -331,7 +353,6 @@ def test_ic0_solve_applies_both_triangles():
                         rtol=0, atol=1e-11)
 
 
-
 @pytest.mark.parametrize("source", ["sparse-grid", "dense-input"])
 def test_ic0_triangular_solves_match_lapack(source):
     """Both substitutions and the pair agree with LAPACK on the same L."""
@@ -348,6 +369,7 @@ def test_ic0_triangular_solves_match_lapack(source):
     xy = scipy.linalg.solve_triangular(l, y, lower=True, trans="T")
     for got, want in ((f.solve_lower(r), y), (f.solve_upper(r), x), (f.solve(r), xy)):
         assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
 
 def coupled_ring(t):
     """Positive definite for t < 1, yet zero-fill factorization loses the
@@ -521,6 +543,15 @@ def test_read_matrix_market_parse_errors(tmp_path):
             read_matrix_market(path)
 
 
+@pytest.mark.parametrize("symmetry, entry", [("symmetric", "2 1 nan"), ("general", "2 2 inf")])
+def test_read_matrix_market_rejects_non_finite(tmp_path, symmetry, entry):
+    path = tmp_path / "m.mtx"
+    path.write_text(f"%%MatrixMarket matrix coordinate real {symmetry}\n"
+                    f"2 2 2\n1 1 2.0\n{entry}\n")
+    with pytest.raises(NonFiniteEntries):
+        read_matrix_market(path)
+
+
 def test_matrix_market_round_trip(tmp_path):
     """Write then read reproduces the stored entry set exactly."""
     for trial in range(5):
@@ -551,3 +582,10 @@ def test_dense_text_parse_errors(tmp_path):
         path.write_text(body)
         with pytest.raises(ParseError):
             read_dense_text(path)
+
+
+def test_read_dense_text_rejects_non_finite(tmp_path):
+    path = tmp_path / "m.txt"
+    path.write_text("2\n1.0\nnan 3.0\n")
+    with pytest.raises(NonFiniteEntries):
+        read_dense_text(path)
