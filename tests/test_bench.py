@@ -5,6 +5,8 @@ import json
 import numpy as np
 import pytest
 
+import gepsolve.bench
+import gepsolve.solvers
 from gepsolve.bench import (
     CI_N,
     FULL_KAPPA_B,
@@ -21,6 +23,7 @@ from gepsolve.bench import (
     run_suite,
 )
 from gepsolve.errors import InputError
+from gepsolve.precond import transformed_dominant_eigenvalue
 from gepsolve.solvers import TRACE_HEADER
 
 
@@ -186,3 +189,31 @@ def test_trace_directory_output(tmp_path):
 def test_matvec_equivalent_cost_accounting():
     assert matvec_equivalent_cost(10, 4, 60, exact_mode=True) == 24.0
     assert matvec_equivalent_cost(10, 4, 60, exact_mode=False) == 10.0
+
+
+def test_pmd_transformed_bound_is_estimated_once_per_cell(monkeypatch):
+    """Each cell builds B and the pmd metric once, so the bound they set is
+    the same for every trial; the trial eigenvalues are those of a
+    per-trial estimate."""
+    bounds = []
+    lams = []
+
+    def counted(b, p):
+        bounds.append(transformed_dominant_eigenvalue(b, p))
+        return bounds[-1]
+
+    def recorded(pair, config, x0):
+        trace = solve(pair, config, x0)
+        lams.append(trace.final().lam)
+        return trace
+
+    solve = gepsolve.bench.solve
+    monkeypatch.setattr(gepsolve.bench, "solve", recorded)
+    for module in (gepsolve.bench, gepsolve.solvers):
+        monkeypatch.setattr(module, "transformed_dominant_eigenvalue", counted, raising=False)
+    report = run_suite(SuiteConfig(cells=[SuiteCell(64, 10.0)], methods=["pmd"], trials=5,
+                                   pmd_precond="diagonal"))
+    assert report.cells[0].methods[0].success_rate == 1.0
+    assert bounds == [pytest.approx(1.8719929791099172, rel=1e-12)]
+    assert lams == pytest.approx([5.38618593256042, 5.386186860112775, 5.386186856965631,
+                                  5.386185934254441, 5.386185928642408], rel=1e-12, abs=0)

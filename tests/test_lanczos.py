@@ -89,6 +89,28 @@ def test_vanishing_continuation_with_converged_ritz_is_success():
     assert trace.iterations == 1
 
 
+def test_single_build_cycles_return_the_rayleigh_quotient():
+    # A one-vector basis is a 1x1 tridiagonal: its Ritz value is the
+    # Rayleigh quotient of the start, both at a cap of one build and in a
+    # last cycle that the cap cuts to one build.
+    pair = rand_pair(10, 40)
+    x0 = np.random.default_rng(41).standard_normal(10)
+    trace = run_lanczos(pair, SolverConfig(method="lanczos", tol=1e-300,
+                                           max_iterations=1), x0)
+    assert trace.status == "max-iterations"
+    assert [r.k for r in trace.records] == [1]
+    rq = float(x0 @ pair.a.matvec(x0)) / float(x0 @ pair.b.matvec(x0))
+    assert trace.final().lam == pytest.approx(rq, rel=1e-12, abs=0)
+    assert trace.final().lam == pytest.approx(1.014926099576347, rel=1e-12, abs=0)
+
+    trace = run_lanczos(pair, SolverConfig(method="lanczos", tol=1e-300, max_iterations=7,
+                                           lanczos_cycle=3), x0)
+    assert trace.status == "max-iterations"
+    assert [r.k for r in trace.records] == [3, 6, 7]
+    assert [r.lam for r in trace.records] == pytest.approx(
+        [7.115432819992731, 7.129897824055492, 7.129897824055494], rel=1e-12, abs=0)
+
+
 def test_drift_small_with_reorthogonalization():
     pair = clustered_pair()
     x0 = np.random.default_rng(0).standard_normal(pair.n)

@@ -9,8 +9,10 @@ from gepsolve import (
     Counters,
     MatrixPair,
     SymmetricMatrix,
+    SyntheticSpec,
     estimate_curvature_bound,
     eval_f,
+    gen_synthetic,
     grad_f,
     hess_vec,
     rayleigh_lambda,
@@ -320,6 +322,29 @@ def test_validate_matches_dense_sign_check():
         assert diag.a_positive_semidefinite == (w_min >= -1e-10)
         npt.assert_allclose(diag.min_generalized_eigenvalue, w_min,
                             rtol=1e-8, atol=1e-10)
+
+
+def test_validate_psd_pencil_is_pinned():
+    diag = validate_pair(gen_synthetic(SyntheticSpec(n=24, kappa_b=10.0, seed=5)))
+    assert diag.b_positive_definite
+    assert diag.a_positive_semidefinite
+    assert diag.min_generalized_eigenvalue == pytest.approx(
+        0.018724079211986464, rel=1e-10, abs=0)
+    assert diag.route == "dense-eigensolver"
+
+
+def test_validate_indefinite_a_pencil_is_pinned():
+    rng = np.random.default_rng(21)
+    a_dense = rng.standard_normal((12, 12))
+    q, _ = np.linalg.qr(rng.standard_normal((12, 12)))
+    b_dense = (q * np.linspace(0.2, 1.0, 12)) @ q.T
+    pair = MatrixPair(SymmetricMatrix.from_dense(0.5 * (a_dense + a_dense.T)),
+                      SymmetricMatrix.from_dense(0.5 * (b_dense + b_dense.T)))
+    diag = validate_pair(pair)
+    assert diag.b_positive_definite
+    assert not diag.a_positive_semidefinite
+    assert diag.min_generalized_eigenvalue == pytest.approx(
+        -8.376028346461883, rel=1e-10, abs=0)
 
 
 def test_validate_indefinite_b():
