@@ -21,7 +21,7 @@ import numpy as np
 from .errors import GepSolveError, InputError
 from .linalg import LinearSolver
 from .objective import estimate_curvature_bound
-from .precond import build_preconditioner
+from .precond import build_preconditioner, transformed_dominant_eigenvalue
 from .reference import reference_solution
 from .solvers import METHODS, SolverConfig, solve
 from .synthetic import SyntheticSpec, gen_synthetic
@@ -199,14 +199,17 @@ def run_suite(config: SuiteConfig, trace_dir=None) -> BenchmarkReport:
             n=cell.n, kappa_b=cell.kappa_b, kappa_a=config.kappa_a, seed=pair_seed))
         ref = reference_solution(pair)
 
-        # one linear solver, metric and curvature bound per cell, shared by
-        # every run on it
+        # one linear solver, metric with its transformed bound, and curvature
+        # bound per cell, shared by every run on it
+        precond = (build_preconditioner(pair.b, config.pmd_precond)
+                   if "pmd" in config.methods else None)
         base = SolverConfig(
             tol=config.tol, max_iterations=config.max_iterations, rho=config.rho,
             linear_solver=(LinearSolver.pcg(pair.b, cap=config.pcg_cap)
                            if config.linsolve == "pcg" else LinearSolver.exact(pair.b)),
-            preconditioner=(build_preconditioner(pair.b, config.pmd_precond)
-                            if "pmd" in config.methods else None),
+            preconditioner=precond,
+            transformed_bound=(transformed_dominant_eigenvalue(pair.b, precond)
+                               if precond is not None else None),
             curvature_bound=(estimate_curvature_bound(pair.b)
                              if "gd" in config.methods else None),
             reference=ref.u)

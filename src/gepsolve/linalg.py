@@ -448,7 +448,9 @@ def jacobi_eigh(a: np.ndarray, tol: float = 1e-12,
 
     Sweeps row pairs until the off-diagonal Frobenius norm falls below
     ``tol`` times the Frobenius norm of the input. Returns eigenvalues in
-    ascending order and the matching eigenvector columns.
+    ascending order and the matching eigenvector columns. No library path
+    calls it (the reference, ``validate_pair`` and the Lanczos Ritz step use
+    LAPACK); it is kept because the benchmark's kernel probe imports it.
 
     Parameters
     ----------

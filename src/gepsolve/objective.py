@@ -23,7 +23,7 @@ import scipy.linalg
 
 from .errors import DegenerateDirection, DimensionMismatch, InputError, NotPositiveDefinite
 from .linalg import Counters, SymmetricMatrix, add_scaled, cholesky_factorize, \
-    dominant_eigenvalue, jacobi_eigh
+    dominant_eigenvalue
 
 DEGENERATE_RTOL = 1e-30
 PSD_RTOL = 1e-10
@@ -60,27 +60,24 @@ class PairDiagnosis:
 
 
 def _dense_of(a) -> np.ndarray | None:
-    if isinstance(a, SymmetricMatrix) or hasattr(a, "dense"):
-        return a.dense()
-    return None
+    return a.dense() if hasattr(a, "dense") else None
 
 
 def validate_pair(pair: MatrixPair, dense_limit: int = DENSE_VALIDATE_LIMIT) -> PairDiagnosis:
     """Check definiteness of the pair.
 
     B is declared positive definite iff its Cholesky factorization succeeds.
-    Up to ``dense_limit`` the generalized spectrum of (A, B) is computed
-    through the congruence L^{-1} A L^{-T} and the Jacobi eigensolver and A
-    is tested positive semidefinite within a relative tolerance; beyond the
+    Up to ``dense_limit`` LAPACK's generalized symmetric-definite eigensolver
+    (``scipy.linalg.eigh``) gives the spectrum of (A, B), and A is tested
+    positive semidefinite within PSD_RTOL of its largest magnitude; beyond the
     limit a Gershgorin lower bound on A stands in, which is conservative:
     it can report False for semidefinite matrices with strong off-diagonal
     coupling.
     """
     try:
-        factor = cholesky_factorize(pair.b)
+        cholesky_factorize(pair.b)
         b_pd = True
     except NotPositiveDefinite:
-        factor = None
         b_pd = False
 
     a_dense = _dense_of(pair.a)
@@ -88,11 +85,8 @@ def validate_pair(pair: MatrixPair, dense_limit: int = DENSE_VALIDATE_LIMIT) -> 
         raise InputError("validate_pair needs a materializable A operand")
 
     if b_pd and pair.n <= dense_limit:
-        l = factor.lower()
-        y = scipy.linalg.solve_triangular(l, a_dense, lower=True, check_finite=False)
-        c = scipy.linalg.solve_triangular(l, y.T, lower=True, check_finite=False).T
-        c = (c + c.T) / 2.0
-        evals, _ = jacobi_eigh(c)
+        evals = scipy.linalg.eigh(a_dense, pair.b.dense(), eigvals_only=True,
+                                  check_finite=False)
         scale = float(np.max(np.abs(evals))) if evals.size else 0.0
         a_psd = bool(evals[0] >= -PSD_RTOL * max(scale, 1e-300))
         return PairDiagnosis(True, a_psd, float(evals[0]), "dense-eigensolver")

@@ -1,8 +1,8 @@
 """Trusted reference eigenpair for benchmarking and stopping checks.
 
-Dense pairs up to order 4096 go through the congruence C = L^{-1} A L^{-T}
-and the in-house cyclic Jacobi eigensolver; the dominant eigenvector maps
-back through L^{-T} and is B-normalized. The result must pass the residual
+Dense pairs up to order 4096 go to LAPACK's generalized symmetric-definite
+eigensolver (``scipy.linalg.eigh`` restricted to the top index); larger
+pairs run a tight split-merge solve. The result must pass the residual
 certificate ||A u - lambda B u|| <= 1e-8 lambda or an error is raised: a
 reference that cannot certify itself is worse than none.
 """
@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import NumericalError
+from .errors import NotPositiveDefinite, NumericalError
+from .linalg import cholesky_factorize
 from .objective import MatrixPair
 from .solvers import SolverConfig, run_split_merge
 
@@ -26,7 +27,7 @@ CERTIFICATE_RTOL = 1e-8
 class ReferencePair:
     lam: float
     u: np.ndarray  # B-normalized
-    route: str  # dense-jacobi | iterative
+    route: str  # dense-lapack (pairs up to DENSE_LIMIT) | iterative
     residual: float
 
 
@@ -47,19 +48,17 @@ def reference_solution(pair: MatrixPair, dense_limit: int = DENSE_LIMIT) -> Refe
 
 
 def _dense_route(pair: MatrixPair):
-    from .linalg import cholesky_factorize, jacobi_eigh
-
-    a = pair.a.dense() if hasattr(pair.a, "dense") else None
-    if a is None:
+    if not hasattr(pair.a, "dense"):
         raise NumericalError("dense reference needs a materializable A operand")
-    l = cholesky_factorize(pair.b).lower()
-    y = scipy.linalg.solve_triangular(l, a, lower=True, check_finite=False)
-    c = scipy.linalg.solve_triangular(l, y.T, lower=True, check_finite=False).T
-    c = (c + c.T) / 2.0
-    evals, vecs = jacobi_eigh(c)
-    w = vecs[:, -1]
-    u = scipy.linalg.solve_triangular(l, w, lower=True, trans="T", check_finite=False)
-    return float(evals[-1]), u, "dense-jacobi"
+    # the solvers' pivot floor; LAPACK alone accepts a numerically singular B
+    cholesky_factorize(pair.b)
+    n = pair.n
+    try:
+        evals, vecs = scipy.linalg.eigh(pair.a.dense(), pair.b.dense(),
+                                        subset_by_index=[n - 1, n - 1], check_finite=False)
+    except np.linalg.LinAlgError as exc:
+        raise NotPositiveDefinite(str(exc)) from exc
+    return float(evals[0]), vecs[:, 0], "dense-lapack"
 
 
 def _iterative_route(pair: MatrixPair):

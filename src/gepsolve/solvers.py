@@ -24,6 +24,7 @@ import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+import scipy.linalg
 
 from .errors import (
     Breakdown,
@@ -34,7 +35,7 @@ from .errors import (
     NumericalError,
     ZeroVector,
 )
-from .linalg import Counters, LinearSolver, jacobi_eigh, solve_spd
+from .linalg import Counters, LinearSolver, solve_spd
 from .objective import DEGENERATE_RTOL, CurvatureBound, MatrixPair, estimate_curvature_bound
 from .precond import Preconditioner, apply_gram_inverse, build_preconditioner, \
     transformed_dominant_eigenvalue
@@ -364,11 +365,10 @@ class _Lanczos(_Runner):
                     v = w / beta
                     bv = bw / beta
 
-            off = betas[: m - 1]
-            tri = np.diag(alphas) + np.diag(off, 1) + np.diag(off, -1)
-            evals, vecs = jacobi_eigh(tri)
-            theta = float(evals[-1])
-            ritz = basis[:, :m] @ vecs[:, -1]
+            evals, vecs = scipy.linalg.eigh_tridiagonal(
+                alphas, betas[: m - 1], select="i", select_range=(m - 1, m - 1))
+            theta = float(evals[0])
+            ritz = basis[:, :m] @ vecs[:, 0]
 
             gram = bimages[:, :m].T @ basis[:, :m]
             drift.append(float(np.max(np.abs(gram - np.eye(m)))))

@@ -1,9 +1,9 @@
 """No library path runs the pure-Python Jacobi eigensolver.
 
 `jacobi_eigh` stays exported, but the reference, pair validation and the
-Lanczos Ritz step use LAPACK; it is thousands of times slower at the orders
-the benchmark grid uses. Every module attribute bound to it is made to raise,
-then each of those paths runs.
+Lanczos Ritz step use LAPACK; it is about a thousand times slower at the
+orders the benchmark grid uses. Every module attribute bound to it is made
+to raise, then each of those paths runs.
 """
 
 import sys

@@ -29,7 +29,7 @@ def test_diagonal_example():
     ref = reference_solution(pair)
     assert ref.lam == pytest.approx(4.0, rel=1e-12)
     npt.assert_allclose(np.abs(ref.u), [1.0, 0.0], atol=1e-12)
-    assert ref.route == "dense-jacobi"
+    assert ref.route == "dense-lapack"
     assert ref.residual <= 1e-8 * ref.lam
 
 
@@ -64,7 +64,7 @@ def test_iterative_route_agrees_with_dense():
     pair = rand_pair(32, 35, cond_a=20.0, cond_b=6.0)
     dense = reference_solution(pair)
     iterative = reference_solution(pair, dense_limit=16)
-    assert dense.route == "dense-jacobi"
+    assert dense.route == "dense-lapack"
     assert iterative.route == "iterative"
     assert iterative.residual <= 1e-8 * iterative.lam
     assert abs(iterative.lam - dense.lam) <= 1e-8 * dense.lam
@@ -102,5 +102,14 @@ def test_grid_ci_reference_eigenvalues_are_pinned(n, kappa_b, seed, lam):
 def test_indefinite_b_raises_not_positive_definite():
     pair = MatrixPair(SymmetricMatrix.from_dense(np.eye(3)),
                       SymmetricMatrix.from_dense(np.diag([1.0, -1.0, 2.0])))
+    with pytest.raises(NotPositiveDefinite):
+        reference_solution(pair)
+
+
+def test_numerically_singular_b_raises_not_positive_definite():
+    # LAPACK factors this B and certifies lambda = 1e16; the reference keeps
+    # the solvers' pivot floor instead
+    pair = MatrixPair(SymmetricMatrix.from_dense(np.eye(3)),
+                      SymmetricMatrix.from_dense(np.diag([1.0, 1.0, 1e-16])))
     with pytest.raises(NotPositiveDefinite):
         reference_solution(pair)
