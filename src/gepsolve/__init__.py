@@ -61,6 +61,7 @@ from .solvers import (
     SplitMergeState,
     TraceRecord,
     check_stopping,
+    prepare,
     run_gd,
     run_lanczos,
     run_pmd,

@@ -20,10 +20,9 @@ import numpy as np
 
 from .errors import GepSolveError, InputError
 from .linalg import LinearSolver
-from .objective import estimate_curvature_bound
-from .precond import build_preconditioner, transformed_dominant_eigenvalue
+from .precond import build_preconditioner
 from .reference import reference_solution
-from .solvers import METHODS, SolverConfig, solve
+from .solvers import METHODS, SolverConfig, prepare, solve
 from .synthetic import SyntheticSpec, gen_synthetic
 
 SCHEMA_VERSION = 1
@@ -199,20 +198,17 @@ def run_suite(config: SuiteConfig, trace_dir=None) -> BenchmarkReport:
             n=cell.n, kappa_b=cell.kappa_b, kappa_a=config.kappa_a, seed=pair_seed))
         ref = reference_solution(pair)
 
-        # one linear solver, metric with its transformed bound, and curvature
-        # bound per cell, shared by every run on it
-        precond = (build_preconditioner(pair.b, config.pmd_precond)
-                   if "pmd" in config.methods else None)
+        # set up once per cell for every run on it: what the suite chooses
+        # here, and the rest, per method, by prepare
+        pmd_metric = "pmd" in config.methods and config.pmd_precond != "cholesky"
         base = SolverConfig(
             tol=config.tol, max_iterations=config.max_iterations, rho=config.rho,
             linear_solver=(LinearSolver.pcg(pair.b, cap=config.pcg_cap)
-                           if config.linsolve == "pcg" else LinearSolver.exact(pair.b)),
-            preconditioner=precond,
-            transformed_bound=(transformed_dominant_eigenvalue(pair.b, precond)
-                               if precond is not None else None),
-            curvature_bound=(estimate_curvature_bound(pair.b)
-                             if "gd" in config.methods else None),
+                           if config.linsolve == "pcg" else None),
+            preconditioner=build_preconditioner(pair.b, config.pmd_precond) if pmd_metric else None,
             reference=ref.u)
+        for method in config.methods:
+            base = prepare(pair, replace(base, method=method))
 
         x0s = []
         fps = []
@@ -318,8 +314,3 @@ def export_report(report: BenchmarkReport, out_dir) -> tuple[str, str]:
                     writer.writerow([cell.n, f"{cell.kappa_b:g}", m.method,
                                      stat, repr(m.statistic(stat))])
     return json_path, csv_path
-
-
-def read_report(path) -> dict:
-    with open(path, "r", encoding="ascii") as fh:
-        return json.load(fh)

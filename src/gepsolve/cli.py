@@ -110,6 +110,8 @@ def _build_config(args, pair, reference) -> SolverConfig:
     if args.linsolve == "pcg":
         solver = LinearSolver.pcg(pair.b, cap=args.pcg_cap)
     else:
+        # also the only check that B is positive definite for gd and for pmd
+        # with a non-Cholesky metric, whose runs never factor B
         solver = LinearSolver.exact(pair.b)
     precond = None
     if args.method == "pmd":

@@ -16,8 +16,7 @@ import numpy as np
 from .errors import DimensionMismatch, NotNormalized, StageFailure
 from .linalg import Counters
 from .objective import MatrixPair
-from .precond import build_preconditioner, transformed_dominant_eigenvalue
-from .solvers import SolverConfig, solve
+from .solvers import SolverConfig, prepare, solve
 
 NORMALIZATION_ATOL = 1e-10
 
@@ -74,8 +73,9 @@ def top_k(pair: MatrixPair, k: int, config: SolverConfig,
     reference-free mode, B-normalizes the converged direction, records
     (lambda, u), and deflates. Later stages restart from a seeded random
     vector B-orthogonalized against everything accepted. A stage that does
-    not converge raises StageFailure carrying the pairs found so far. For
-    pmd the metric and its transformed bound are set up once, before stage 1.
+    not converge raises StageFailure carrying the pairs found so far. The
+    method's set-up depends on B alone, so ``prepare`` runs once, before
+    stage 1, for all stages.
 
     Eigenvalues come back in nonincreasing order up to the stopping
     tolerance; eigenvector signs are arbitrary.
@@ -89,13 +89,7 @@ def top_k(pair: MatrixPair, k: int, config: SolverConfig,
     pairs: list[tuple[float, np.ndarray]] = []
     operand = pair.a
     start = np.asarray(x0, dtype=np.float64)
-    stage_config = replace(config, reference=None)
-    if config.method == "pmd":
-        # B and the metric are the same at every stage: set both up once
-        precond = config.preconditioner or build_preconditioner(pair.b, "cholesky")
-        stage_config.preconditioner = precond
-        if config.transformed_bound is None:
-            stage_config.transformed_bound = transformed_dominant_eigenvalue(pair.b, precond)
+    stage_config = prepare(pair, replace(config, reference=None))
 
     for stage in range(1, k + 1):
         staged = MatrixPair(operand, pair.b)

@@ -10,6 +10,7 @@ concurrent runs cannot interfere.
 from __future__ import annotations
 
 import hashlib
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -591,32 +592,21 @@ def read_matrix_market(path) -> SymmetricMatrix:
         if nrows != ncols:
             raise NotSquare(f"{nrows} x {ncols} matrix is not square")
 
-        rows = np.empty(nnz, dtype=np.int64)
-        cols = np.empty(nnz, dtype=np.int64)
-        vals = np.empty(nnz, dtype=np.float64)
-        count = 0
-        for line in fh:
-            lineno += 1
-            stripped = line.strip()
-            if not stripped or stripped.startswith("%"):
-                continue
-            parts = stripped.split()
-            if len(parts) != 3:
-                raise ParseError(f"line {lineno}: expected 'i j value'")
-            if count >= nnz:
-                raise ParseError(f"line {lineno}: more entries than declared ({nnz})")
-            try:
-                i, j, v = int(parts[0]), int(parts[1]), float(parts[2])
-            except ValueError as exc:
-                raise ParseError(f"line {lineno}: {exc}") from exc
-            if not (1 <= i <= nrows and 1 <= j <= ncols):
-                raise ParseError(f"line {lineno}: index ({i}, {j}) out of range")
-            rows[count] = i - 1
-            cols[count] = j - 1
-            vals[count] = v
-            count += 1
-        if count != nnz:
-            raise ParseError(f"declared {nnz} entries, found {count}")
+        try:
+            with warnings.catch_warnings():
+                # an empty body is checked against nnz below, not warned about
+                warnings.simplefilter("ignore", UserWarning)
+                data = np.loadtxt(fh, dtype=[("i", np.int64), ("j", np.int64),
+                                             ("v", np.float64)], comments="%", ndmin=1)
+        except ValueError as exc:
+            raise ParseError(f"entries: {exc}") from exc
+    if len(data) != nnz:
+        raise ParseError(f"declared {nnz} entries, found {len(data)}")
+    rows, cols, vals = data["i"] - 1, data["j"] - 1, data["v"]
+    outside = (rows < 0) | (rows >= nrows) | (cols < 0) | (cols >= ncols)
+    if outside.any():
+        k = int(np.argmax(outside))
+        raise ParseError(f"entry {k + 1}: index ({rows[k] + 1}, {cols[k] + 1}) out of range")
 
     if symmetry.lower() == "symmetric":
         # mirror across the diagonal; either triangle may be stored
@@ -663,10 +653,7 @@ def read_dense_text(path) -> SymmetricMatrix:
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
     a = np.zeros((n, n))
-    idx = 0
-    for i in range(n):
-        a[i, : i + 1] = flat[idx: idx + i + 1]
-        idx += i + 1
+    a[np.tril_indices(n)] = flat
     a = a + np.tril(a, -1).T
     return SymmetricMatrix.from_dense(a)
 

@@ -201,21 +201,16 @@ class _Runner:
 class _FirstOrder(_Runner):
     """gd (no metric) and pmd: x <- x - alpha M^{-1} grad f(x)."""
 
-    def __init__(self, pair: MatrixPair, config: SolverConfig,
-                 precond: Preconditioner | None = None):
+    def __init__(self, pair: MatrixPair, config: SolverConfig):
         super().__init__(pair, config)
-        self.precond = precond
-        if precond is None:
-            bound = config.curvature_bound or estimate_curvature_bound(pair.b)
+        if config.method == "gd":
+            self.precond, bound = None, config.curvature_bound
             limit = 2.0 / bound.bound
-            self.diagnostics["curvature_bound"] = bound.bound
-            self.diagnostics["curvature_method"] = bound.method
+            self.diagnostics.update(curvature_bound=bound.bound, curvature_method=bound.method)
         else:
-            lam_t = config.transformed_bound
-            if lam_t is None:
-                lam_t = transformed_dominant_eigenvalue(pair.b, precond)
-            limit = 1.0 / lam_t
-            self.diagnostics["transformed_bound"] = lam_t
+            self.precond = config.preconditioner
+            limit = 1.0 / config.transformed_bound
+            self.diagnostics["transformed_bound"] = config.transformed_bound
 
         if config.stepsize is not None:
             alpha = float(config.stepsize)
@@ -253,7 +248,7 @@ class _Ray(_Runner):
 
     def __init__(self, pair: MatrixPair, config: SolverConfig):
         super().__init__(pair, config)
-        self.solver = config.linear_solver or LinearSolver.exact(pair.b)
+        self.solver = config.linear_solver
         self.diagnostics.update(setup_matvecs=1, solver_mode=self.solver.mode)
 
     def start(self, x):
@@ -308,7 +303,7 @@ class _Lanczos(_Runner):
 
     def __init__(self, pair: MatrixPair, config: SolverConfig):
         super().__init__(pair, config)
-        self.solver = config.linear_solver or LinearSolver.exact(pair.b)
+        self.solver = config.linear_solver
         self.cycle = config.lanczos_cycle
         if self.cycle < 2:
             raise InputError(f"cycle length must be at least 2, got {self.cycle}")
@@ -394,13 +389,31 @@ class _Lanczos(_Runner):
 
 RUNNERS = {
     "gd": _FirstOrder,
-    "pmd": lambda pair, config: _FirstOrder(
-        pair, config, config.preconditioner or build_preconditioner(pair.b, "cholesky")),
+    "pmd": _FirstOrder,
     "power": _Power,
     "split-merge": _SplitMerge,
     "lanczos": _Lanczos,
 }
 METHODS = tuple(RUNNERS)
+
+
+def prepare(pair: MatrixPair, config: SolverConfig) -> SolverConfig:
+    """``config`` with what ``config.method`` needs and lacks set up: the exact
+    B-solver for power, split-merge and lanczos, the curvature bound for gd,
+    pmd's metric (by default exact Cholesky) and its transformed bound.
+    Returns ``config`` itself when nothing is missing."""
+    method, fill = config.method, {}
+    if method in ("power", "split-merge", "lanczos") and config.linear_solver is None:
+        fill["linear_solver"] = LinearSolver.exact(pair.b)
+    elif method == "gd" and config.curvature_bound is None:
+        fill["curvature_bound"] = estimate_curvature_bound(pair.b)
+    elif method == "pmd":
+        if config.preconditioner is None:
+            fill["preconditioner"] = build_preconditioner(pair.b, "cholesky")
+        if config.transformed_bound is None:
+            precond = fill.get("preconditioner", config.preconditioner)
+            fill["transformed_bound"] = transformed_dominant_eigenvalue(pair.b, precond)
+    return replace(config, **fill) if fill else config
 
 
 def _run(method: str, pair: MatrixPair, config: SolverConfig, x0) -> SolveTrace:
@@ -423,7 +436,9 @@ def _run(method: str, pair: MatrixPair, config: SolverConfig, x0) -> SolveTrace:
     if float(np.linalg.norm(x)) == 0.0:
         raise ZeroVector("start vector has zero norm")
 
-    runner = RUNNERS[method](pair, config)
+    if config.method != method:
+        config = replace(config, method=method)
+    runner = RUNNERS[method](pair, prepare(pair, config))
     x = runner.start(x)
     rec = _Recorder(Counters(), config.reference, config.tol)
     status, x = runner.iterate(x, rec, config.max_iterations)
@@ -498,34 +513,25 @@ def run_power(pair: MatrixPair, config: SolverConfig, x0: np.ndarray) -> SolveTr
 class SplitMergeState:
     """Scalars and cached vectors of one surrogate step.
 
-    In solver notation g = Ax, w = B^{-1}g, h = Aw and t = B^{-1}h. Then
-    quad_a = x'Ax, quad_ab = g'w = x'AB^{-1}Ax and quad_aba = g't = w'Aw.
-    With ratio = quad_ab / quad_a, the part of w that is A-orthogonal to x
-    is w - ratio x; resid = h - ratio g is its A-image and resid_energy =
-    quad_aba - quad_ab * ratio its A-energy, nonnegative by Cauchy-Schwarz
-    up to roundoff. pd_margin is the positivity margin sigma of the
-    corrected surrogate at rho_used, the rho after ``doublings``
-    escalations inside the step; w_first and w_second weight w and t in
-    the step. b_next is B x_next rebuilt from solve byproducts (exact for
-    exact solves). fallback marks a step whose second direction carried no
-    new energy and which took the power update instead; it has no resid.
+    In solver notation ax = Ax, w = B^{-1}Ax, h = Aw and t = B^{-1}h.
+    resid_energy is the A-energy of the part of w A-orthogonal to x, and
+    pd_margin the positivity margin of the corrected surrogate at rho_used,
+    the rho after ``doublings`` escalations; w_second weights t in the step.
+    b_next is B x_next from solve byproducts (exact for exact solves).
+    fallback marks a step that took the power update because its second
+    direction carried no new energy.
     """
 
-    quad_a: float
-    quad_ab: float
-    quad_aba: float
     resid_energy: float
     pd_margin: float
-    w_first: float
     w_second: float
     rho_used: float
     doublings: int
     fallback: bool
     ax: np.ndarray
     w: np.ndarray
-    h: np.ndarray | None
-    t: np.ndarray | None
-    resid: np.ndarray | None
+    h: np.ndarray
+    t: np.ndarray
     b_next: np.ndarray
 
 
@@ -564,15 +570,10 @@ def split_merge_step(pair: MatrixPair, x: np.ndarray, rho: float, solver: Linear
     ratio = quad_ab / quad_a
     resid_energy = quad_aba - quad_ab * ratio
     if resid_energy <= DEGENERATE_STEP_RTOL * quad_ab * ratio:
-        x_next = w / (2.0 * root_a)
-        st = SplitMergeState(quad_a, quad_ab, quad_aba, resid_energy, 1.0,
-                             1.0 / (2.0 * root_a), 0.0, rho, 0, True,
-                             g, w, h, t, None, g / (2.0 * root_a))
-        return x_next, st
+        return w / (2.0 * root_a), SplitMergeState(resid_energy, 1.0, 0.0, rho, 0, True,
+                                                   g, w, h, t, g / (2.0 * root_a))
 
-    binv_resid = t - ratio * w
-    resid = h - ratio * g
-    resid_gram = float(resid @ binv_resid)
+    resid_gram = float((h - ratio * g) @ (t - ratio * w))
 
     rho_k = float(rho)
     doublings = 0
@@ -590,10 +591,8 @@ def split_merge_step(pair: MatrixPair, x: np.ndarray, rho: float, solver: Linear
     w_first = 1.0 / (2.0 * root_a) - w_second * ratio
     x_next = w_first * w + w_second * t
     b_next = w_first * g + w_second * h
-    st = SplitMergeState(quad_a, quad_ab, quad_aba, resid_energy, margin,
-                         w_first, w_second, rho_k, doublings, False,
-                         g, w, h, t, resid, b_next)
-    return x_next, st
+    return x_next, SplitMergeState(resid_energy, margin, w_second, rho_k, doublings,
+                                   False, g, w, h, t, b_next)
 
 
 def run_split_merge(pair: MatrixPair, config: SolverConfig, x0: np.ndarray) -> SolveTrace:

@@ -6,6 +6,9 @@ import numpy as np
 import pytest
 
 import gepsolve.bench
+import gepsolve.linalg
+import gepsolve.precond
+import gepsolve.reference
 import gepsolve.solvers
 from gepsolve.bench import (
     CI_N,
@@ -19,7 +22,6 @@ from gepsolve.bench import (
     export_report,
     full_suite,
     matvec_equivalent_cost,
-    read_report,
     run_suite,
 )
 from gepsolve.errors import InputError
@@ -159,7 +161,8 @@ def test_export_report_shapes(tmp_path):
     lines = open(csv_path, encoding="ascii").read().splitlines()
     assert lines[0] == "n,kappa_b,method,statistic,value"
     assert len(lines) == 1 + 2 * len(STATISTICS)
-    assert read_report(json_path) == report.to_dict()
+    with open(json_path, encoding="ascii") as fh:
+        assert json.load(fh) == report.to_dict()
 
 
 def test_export_empty_report(tmp_path):
@@ -217,3 +220,22 @@ def test_pmd_transformed_bound_is_estimated_once_per_cell(monkeypatch):
     assert bounds == [pytest.approx(1.8719929791099172, rel=1e-12)]
     assert lams == pytest.approx([5.38618593256042, 5.386186860112775, 5.386186856965631,
                                   5.386185934254441, 5.386185928642408], rel=1e-12, abs=0)
+
+
+def test_gd_pmd_cell_factors_b_only_for_the_reference_and_the_metric(monkeypatch):
+    """Neither gd nor pmd solves with B, so a cell running only them builds
+    no exact B-solver: one factorization for the reference, one for pmd's
+    default Cholesky metric."""
+    real = gepsolve.linalg.cholesky_factorize
+    calls = []
+
+    def counted(b):
+        calls.append(b.n)
+        return real(b)
+
+    for module in (gepsolve.linalg, gepsolve.precond, gepsolve.reference):
+        monkeypatch.setattr(module, "cholesky_factorize", counted)
+    report = run_suite(SuiteConfig(cells=[SuiteCell(32, 10.0)], methods=["gd", "pmd"],
+                                   trials=2))
+    assert [m.success_rate for m in report.cells[0].methods] == [1.0, 1.0]
+    assert calls == [32, 32]

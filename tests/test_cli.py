@@ -9,9 +9,9 @@ import numpy.testing as npt
 import pytest
 import scipy.linalg
 
-from gepsolve import SyntheticSpec, gen_synthetic
+from gepsolve import SymmetricMatrix, SyntheticSpec, gen_synthetic
 from gepsolve.cli import main
-from gepsolve.linalg import read_dense_text, read_matrix_market
+from gepsolve.linalg import read_dense_text, read_matrix_market, write_dense_text
 from gepsolve.solvers import TRACE_HEADER
 
 
@@ -112,6 +112,22 @@ def test_solve_indefinite_metric_exit_four(tmp_path, capsys):
             lines.append(repr(float(rows[i, j])))
     bad_b.write_text("\n".join(lines) + "\n", encoding="ascii")
     rc = main(["solve", "--a", a_path, "--b", str(bad_b), "--format", "dense"])
+    assert rc == 4
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("method_args", [["--method", "gd"],
+                                         ["--method", "pmd", "--precond", "diag"]])
+def test_solve_indefinite_b_exit_four_without_a_b_solve(tmp_path, capsys, method_args):
+    # gd and a diagonal-metric pmd never factor B in their runs; B's
+    # positive diagonal passes the diagonal metric, yet B is indefinite
+    a_path, _ = gen_files(tmp_path, n=6, kappa_b=5.0, seed=6, fmt="dense")
+    b = np.eye(6)
+    b[0, 1] = b[1, 0] = 2.0
+    bad_b = tmp_path / "indefinite_B.txt"
+    write_dense_text(SymmetricMatrix.from_dense(b), bad_b)
+    rc = main(["solve", "--a", a_path, "--b", str(bad_b), "--format", "dense",
+               "--ref", "none", *method_args])
     assert rc == 4
     assert "error:" in capsys.readouterr().err
 

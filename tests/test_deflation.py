@@ -1,11 +1,12 @@
 """Rank-one deflation operator and the staged top-k driver."""
 
+import sys
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 import scipy.linalg
 
-import gepsolve.deflation
 import gepsolve.solvers
 from gepsolve import (
     MatrixPair,
@@ -226,8 +227,7 @@ def test_top_k_pmd_estimates_the_transformed_bound_once(monkeypatch):
         bounds.append(transformed_dominant_eigenvalue(b, p))
         return bounds[-1]
 
-    for module in (gepsolve.deflation, gepsolve.solvers):
-        monkeypatch.setattr(module, "transformed_dominant_eigenvalue", counted)
+    monkeypatch.setattr(gepsolve.solvers, "transformed_dominant_eigenvalue", counted)
     pair = gen_synthetic(SyntheticSpec(n=128, kappa_b=10.0, seed=0))
     config = SolverConfig(method="pmd", tol=1e-6, seed=0,
                           preconditioner=build_preconditioner(pair.b, "diagonal"))
@@ -235,3 +235,37 @@ def test_top_k_pmd_estimates_the_transformed_bound_once(monkeypatch):
     assert bounds == [pytest.approx(1.8542976099281945, rel=1e-12)]
     assert lams == pytest.approx([5.781358715214289, 5.548403712873271,
                                   4.797243940241131, 4.671534000377313], rel=1e-12, abs=0)
+
+
+def count_calls(monkeypatch, name):
+    """Wrap every gepsolve module's binding of ``name`` in a call counter."""
+    calls = []
+    modules = [m for key, m in sys.modules.items()
+               if key.startswith("gepsolve") and hasattr(m, name)]
+    real = getattr(modules[0], name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return real(*args, **kwargs)
+
+    for module in modules:
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("method", ["power", "split-merge", "lanczos"])
+def test_top_k_factors_b_once(monkeypatch, method):
+    """Every stage solves with the same B, so one factorization serves all."""
+    pair = gen_synthetic(SyntheticSpec(n=32, kappa_b=10.0, seed=0))
+    calls = count_calls(monkeypatch, "cholesky_factorize")
+    got = top_k(pair, 4, SolverConfig(method=method, tol=1e-6, seed=0))
+    assert len(got) == 4
+    assert len(calls) == 1
+
+
+def test_top_k_gd_estimates_the_curvature_bound_once(monkeypatch):
+    pair = gen_synthetic(SyntheticSpec(n=32, kappa_b=10.0, seed=0))
+    calls = count_calls(monkeypatch, "estimate_curvature_bound")
+    got = top_k(pair, 4, SolverConfig(method="gd", tol=1e-6, seed=0))
+    assert len(got) == 4
+    assert len(calls) == 1
