@@ -203,12 +203,12 @@ class _FirstOrder(_Runner):
 
     def __init__(self, pair: MatrixPair, config: SolverConfig):
         super().__init__(pair, config)
-        if config.method == "gd":
-            self.precond, bound = None, config.curvature_bound
+        self.precond = config.preconditioner if config.method == "pmd" else None
+        if self.precond is None:
+            bound = config.curvature_bound
             limit = 2.0 / bound.bound
             self.diagnostics.update(curvature_bound=bound.bound, curvature_method=bound.method)
         else:
-            self.precond = config.preconditioner
             limit = 1.0 / config.transformed_bound
             self.diagnostics["transformed_bound"] = config.transformed_bound
 
