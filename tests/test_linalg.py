@@ -295,6 +295,40 @@ def test_pcg_ichol_inner_converges_faster():
     assert it_counts["ichol"] <= it_counts["jacobi"]
 
 
+# (cap, inner) -> (pcg_inner, ||x||, x'r, x'w) for the right-hand side r
+# below and w = (1, 2, ..., n); Jacobi and no preconditioner take the same
+# steps here because the pencil's diagonal is constant
+PCG_GRID_PINS = {
+    (4, "jacobi"): (4, 3.3722700121698237, 30.364049228615766, -31.273356790741573),
+    (4, "ichol"): (4, 3.6156862972434127, 30.800072004226028, -54.23489359158151),
+    (4, None): (4, 3.3722700121698233, 30.364049228615762, -31.27335679074163),
+    (500, "jacobi"): (34, 3.615626066359716, 30.800104486063283, -54.21253729745912),
+    (500, "ichol"): (12, 3.615626066348425, 30.800104486063283, -54.21253729204615),
+    (500, None): (34, 3.6156260663597157, 30.80010448606328, -54.21253729745918),
+}
+
+
+@pytest.mark.parametrize("cap, inner", list(PCG_GRID_PINS))
+def test_pcg_inner_kinds_pinned_on_grid_pencil(cap, inner):
+    """PCG on B = Laplacian + 0.5 I (12 x 12 grid): inner iteration counts
+    exactly, the solution to 1e-13, for every inner preconditioner."""
+    lap = grid_laplacian(12)
+    mat = SymmetricMatrix.from_sparse(
+        lap._sparse + 0.5 * scipy.sparse.eye_array(lap.n, format="csr"))
+    r = np.random.default_rng(31).standard_normal(mat.n)
+    counters = Counters()
+    x = solve_spd(LinearSolver.pcg(mat, cap=cap, tol=1e-10, inner=inner), mat, r, counters)
+    inner_its, norm_x, xr, xw = PCG_GRID_PINS[(cap, inner)]
+    assert (counters.pcg_inner, counters.matvecs, counters.solves) == (inner_its, inner_its, 1)
+    got = (np.linalg.norm(x), x @ r, x @ np.arange(1.0, mat.n + 1.0))
+    assert got == pytest.approx((norm_x, xr, xw), rel=1e-13, abs=0)
+
+
+def test_pcg_unknown_inner_rejected():
+    with pytest.raises(ValueError):
+        LinearSolver.pcg(grid_laplacian(3), inner="gauss-seidel")
+
+
 def test_pcg_zero_diagonal_rejected():
     mat = SymmetricMatrix.from_dense(np.array([[0.0, 1.0], [1.0, 0.0]]))
     with pytest.raises(ZeroDiagonal):
