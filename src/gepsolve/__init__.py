@@ -25,14 +25,12 @@ from .errors import (
 from .linalg import (
     CholeskyFactor,
     Counters,
-    LinearSolver,
     SymmetricMatrix,
     cholesky_factorize,
     incomplete_cholesky,
     jacobi_eigh,
     read_dense_text,
     read_matrix_market,
-    solve_spd,
     write_dense_text,
     write_matrix_market,
 )
@@ -49,10 +47,12 @@ from .objective import (
     validate_pair,
 )
 from .precond import (
+    LinearSolver,
     Preconditioner,
     apply_gram_inverse,
     build_preconditioner,
     frobenius_gap,
+    solve_spd,
     transformed_dominant_eigenvalue,
 )
 from .solvers import (

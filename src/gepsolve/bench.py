@@ -19,8 +19,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import GepSolveError, InputError
-from .linalg import LinearSolver
-from .precond import build_preconditioner
+from .precond import LinearSolver, build_preconditioner
 from .reference import reference_solution
 from .solvers import METHODS, SolverConfig, prepare, solve
 from .synthetic import SyntheticSpec, gen_synthetic

@@ -17,10 +17,10 @@ import numpy as np
 from .bench import SuiteConfig, ci_suite, export_report, full_suite, run_suite
 from .deflation import top_k
 from .errors import GepSolveError, InputError, NumericalError
-from .linalg import LinearSolver, read_dense_text, read_matrix_market, \
-    write_dense_text, write_matrix_market
+from .linalg import read_dense_text, read_matrix_market, write_dense_text, \
+    write_matrix_market
 from .objective import MatrixPair
-from .precond import build_preconditioner
+from .precond import LinearSolver, build_preconditioner
 from .reference import reference_solution
 from .solvers import METHODS, SolverConfig, solve
 from .synthetic import SyntheticSpec, gen_synthetic

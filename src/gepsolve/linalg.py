@@ -1,10 +1,11 @@
-"""Symmetric matrices, factorizations, linear solvers, and matrix I/O.
+"""Symmetric matrices, factorizations, eigenvalue kernels, and matrix I/O.
 
 Two storage kinds back :class:`SymmetricMatrix`: full dense arrays and CSR
 sparse. Construction symmetrizes and validates; everything downstream can
 then assume exact symmetry. Operation counts are accumulated in explicit
 :class:`Counters` objects passed by the caller, never in module globals, so
-concurrent runs cannot interfere.
+concurrent runs cannot interfere. The B-solves built on the factors
+(:class:`LinearSolver`, :func:`solve_spd`) live in :mod:`gepsolve.precond`.
 """
 
 from __future__ import annotations
@@ -26,9 +27,6 @@ from .errors import (
     NotSquare,
     NumericalError,
     ParseError,
-    PcgBreakdown,
-    StaleFactor,
-    ZeroDiagonal,
 )
 
 SYMMETRY_RTOL = 1e-12
@@ -210,15 +208,11 @@ class CholeskyFactor:
     solve through a SuperLU handle on L built once in natural order with
     diagonal pivoting: L is already triangular with positive pivots, so the
     handle's L U is L itself and both substitutions run compiled, the
-    backward one as a transposed solve. The fingerprint of the source
-    matrix is stored for staleness checks.
+    backward one as a transposed solve.
     """
 
-    def __init__(self, n, source_fingerprint, dense_l=None, strict_lower=None,
-                 diag=None, complete=True):
+    def __init__(self, n, dense_l=None, strict_lower=None, diag=None):
         self.n = n
-        self.source_fingerprint = source_fingerprint
-        self.complete = complete
         self._l = dense_l
         self._strict = strict_lower
         self._diag = diag
@@ -270,7 +264,7 @@ def cholesky_factorize(b: SymmetricMatrix) -> CholeskyFactor:
     if np.min(pivots) <= max(floor, 0.0):
         raise NotPositiveDefinite(
             f"pivot {np.min(pivots):.3e} below threshold {floor:.3e}")
-    return CholeskyFactor(b.n, b.fingerprint(), dense_l=l)
+    return CholeskyFactor(b.n, dense_l=l)
 
 
 def incomplete_cholesky(b: SymmetricMatrix,
@@ -279,8 +273,7 @@ def incomplete_cholesky(b: SymmetricMatrix,
 
     On pivot breakdown the factorization restarts from B + gamma * diag(B)
     for each shift gamma in turn; NotPositiveDefinite is raised when every
-    shift fails. The returned factor is marked incomplete and keeps the
-    fingerprint of the unshifted matrix.
+    shift fails.
     """
     if b.kind == "dense":
         src = scipy.sparse.csr_array(b._dense)
@@ -295,8 +288,7 @@ def incomplete_cholesky(b: SymmetricMatrix,
     for gamma in shifts:
         try:
             strict, diag = _ic0(low, diag_b * gamma, floor)
-            return CholeskyFactor(b.n, b.fingerprint(), strict_lower=strict,
-                                  diag=diag, complete=False)
+            return CholeskyFactor(b.n, strict_lower=strict, diag=diag)
         except NotPositiveDefinite as exc:
             last_exc = exc
     raise NotPositiveDefinite(f"IC(0) failed for all shifts: {last_exc}")
@@ -340,107 +332,6 @@ def _ic0(low, diag_shift, floor):
     strict.eliminate_zeros()
     strict.sort_indices()
     return strict, ldiag
-
-
-class LinearSolver:
-    """Solver handle for systems B x = r with B symmetric positive definite.
-
-    mode 'cholesky' uses an exact dense factorization; mode 'pcg' runs
-    preconditioned conjugate gradients capped at ``cap`` inner iterations
-    with a Jacobi or IC(0) inner preconditioner. Both modes pin the
-    fingerprint of B at construction and refuse mismatched matrices later.
-    """
-
-    def __init__(self, mode, n, fingerprint, factor=None, cap=30, tol=1e-10,
-                 inner="jacobi", inner_diag=None, inner_factor=None):
-        self.mode = mode
-        self.n = n
-        self.fingerprint = fingerprint
-        self.factor = factor
-        self.cap = cap
-        self.tol = tol
-        self.inner = inner
-        self._inner_diag = inner_diag
-        self._inner_factor = inner_factor
-
-    @classmethod
-    def exact(cls, b: SymmetricMatrix) -> "LinearSolver":
-        return cls("cholesky", b.n, b.fingerprint(), factor=cholesky_factorize(b))
-
-    @classmethod
-    def pcg(cls, b: SymmetricMatrix, cap: int = 30, tol: float = 1e-10,
-            inner: str | None = "jacobi") -> "LinearSolver":
-        diag = None
-        factor = None
-        if inner == "jacobi":
-            diag = b.diagonal()
-            if np.min(diag) <= 0.0:
-                raise ZeroDiagonal(f"nonpositive diagonal entry {np.min(diag):.3e}")
-        elif inner == "ichol":
-            factor = incomplete_cholesky(b)
-        elif inner is not None:
-            raise ValueError(f"unknown inner preconditioner {inner!r}")
-        return cls("pcg", b.n, b.fingerprint(), cap=cap, tol=tol, inner=inner,
-                   inner_diag=diag, inner_factor=factor)
-
-    def _apply_inner(self, r: np.ndarray) -> np.ndarray:
-        if self.inner == "jacobi":
-            return r / self._inner_diag
-        if self.inner == "ichol":
-            return self._inner_factor.solve(r)
-        return r.copy()
-
-
-def solve_spd(solver: LinearSolver, b: SymmetricMatrix, r: np.ndarray,
-              counters: Counters | None = None) -> np.ndarray:
-    """Solve B x = r through the given handle.
-
-    Counts one solve per call; in PCG mode the inner B-matvecs and inner
-    iterations are additionally counted in matvecs and pcg_inner.
-    """
-    r = np.asarray(r, dtype=np.float64)
-    if r.shape != (solver.n,):
-        raise DimensionMismatch(f"rhs shape {r.shape} vs order {solver.n}")
-    if b.n != solver.n or b.fingerprint() != solver.fingerprint:
-        raise StaleFactor("solver was built for a different matrix")
-    if counters is not None:
-        counters.solves += 1
-    if solver.mode == "cholesky":
-        return solver.factor.solve(r)
-    return _pcg(solver, b, r, counters)
-
-
-def _pcg(solver: LinearSolver, b: SymmetricMatrix, rhs: np.ndarray,
-         counters: Counters | None) -> np.ndarray:
-    x = np.zeros_like(rhs)
-    r = rhs.copy()
-    norm_rhs = float(np.linalg.norm(rhs))
-    if norm_rhs == 0.0:
-        return x
-    z = solver._apply_inner(r)
-    p = z.copy()
-    rz = float(r @ z)
-    if rz < 0.0:
-        raise PcgBreakdown(f"indefinite inner preconditioner: r'z = {rz:.3e}")
-    for _ in range(solver.cap):
-        if counters is not None:
-            counters.pcg_inner += 1
-        bp = b.matvec(p, counters)
-        pbp = float(p @ bp)
-        if pbp <= 0.0:
-            raise PcgBreakdown(f"nonpositive curvature p'Bp = {pbp:.3e}")
-        alpha = rz / pbp
-        x += alpha * p
-        r -= alpha * bp
-        if np.linalg.norm(r) <= solver.tol * norm_rhs:
-            break
-        z = solver._apply_inner(r)
-        rz_next = float(r @ z)
-        if rz_next < 0.0:
-            raise PcgBreakdown(f"indefinite inner preconditioner: r'z = {rz_next:.3e}")
-        p = z + (rz_next / rz) * p
-        rz = rz_next
-    return x
 
 
 def jacobi_eigh(a: np.ndarray, tol: float = 1e-12,

@@ -1,9 +1,12 @@
-"""Preconditioners P for the metric change y = P x.
+"""Preconditioners P for the metric change y = P x, and the B-solves built
+on them.
 
 Supported kinds: 'cholesky' (P = L' from B = LL', the exact metric),
 'diagonal' (P = diag(sqrt(b_ii))), 'incomplete-cholesky' (P = L~' from
 IC(0)), and 'identity'. The solvers only ever need P through the inverse
-Gram application (P'P)^{-1} g, provided here.
+Gram application (P'P)^{-1} g, provided here. A :class:`LinearSolver`
+solves B x = r either exactly in the cholesky kind or by capped PCG whose
+inner preconditioner is one of the other kinds (see ``INNER_KINDS``).
 """
 
 from __future__ import annotations
@@ -12,58 +15,61 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, ZeroDiagonal
+from .errors import DimensionMismatch, PcgBreakdown, StaleFactor, ZeroDiagonal
 from .linalg import CholeskyFactor, Counters, SymmetricMatrix, cholesky_factorize, \
     dominant_eigenvalue, incomplete_cholesky
 
 KINDS = ("cholesky", "diagonal", "incomplete-cholesky", "identity")
 
+# PCG's inner preconditioner names and the metric kinds they build
+INNER_KINDS = {"jacobi": "diagonal", "ichol": "incomplete-cholesky", None: "identity"}
+
 
 @dataclass
 class Preconditioner:
+    """P stored as a triangular factor (cholesky, incomplete-cholesky) or
+    as the diagonal of P'P (diagonal: diag(B); identity: ones)."""
+
     kind: str
     n: int
     factor: CholeskyFactor | None = None
-    scale: np.ndarray | None = None  # diagonal kind: sqrt of diag(B)
+    diag: np.ndarray | None = None
+
+    @property
+    def scale(self) -> np.ndarray:
+        """The diagonal of P for the factor-free kinds."""
+        return np.sqrt(self.diag)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """P x."""
         self._check(x)
-        if self.kind in ("cholesky", "incomplete-cholesky"):
-            l = self.factor
-            if l.kind == "dense":
-                return l._l.T @ x
-            return (l._strict.T @ x) + l._diag * x
-        if self.kind == "diagonal":
+        l = self.factor
+        if l is None:
             return self.scale * x
-        return x.copy()
+        if l.kind == "dense":
+            return l._l.T @ x
+        return (l._strict.T @ x) + l._diag * x
 
     def apply_inverse(self, x: np.ndarray) -> np.ndarray:
         """P^{-1} x."""
         self._check(x)
-        if self.kind in ("cholesky", "incomplete-cholesky"):
-            return self.factor.solve_upper(x)
-        if self.kind == "diagonal":
+        if self.factor is None:
             return x / self.scale
-        return x.copy()
+        return self.factor.solve_upper(x)
 
     def apply_inverse_t(self, x: np.ndarray) -> np.ndarray:
         """P^{-T} x."""
         self._check(x)
-        if self.kind in ("cholesky", "incomplete-cholesky"):
-            return self.factor.solve_lower(x)
-        if self.kind == "diagonal":
+        if self.factor is None:
             return x / self.scale
-        return x.copy()
+        return self.factor.solve_lower(x)
 
     def gram_dense(self) -> np.ndarray:
         """P'P as a dense array (diagnostics only)."""
-        if self.kind in ("cholesky", "incomplete-cholesky"):
-            l = self.factor.lower()
-            return l @ l.T
-        if self.kind == "diagonal":
-            return np.diag(self.scale ** 2)
-        return np.eye(self.n)
+        if self.factor is None:
+            return np.diag(self.diag)
+        l = self.factor.lower()
+        return l @ l.T
 
     def _check(self, x):
         if np.shape(x) != (self.n,):
@@ -80,9 +86,9 @@ def build_preconditioner(b: SymmetricMatrix, kind: str) -> Preconditioner:
         d = b.diagonal()
         if np.min(d) <= 0.0:
             raise ZeroDiagonal(f"nonpositive diagonal entry {np.min(d):.3e}")
-        return Preconditioner("diagonal", b.n, scale=np.sqrt(d))
+        return Preconditioner("diagonal", b.n, diag=d)
     if kind == "identity":
-        return Preconditioner("identity", b.n)
+        return Preconditioner("identity", b.n, diag=np.ones(b.n))
     raise ValueError(f"unknown preconditioner kind {kind!r}; choose from {KINDS}")
 
 
@@ -95,13 +101,11 @@ def apply_gram_inverse(p: Preconditioner, g: np.ndarray,
     scalings and count nothing.
     """
     p._check(g)
-    if p.kind in ("cholesky", "incomplete-cholesky"):
-        if counters is not None:
-            counters.solves += 1
-        return p.factor.solve(g)
-    if p.kind == "diagonal":
-        return g / (p.scale ** 2)
-    return g.copy()
+    if p.factor is None:
+        return g / p.diag
+    if counters is not None:
+        counters.solves += 1
+    return p.factor.solve(g)
 
 
 def frobenius_gap(b: SymmetricMatrix, p: Preconditioner) -> float:
@@ -122,3 +126,86 @@ def transformed_dominant_eigenvalue(b: SymmetricMatrix, p: Preconditioner) -> fl
     def op(v):
         return p.apply_inverse_t(b.matvec(p.apply_inverse(v)))
     return dominant_eigenvalue(op, b.n, rtol=1e-4, inflate=1.01)
+
+
+@dataclass
+class LinearSolver:
+    """Solver handle for systems B x = r with B symmetric positive definite.
+
+    mode 'cholesky' solves exactly in the Cholesky metric; mode 'pcg' runs
+    preconditioned conjugate gradients capped at ``cap`` inner iterations
+    with ``metric`` as the inner preconditioner. Both modes pin the
+    fingerprint of B at construction and refuse mismatched matrices later.
+    """
+
+    mode: str
+    fingerprint: int
+    metric: Preconditioner
+    cap: int = 30
+    tol: float = 1e-10
+
+    @classmethod
+    def exact(cls, b: SymmetricMatrix) -> "LinearSolver":
+        return cls("cholesky", b.fingerprint(),
+                   Preconditioner("cholesky", b.n, factor=cholesky_factorize(b)))
+
+    @classmethod
+    def pcg(cls, b: SymmetricMatrix, cap: int = 30, tol: float = 1e-10,
+            inner: str | None = "jacobi") -> "LinearSolver":
+        if inner not in INNER_KINDS:
+            raise ValueError(f"unknown inner preconditioner {inner!r}")
+        return cls("pcg", b.fingerprint(), build_preconditioner(b, INNER_KINDS[inner]),
+                   cap=cap, tol=tol)
+
+
+def solve_spd(solver: LinearSolver, b: SymmetricMatrix, r: np.ndarray,
+              counters: Counters | None = None) -> np.ndarray:
+    """Solve B x = r through the given handle.
+
+    Counts one solve per call; in PCG mode the inner B-matvecs and inner
+    iterations are additionally counted in matvecs and pcg_inner.
+    """
+    r = np.asarray(r, dtype=np.float64)
+    n = solver.metric.n
+    if r.shape != (n,):
+        raise DimensionMismatch(f"rhs shape {r.shape} vs order {n}")
+    if b.n != n or b.fingerprint() != solver.fingerprint:
+        raise StaleFactor("solver was built for a different matrix")
+    if counters is not None:
+        counters.solves += 1
+    if solver.mode == "cholesky":
+        return apply_gram_inverse(solver.metric, r)
+    return _pcg(solver, b, r, counters)
+
+
+def _pcg(solver: LinearSolver, b: SymmetricMatrix, rhs: np.ndarray,
+         counters: Counters | None) -> np.ndarray:
+    x = np.zeros_like(rhs)
+    r = rhs.copy()
+    norm_rhs = float(np.linalg.norm(rhs))
+    if norm_rhs == 0.0:
+        return x
+    z = apply_gram_inverse(solver.metric, r)
+    p = z.copy()
+    rz = float(r @ z)
+    if rz < 0.0:
+        raise PcgBreakdown(f"indefinite inner preconditioner: r'z = {rz:.3e}")
+    for _ in range(solver.cap):
+        if counters is not None:
+            counters.pcg_inner += 1
+        bp = b.matvec(p, counters)
+        pbp = float(p @ bp)
+        if pbp <= 0.0:
+            raise PcgBreakdown(f"nonpositive curvature p'Bp = {pbp:.3e}")
+        alpha = rz / pbp
+        x += alpha * p
+        r -= alpha * bp
+        if np.linalg.norm(r) <= solver.tol * norm_rhs:
+            break
+        z = apply_gram_inverse(solver.metric, r)
+        rz_next = float(r @ z)
+        if rz_next < 0.0:
+            raise PcgBreakdown(f"indefinite inner preconditioner: r'z = {rz_next:.3e}")
+        p = z + (rz_next / rz) * p
+        rz = rz_next
+    return x

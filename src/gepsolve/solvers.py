@@ -35,10 +35,10 @@ from .errors import (
     NumericalError,
     ZeroVector,
 )
-from .linalg import Counters, LinearSolver, solve_spd
+from .linalg import Counters
 from .objective import DEGENERATE_RTOL, CurvatureBound, MatrixPair, estimate_curvature_bound
-from .precond import Preconditioner, apply_gram_inverse, build_preconditioner, \
-    transformed_dominant_eigenvalue
+from .precond import LinearSolver, Preconditioner, apply_gram_inverse, \
+    build_preconditioner, solve_spd, transformed_dominant_eigenvalue
 
 TRACE_HEADER = "k,f,lambda,sin_theta,matvecs,solves,elapsed_ns"
 
