@@ -225,3 +225,26 @@ def test_module_entry_point(tmp_path):
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert "wrote" in proc.stdout
+
+
+@pytest.mark.parametrize("command", [["solve", "--ref", "none"], ["topk", "--k", "2"]])
+def test_pmd_factors_b_once(tmp_path, monkeypatch, command):
+    # pmd's default metric is the exact solver's Cholesky factor: one
+    # factorization serves the definiteness check and the metric
+    import gepsolve.linalg
+
+    a_path, b_path = gen_files(tmp_path, n=10, kappa_b=8.0, seed=7)
+    real = gepsolve.linalg.cholesky_factorize
+    factored = []
+
+    def spy(b):
+        factored.append(b.n)
+        return real(b)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("gepsolve") and hasattr(module, "cholesky_factorize"):
+            monkeypatch.setattr(module, "cholesky_factorize", spy)
+    rc = main([command[0], "--a", a_path, "--b", b_path, "--method", "pmd",
+               *command[1:]])
+    assert rc == 0
+    assert factored == [10]

@@ -5,16 +5,23 @@ import numpy.testing as npt
 import pytest
 import scipy.linalg
 import scipy.sparse
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gepsolve import (
     Counters,
     LinearSolver,
+    MatrixPair,
+    SolverConfig,
     SymmetricMatrix,
+    SyntheticSpec,
     cholesky_factorize,
+    gen_synthetic,
     incomplete_cholesky,
     jacobi_eigh,
     read_dense_text,
     read_matrix_market,
+    solve,
     solve_spd,
     write_dense_text,
     write_matrix_market,
@@ -31,6 +38,7 @@ from gepsolve.errors import (
     ZeroDiagonal,
 )
 from gepsolve.linalg import dominant_eigenvalue
+from gepsolve.solvers import METHODS
 
 
 def rand_spd(n, seed, cond=10.0):
@@ -601,6 +609,78 @@ def test_matrix_market_round_trip(tmp_path):
         back = read_matrix_market(path)
         npt.assert_array_equal(back.dense(), m.dense())
         assert back.fingerprint() == m.fingerprint()
+
+
+def _csr_bytes(m):
+    """Bytes of the CSR arrays the reader builds for m's entries."""
+    s = SymmetricMatrix.from_lower_entries(m.n, *m.lower_entries())._sparse
+    return s.data.nbytes + s.indices.nbytes + s.indptr.nbytes
+
+
+def _read_back(m, path):
+    write_matrix_market(m, path)
+    return read_matrix_market(path)
+
+
+def test_read_matrix_market_storage_kind(tmp_path):
+    """Dense storage where n^2 doubles take no more bytes than CSR."""
+    path = tmp_path / "m.mtx"
+    path.write_text("%%MatrixMarket matrix coordinate real symmetric\n"
+                    "2 2 3\n1 1 2.0\n2 1 1.0\n2 2 3.0\n")
+    m = read_matrix_market(path)
+    assert m.kind == "dense" and m.nnz == 4
+    grid = SymmetricMatrix.from_sparse(
+        grid_laplacian(10)._sparse + 0.5 * scipy.sparse.eye_array(100, format="csr"))
+    back = _read_back(grid, tmp_path / "grid.mtx")
+    assert back.kind == "csr" and back.nnz == grid.nnz
+    diag = SymmetricMatrix.from_dense(np.diag([1.0, 2.0, 3.0, 4.0]))
+    assert _read_back(diag, tmp_path / "diag.mtx").kind == "csr"
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 24), density=st.floats(0.0, 1.0),
+       seed=st.integers(0, 2**32 - 1), general=st.booleans())
+def test_matrix_market_storage_follows_byte_rule(tmp_path_factory, n, density, seed,
+                                                 general):
+    rng = np.random.default_rng(seed)
+    low = np.tril(rng.standard_normal((n, n)) * (rng.random((n, n)) < density))
+    full = low + np.tril(low, -1).T
+    m = SymmetricMatrix.from_dense(full)
+    path = tmp_path_factory.mktemp("mm") / "m.mtx"
+    if general:
+        r, c = np.nonzero(full)
+        lines = [f"{i + 1} {j + 1} {float(full[i, j])!r}" for i, j in zip(r, c)]
+        path.write_text("%%MatrixMarket matrix coordinate real general\n"
+                        f"{n} {n} {len(lines)}\n" + "".join(f"{x}\n" for x in lines))
+        back = read_matrix_market(path)
+    else:
+        back = _read_back(m, path)
+    npt.assert_array_equal(back.dense(), full)
+    assert back.fingerprint() == m.fingerprint()
+    x = rng.standard_normal(n)
+    npt.assert_allclose(back.matvec(x), full @ x, rtol=0,
+                        atol=1e-13 * max(np.abs(full).sum() * np.abs(x).max(), 1e-300))
+    dense_bytes = n * n * np.dtype(np.float64).itemsize
+    assert back.kind == ("dense" if dense_bytes <= _csr_bytes(m) else "csr")
+
+
+def test_file_pencil_solves_like_the_in_memory_pencil(tmp_path):
+    """A dense pencil read from .mtx runs the same arithmetic as in memory."""
+    pair = gen_synthetic(SyntheticSpec(n=64, kappa_b=10.0, seed=0))
+    a = _read_back(pair.a, tmp_path / "A.mtx")
+    b = _read_back(pair.b, tmp_path / "B.mtx")
+    assert a.kind == "dense" and b.kind == "dense"
+    x0 = np.random.default_rng(1).standard_normal(64)
+
+    def outcome(p, method):
+        t = solve(p, SolverConfig(method=method, tol=1e-8), x0)
+        c = t.counters
+        return (t.status, t.iterations, c.matvecs, c.solves, c.pcg_inner,
+                t.final().f.hex(), t.final().lam.hex())
+
+    from_file = MatrixPair(a, b)
+    for method in METHODS:
+        assert outcome(from_file, method) == outcome(pair, method), method
 
 
 def test_dense_text_round_trip(tmp_path):
