@@ -441,11 +441,13 @@ def dominant_eigenvalue(apply_op, n: int, rtol: float = 1e-6, inflate: float = 1
 
 
 def read_matrix_market(path) -> SymmetricMatrix:
-    """Read a Matrix Market coordinate file into a CSR SymmetricMatrix.
+    """Read a Matrix Market coordinate file into a SymmetricMatrix.
 
     Accepts real or integer fields with symmetric or general symmetry.
     General files must be square and symmetric within the entry tolerance.
     Duplicate coordinates are summed, per the exchange-format convention.
+    Storage is dense where n^2 entries take no more bytes than the CSR arrays
+    (there a dense product is also faster), CSR otherwise.
     """
     with open(path, "r", encoding="ascii") as fh:
         header = fh.readline()
@@ -503,10 +505,15 @@ def read_matrix_market(path) -> SymmetricMatrix:
         # mirror across the diagonal; either triangle may be stored
         low_r = np.where(rows >= cols, rows, cols)
         low_c = np.where(rows >= cols, cols, rows)
-        return SymmetricMatrix.from_lower_entries(nrows, low_r, low_c, vals)
-    coo = scipy.sparse.coo_array((vals, (rows, cols)), shape=(nrows, ncols))
-    coo.sum_duplicates()
-    return SymmetricMatrix.from_sparse(coo.tocsr())
+        m = SymmetricMatrix.from_lower_entries(nrows, low_r, low_c, vals)
+    else:
+        coo = scipy.sparse.coo_array((vals, (rows, cols)), shape=(nrows, ncols))
+        coo.sum_duplicates()
+        m = SymmetricMatrix.from_sparse(coo.tocsr())
+    s = m._sparse
+    if nrows * nrows * s.data.itemsize <= s.data.nbytes + s.indices.nbytes + s.indptr.nbytes:
+        return SymmetricMatrix.from_dense(s.toarray())
+    return m
 
 
 def write_matrix_market(m: SymmetricMatrix, path) -> None:
