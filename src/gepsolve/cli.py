@@ -115,7 +115,9 @@ def _build_config(args, pair, reference) -> SolverConfig:
         solver = LinearSolver.exact(pair.b)
     precond = None
     if args.method == "pmd":
-        precond = build_preconditioner(pair.b, PRECOND_KINDS[args.precond])
+        kind = PRECOND_KINDS[args.precond]
+        precond = solver.metric if solver.metric.kind == kind \
+            else build_preconditioner(pair.b, kind)
     return SolverConfig(
         method=args.method, tol=args.tol, max_iterations=args.max_iters,
         seed=args.seed, rho=args.rho, stepsize=args.stepsize,
