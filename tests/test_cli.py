@@ -11,7 +11,8 @@ import scipy.linalg
 
 from gepsolve import SymmetricMatrix, SyntheticSpec, gen_synthetic
 from gepsolve.cli import main
-from gepsolve.linalg import read_dense_text, read_matrix_market, write_dense_text
+from gepsolve.linalg import (read_dense_text, read_matrix_market, write_dense_text,
+                             write_matrix_market)
 from gepsolve.solvers import TRACE_HEADER
 
 
@@ -84,6 +85,18 @@ def test_solve_iteration_cap_exit_two(tmp_path, capsys):
                "--max-iters", "1"])
     assert rc == 2
     assert "status      max-iterations" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("method", ["power", "split-merge", "gd"])
+def test_solve_degenerate_exit_five(tmp_path, capsys, method):
+    """These runs end degenerate on an indefinite A, and degenerate is not an
+    iteration cap."""
+    a_path, b_path = str(tmp_path / "A.mtx"), str(tmp_path / "B.mtx")
+    write_matrix_market(SymmetricMatrix.from_dense(np.diag([1.0, -2.0, 0.5, 0.3])), a_path)
+    write_matrix_market(SymmetricMatrix.from_dense(np.eye(4)), b_path)
+    rc = main(["solve", "--a", a_path, "--b", b_path, "--method", method, "--ref", "none"])
+    assert "status      degenerate" in capsys.readouterr().out
+    assert rc == 5
 
 
 def test_solve_missing_file_exit_three(tmp_path, capsys):

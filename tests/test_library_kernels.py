@@ -1,19 +1,24 @@
-"""No library path runs the pure-Python Jacobi eigensolver.
+"""No library path runs the pure-Python Jacobi eigensolver, and no dense
+B-solve goes through scipy's `solve_triangular` wrapper.
 
 `jacobi_eigh` stays exported, but the reference, pair validation and the
 Lanczos Ritz step use LAPACK; it is about a thousand times slower at the
 orders the benchmark grid uses. Every module attribute bound to it is made
-to raise, then each of those paths runs.
+to raise, then each of those paths runs. Dense triangular solves call
+LAPACK's `trtrs` directly; the wrapper's Python overhead cost more than the
+substitution itself at the grid's orders.
 """
 
 import sys
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import gepsolve.linalg
 from gepsolve import (MatrixPair, SolverConfig, SymmetricMatrix, SyntheticSpec,
-                      gen_synthetic, reference_solution, run_lanczos, validate_pair)
+                      gen_synthetic, reference_solution, run_lanczos, solve, top_k,
+                      validate_pair)
 from gepsolve.bench import SuiteCell, SuiteConfig, run_suite
 from gepsolve.solvers import METHODS
 
@@ -55,3 +60,16 @@ def test_indefinite_a_validation_avoids_jacobi(monkeypatch):
     diag = validate_pair(pair)
     assert not diag.a_positive_semidefinite
     assert diag.min_generalized_eigenvalue == pytest.approx(-2.0, rel=1e-12)
+
+
+def test_dense_b_solves_avoid_solve_triangular(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("solve_triangular called from a library path")
+
+    monkeypatch.setattr(scipy.linalg, "solve_triangular", forbidden)
+    pair = gen_synthetic(SyntheticSpec(n=32, kappa_b=10.0, seed=0))
+    x0 = np.random.default_rng(0).standard_normal(pair.n)
+    for method in METHODS:
+        assert solve(pair, SolverConfig(method=method, tol=1e-6), x0).converged
+    for method in ("split-merge", "pmd"):
+        assert len(top_k(pair, 2, SolverConfig(method=method, tol=1e-6))) == 2

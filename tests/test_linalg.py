@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gepsolve import (
+    CholeskyFactor,
     Counters,
     LinearSolver,
     MatrixPair,
@@ -32,6 +33,7 @@ from gepsolve.errors import (
     NonFiniteEntries,
     NotPositiveDefinite,
     NotSquare,
+    NumericalError,
     ParseError,
     PcgBreakdown,
     StaleFactor,
@@ -201,6 +203,37 @@ def test_cholesky_rejects_tiny_pivot():
     """A pivot below the relative floor signals a numerically singular B."""
     with pytest.raises(NotPositiveDefinite):
         cholesky_factorize(SymmetricMatrix.from_dense(np.diag([1.0, 1e-16])))
+
+
+@pytest.mark.parametrize("n", [1, 2, 64, 256])
+def test_dense_triangular_solves_match_solve_triangular_bitwise(n):
+    """Each dense substitution gives solve_triangular's bits for contiguous,
+    strided and integer right-hand sides, and writes neither the rhs nor L."""
+    f = cholesky_factorize(SymmetricMatrix.from_dense(rand_spd(n, 40 + n)))
+    assert f.kind == "dense"
+    l = f.lower()
+    rng = np.random.default_rng(n)
+    wide = rng.standard_normal(2 * n)
+    rhs_kinds = [rng.standard_normal(n), wide[::2],
+                 [int(v) for v in rng.integers(-9, 10, size=n)]]
+    for rhs in rhs_kinds:
+        before = np.array(rhs, dtype=np.float64)
+        y = scipy.linalg.solve_triangular(l, rhs, lower=True)
+        x = scipy.linalg.solve_triangular(l, rhs, lower=True, trans="T")
+        xy = scipy.linalg.solve_triangular(l, y, lower=True, trans="T")
+        for method, want in ((f.solve_lower, y), (f.solve_upper, x), (f.solve, xy)):
+            got = method(rhs)
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.asarray(rhs, dtype=np.float64), before)
+            assert np.array_equal(f.lower(), l)
+
+
+def test_dense_solve_with_zero_pivot_raises_numerical_error():
+    l = np.tril(rand_spd(5, 3)) + 5.0 * np.eye(5)
+    l[2, 2] = 0.0
+    f = CholeskyFactor(5, dense_l=l)
+    with pytest.raises(NumericalError):
+        f.solve(np.ones(5))
 
 
 def test_factorize_solve_residual_many_trials():
