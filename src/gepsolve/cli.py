@@ -3,7 +3,7 @@
 Subcommands: gen (write a synthetic pair), solve (one run on a pair from
 disk), topk (staged deflation), bench (suite over a grid). Exit codes: 0
 converged or completed, 2 iteration cap hit, 3 input error, 4 numerical
-failure.
+failure, 5 degenerate run.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ EXIT_OK = 0
 EXIT_CAP = 2
 EXIT_INPUT = 3
 EXIT_NUMERICAL = 4
+EXIT_DEGENERATE = 5
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -158,7 +159,7 @@ def _cmd_solve(args) -> int:
     print(f"matvecs     {trace.counters.matvecs}")
     print(f"solves      {trace.counters.solves}")
     print(f"elapsed_ms  {final.elapsed_ns / 1e6:.3f}")
-    return EXIT_OK if trace.converged else EXIT_CAP
+    return {"converged": EXIT_OK, "degenerate": EXIT_DEGENERATE}.get(trace.status, EXIT_CAP)
 
 
 def _cmd_topk(args) -> int:

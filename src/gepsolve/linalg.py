@@ -204,6 +204,8 @@ def add_scaled(a: SymmetricMatrix, b: SymmetricMatrix, eta: float) -> SymmetricM
 class CholeskyFactor:
     """Lower-triangular factor L with B = L L', dense or sparse storage.
 
+    A dense L solves each triangle with one LAPACK ``dtrtrs`` call on its
+    F-ordered view L', the call ``solve_triangular`` makes minus its wrapper.
     Sparse factors keep the strict lower part in CSR plus the diagonal, and
     solve through a SuperLU handle on L built once in natural order with
     diagonal pivoting: L is already triangular with positive pivots, so the
@@ -229,17 +231,22 @@ class CholeskyFactor:
             return self._l.copy()
         return self._strict.toarray() + np.diag(self._diag)
 
+    def _trtrs(self, b, trans: int) -> np.ndarray:
+        x, info = scipy.linalg.lapack.dtrtrs(self._l.T, b, lower=0, trans=trans)
+        if info != 0:
+            raise NumericalError(f"triangular solve failed: LAPACK dtrtrs info {info}")
+        return x
+
     def solve_lower(self, b: np.ndarray) -> np.ndarray:
         """Solve L y = b."""
         if self._l is not None:
-            return scipy.linalg.solve_triangular(self._l, b, lower=True, check_finite=False)
+            return self._trtrs(b, 1)
         return self._lu.solve(np.asarray(b, dtype=np.float64))
 
     def solve_upper(self, b: np.ndarray) -> np.ndarray:
         """Solve L' x = b."""
         if self._l is not None:
-            return scipy.linalg.solve_triangular(self._l, b, lower=True, trans="T",
-                                                 check_finite=False)
+            return self._trtrs(b, 0)
         return self._lu.solve(np.asarray(b, dtype=np.float64), trans="T")
 
     def solve(self, b: np.ndarray) -> np.ndarray:
