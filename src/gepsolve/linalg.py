@@ -231,10 +231,10 @@ class CholeskyFactor:
             return self._l.copy()
         return self._strict.toarray() + np.diag(self._diag)
 
-    def _trtrs(self, b, trans: int) -> np.ndarray:
+    def _trtrs(self, b: np.ndarray, trans: int) -> np.ndarray:
         x, info = scipy.linalg.lapack.dtrtrs(self._l.T, b, lower=0, trans=trans)
         if info != 0:
-            raise NumericalError(f"triangular solve failed: LAPACK dtrtrs info {info}")
+            raise NumericalError(f"singular triangular factor (LAPACK dtrtrs info {info})")
         return x
 
     def solve_lower(self, b: np.ndarray) -> np.ndarray:
