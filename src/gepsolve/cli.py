@@ -16,7 +16,7 @@ import numpy as np
 
 from .bench import SuiteConfig, ci_suite, export_report, full_suite, run_suite
 from .deflation import top_k
-from .errors import GepSolveError, InputError, NumericalError
+from .errors import GepSolveError, InputError
 from .linalg import read_dense_text, read_matrix_market, write_dense_text, \
     write_matrix_market
 from .objective import MatrixPair
@@ -115,10 +115,8 @@ def _build_config(args, pair, reference) -> SolverConfig:
         # with a non-Cholesky metric, whose runs never factor B
         solver = LinearSolver.exact(pair.b)
     precond = None
-    if args.method == "pmd":
-        kind = PRECOND_KINDS[args.precond]
-        precond = solver.metric if solver.metric.kind == kind \
-            else build_preconditioner(pair.b, kind)
+    if args.method == "pmd" and args.precond != "cholesky":
+        precond = build_preconditioner(pair.b, PRECOND_KINDS[args.precond])
     return SolverConfig(
         method=args.method, tol=args.tol, max_iterations=args.max_iters,
         seed=args.seed, rho=args.rho, stepsize=args.stepsize,
@@ -202,7 +200,7 @@ def main(argv=None) -> int:
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (NumericalError, GepSolveError) as exc:
+    except GepSolveError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

@@ -43,7 +43,7 @@ class DeflatedOperator:
         return y - self.bu * float(self.u @ y)
 
     def diagonal(self) -> np.ndarray:
-        # row i of P A P' needs the full correction; materialize lazily
+        # row i of P A P' needs the full correction: materializes it per call
         return np.diagonal(self.dense()).copy()
 
     def dense(self) -> np.ndarray:

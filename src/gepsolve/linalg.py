@@ -1,11 +1,13 @@
 """Symmetric matrices, factorizations, eigenvalue kernels, and matrix I/O.
 
-Two storage kinds back :class:`SymmetricMatrix`: full dense arrays and CSR
-sparse. Construction symmetrizes and validates; everything downstream can
-then assume exact symmetry. Operation counts are accumulated in explicit
-:class:`Counters` objects passed by the caller, never in module globals, so
-concurrent runs cannot interfere. The B-solves built on the factors
-(:class:`LinearSolver`, :func:`solve_spd`) live in :mod:`gepsolve.precond`.
+A :class:`SymmetricMatrix` holds one operand, a dense array or a CSR array,
+and a :class:`CholeskyFactor` one lower factor of either kind; products
+dispatch on the array type through ``@``. Construction symmetrizes and
+validates; everything downstream can then assume exact symmetry. Operation
+counts are accumulated in explicit :class:`Counters` objects passed by the
+caller, never in module globals, so concurrent runs cannot interfere. The
+B-solves built on the factors (:class:`LinearSolver`, :func:`solve_spd`)
+live in :mod:`gepsolve.precond`.
 """
 
 from __future__ import annotations
@@ -83,7 +85,8 @@ def _check_finite(values: np.ndarray) -> None:
 
 
 class SymmetricMatrix:
-    """Square symmetric matrix with dense or CSR storage.
+    """Square symmetric matrix held as one operand: a C-ordered ndarray
+    (``kind`` 'dense') or a CSR array with sorted indices (``kind`` 'csr').
 
     Use :meth:`from_dense` or :meth:`from_sparse`; the constructor is not
     part of the public surface. NaN and infinite entries are rejected on
@@ -91,11 +94,10 @@ class SymmetricMatrix:
     largest entry, and the stored data is exactly symmetrized afterwards.
     """
 
-    def __init__(self, n: int, kind: str, dense=None, sparse=None):
-        self.n = n
-        self.kind = kind
-        self._dense = dense
-        self._sparse = sparse
+    def __init__(self, m):
+        self.n = m.shape[0]
+        self.kind = "dense" if isinstance(m, np.ndarray) else "csr"
+        self._m = m
         self._fp: int | None = None
 
     @classmethod
@@ -109,7 +111,7 @@ class SymmetricMatrix:
         if gap > SYMMETRY_RTOL * max(scale, 1e-300):
             raise AsymmetricEntries(f"max |M - M'| = {gap:.3e} exceeds tolerance")
         a = (a + a.T) / 2.0
-        return cls(a.shape[0], "dense", dense=a)
+        return cls(a)
 
     @classmethod
     def from_sparse(cls, mat) -> "SymmetricMatrix":
@@ -126,7 +128,7 @@ class SymmetricMatrix:
         s.sum_duplicates()
         s.eliminate_zeros()
         s.sort_indices()
-        return cls(s.shape[0], "csr", sparse=s)
+        return cls(s)
 
     @classmethod
     def from_lower_entries(cls, n: int, rows, cols, vals) -> "SymmetricMatrix":
@@ -144,23 +146,17 @@ class SymmetricMatrix:
         s = coo.tocsr()
         s.eliminate_zeros()
         s.sort_indices()
-        return cls(n, "csr", sparse=s)
+        return cls(s)
 
     @property
     def nnz(self) -> int:
-        if self.kind == "csr":
-            return int(self._sparse.nnz)
-        return int(np.count_nonzero(self._dense))
+        return int(self._m.nnz if self.kind == "csr" else np.count_nonzero(self._m))
 
     def dense(self) -> np.ndarray:
-        if self.kind == "dense":
-            return self._dense.copy()
-        return self._sparse.toarray()
+        return self._m.copy() if self.kind == "dense" else self._m.toarray()
 
     def diagonal(self) -> np.ndarray:
-        if self.kind == "dense":
-            return np.diagonal(self._dense).copy()
-        return self._sparse.diagonal().copy()
+        return self._m.diagonal().copy()
 
     def trace(self) -> float:
         return float(self.diagonal().sum())
@@ -171,17 +167,15 @@ class SymmetricMatrix:
             raise DimensionMismatch(f"vector shape {x.shape} vs order {self.n}")
         if counters is not None:
             counters.matvecs += 1
-        if self.kind == "dense":
-            return self._dense @ x
-        return self._sparse @ x
+        return self._m @ x
 
     def lower_entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Nonzero lower-triangle entries as (rows, cols, values)."""
         if self.kind == "dense":
-            tri = np.tril(self._dense)
+            tri = np.tril(self._m)
             r, c = np.nonzero(tri)
             return r, c, tri[r, c]
-        coo = scipy.sparse.tril(self._sparse, format="coo")
+        coo = scipy.sparse.tril(self._m, format="coo")
         keep = coo.data != 0.0
         return coo.row[keep].astype(np.int64), coo.col[keep].astype(np.int64), coo.data[keep]
 
@@ -197,39 +191,37 @@ def add_scaled(a: SymmetricMatrix, b: SymmetricMatrix, eta: float) -> SymmetricM
     if a.n != b.n:
         raise DimensionMismatch(f"orders differ: {a.n} vs {b.n}")
     if a.kind == "csr" and b.kind == "csr":
-        return SymmetricMatrix.from_sparse(a._sparse + eta * b._sparse)
+        return SymmetricMatrix.from_sparse(a._m + eta * b._m)
     return SymmetricMatrix.from_dense(a.dense() + eta * b.dense())
 
 
 class CholeskyFactor:
-    """Lower-triangular factor L with B = L L', dense or sparse storage.
+    """Lower-triangular factor L with B = L L', held as one array ``l``.
 
-    A dense L solves each triangle with one LAPACK ``dtrtrs`` call on its
-    F-ordered view L', the call ``solve_triangular`` makes minus its wrapper.
-    Sparse factors keep the strict lower part in CSR plus the diagonal, and
-    solve through a SuperLU handle on L built once in natural order with
-    diagonal pivoting: L is already triangular with positive pivots, so the
-    handle's L U is L itself and both substitutions run compiled, the
-    backward one as a transposed solve.
+    A dense L (ndarray) solves each triangle with one LAPACK ``dtrtrs`` call
+    on its F-ordered view L', the call ``solve_triangular`` makes minus its
+    wrapper. A sparse L (CSR, diagonal stored in place) solves through a
+    SuperLU handle built once in natural order with diagonal pivoting: L is
+    already triangular with positive pivots, so the handle's L U is L itself
+    and both substitutions run compiled, the backward one transposed.
     """
 
-    def __init__(self, n, dense_l=None, strict_lower=None, diag=None):
+    def __init__(self, n, l):
         self.n = n
-        self._l = dense_l
-        self._strict = strict_lower
-        self._diag = diag
-        self._lu = None if strict_lower is None else scipy.sparse.linalg.splu(
-            scipy.sparse.csc_array(strict_lower + scipy.sparse.diags_array(diag)),
-            permc_spec="NATURAL", diag_pivot_thresh=0.0)
+        self._l = l
+        self._lu = None if isinstance(l, np.ndarray) else scipy.sparse.linalg.splu(
+            scipy.sparse.csc_array(l), permc_spec="NATURAL", diag_pivot_thresh=0.0)
 
     @property
     def kind(self) -> str:
-        return "dense" if self._l is not None else "sparse"
+        return "dense" if self._lu is None else "sparse"
 
     def lower(self) -> np.ndarray:
-        if self._l is not None:
-            return self._l.copy()
-        return self._strict.toarray() + np.diag(self._diag)
+        return self._l.copy() if self._lu is None else self._l.toarray()
+
+    def apply_upper(self, x: np.ndarray) -> np.ndarray:
+        """L' x."""
+        return self._l.T @ x
 
     def _trtrs(self, b: np.ndarray, trans: int) -> np.ndarray:
         x, info = scipy.linalg.lapack.dtrtrs(self._l.T, b, lower=0, trans=trans)
@@ -239,13 +231,13 @@ class CholeskyFactor:
 
     def solve_lower(self, b: np.ndarray) -> np.ndarray:
         """Solve L y = b."""
-        if self._l is not None:
+        if self._lu is None:
             return self._trtrs(b, 1)
         return self._lu.solve(np.asarray(b, dtype=np.float64))
 
     def solve_upper(self, b: np.ndarray) -> np.ndarray:
         """Solve L' x = b."""
-        if self._l is not None:
+        if self._lu is None:
             return self._trtrs(b, 0)
         return self._lu.solve(np.asarray(b, dtype=np.float64), trans="T")
 
@@ -271,7 +263,7 @@ def cholesky_factorize(b: SymmetricMatrix) -> CholeskyFactor:
     if np.min(pivots) <= max(floor, 0.0):
         raise NotPositiveDefinite(
             f"pivot {np.min(pivots):.3e} below threshold {floor:.3e}")
-    return CholeskyFactor(b.n, dense_l=l)
+    return CholeskyFactor(b.n, l)
 
 
 def incomplete_cholesky(b: SymmetricMatrix,
@@ -282,10 +274,7 @@ def incomplete_cholesky(b: SymmetricMatrix,
     for each shift gamma in turn; NotPositiveDefinite is raised when every
     shift fails.
     """
-    if b.kind == "dense":
-        src = scipy.sparse.csr_array(b._dense)
-    else:
-        src = b._sparse
+    src = scipy.sparse.csr_array(b._m)
     low = scipy.sparse.tril(src, format="csr")
     low.sort_indices()
     diag_b = src.diagonal()
@@ -294,20 +283,18 @@ def incomplete_cholesky(b: SymmetricMatrix,
     last_exc = None
     for gamma in shifts:
         try:
-            strict, diag = _ic0(low, diag_b * gamma, floor)
-            return CholeskyFactor(b.n, strict_lower=strict, diag=diag)
+            return CholeskyFactor(b.n, _ic0(low, diag_b * gamma, floor))
         except NotPositiveDefinite as exc:
             last_exc = exc
     raise NotPositiveDefinite(f"IC(0) failed for all shifts: {last_exc}")
 
 
 def _ic0(low, diag_shift, floor):
-    """Factor the given lower CSR pattern; returns (strict lower CSR, diag)."""
+    """Factor the given lower CSR pattern; returns L in CSR on that pattern."""
     n = low.shape[0]
     indptr, indices, data = low.indptr, low.indices, low.data
     lvals = np.zeros_like(data)
-    ldiag = np.zeros(n)
-    # row i of the strict part is data[indptr[i]:rowend[i]]; diagonal last
+    # row i is data[indptr[i]:indptr[i + 1]], its diagonal entry last
     for i in range(n):
         lo, hi = indptr[i], indptr[i + 1]
         if hi == lo or indices[hi - 1] != i:
@@ -328,17 +315,14 @@ def _ic0(low, diag_shift, floor):
                     pi += 1
                 else:
                     pj += 1
-            lvals[idx] = (data[idx] - s) / ldiag[j]
+            lvals[idx] = (data[idx] - s) / lvals[hij]
         d = data[hi - 1] + diag_shift[i] - np.dot(lvals[lo:hi - 1], lvals[lo:hi - 1])
         if d <= max(floor, 0.0):
             raise NotPositiveDefinite(f"pivot {d:.3e} in row {i}")
-        ldiag[i] = np.sqrt(d)
-    # diagonal slots in lvals were never written and stay exactly zero
-    strict = scipy.sparse.csr_array(
-        (lvals, indices.copy(), indptr.copy()), shape=(n, n))
-    strict.eliminate_zeros()
-    strict.sort_indices()
-    return strict, ldiag
+        lvals[hi - 1] = np.sqrt(d)
+    l = scipy.sparse.csr_array((lvals, indices.copy(), indptr.copy()), shape=(n, n))
+    l.eliminate_zeros()
+    return l
 
 
 def jacobi_eigh(a: np.ndarray, tol: float = 1e-12,
@@ -517,7 +501,7 @@ def read_matrix_market(path) -> SymmetricMatrix:
         coo = scipy.sparse.coo_array((vals, (rows, cols)), shape=(nrows, ncols))
         coo.sum_duplicates()
         m = SymmetricMatrix.from_sparse(coo.tocsr())
-    s = m._sparse
+    s = m._m
     if nrows * nrows * s.data.itemsize <= s.data.nbytes + s.indices.nbytes + s.indptr.nbytes:
         return SymmetricMatrix.from_dense(s.toarray())
     return m

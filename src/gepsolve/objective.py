@@ -93,9 +93,9 @@ def validate_pair(pair: MatrixPair, dense_limit: int = DENSE_VALIDATE_LIMIT) -> 
 
     # Gershgorin: row sums certify a spectrum lower bound for A alone,
     # which transfers to the pair when B is positive definite
-    diag = pair.a.diagonal() if hasattr(pair.a, "diagonal") else np.diagonal(a_dense)
-    absrow = np.sum(np.abs(a_dense), axis=1) - np.abs(np.diagonal(a_dense))
-    bound = float(np.min(np.asarray(diag) - absrow))
+    diag = np.diagonal(a_dense)
+    absrow = np.sum(np.abs(a_dense), axis=1) - np.abs(diag)
+    bound = float(np.min(diag - absrow))
     scale = float(np.max(np.abs(a_dense))) if a_dense.size else 0.0
     a_psd = bool(bound >= -PSD_RTOL * max(scale, 1e-300))
     return PairDiagnosis(b_pd, a_psd, None, "gershgorin")

@@ -43,12 +43,9 @@ class Preconditioner:
     def apply(self, x: np.ndarray) -> np.ndarray:
         """P x."""
         self._check(x)
-        l = self.factor
-        if l is None:
+        if self.factor is None:
             return self.scale * x
-        if l.kind == "dense":
-            return l._l.T @ x
-        return (l._strict.T @ x) + l._diag * x
+        return self.factor.apply_upper(x)
 
     def apply_inverse(self, x: np.ndarray) -> np.ndarray:
         """P^{-1} x."""

@@ -239,3 +239,22 @@ def test_gd_pmd_cell_factors_b_only_for_the_reference_and_the_metric(monkeypatch
                                    trials=2))
     assert [m.success_rate for m in report.cells[0].methods] == [1.0, 1.0]
     assert calls == [32, 32]
+
+
+def test_power_pmd_cell_reuses_the_exact_solver_as_pmd_metric(monkeypatch):
+    """pmd's default metric is the exact B-solver's own Cholesky factor when
+    the cell already has one: one factorization for the reference, one
+    shared by power's solver and pmd's metric."""
+    real = gepsolve.linalg.cholesky_factorize
+    calls = []
+
+    def counted(b):
+        calls.append(b.n)
+        return real(b)
+
+    for module in (gepsolve.linalg, gepsolve.precond, gepsolve.reference):
+        monkeypatch.setattr(module, "cholesky_factorize", counted)
+    report = run_suite(SuiteConfig(cells=[SuiteCell(32, 10.0)], methods=["power", "pmd"],
+                                   trials=2))
+    assert [m.success_rate for m in report.cells[0].methods] == [1.0, 1.0]
+    assert calls == [32, 32]

@@ -9,6 +9,7 @@ import scipy.linalg
 
 import gepsolve.solvers
 from gepsolve import (
+    DeflatedOperator,
     MatrixPair,
     SolverConfig,
     SymmetricMatrix,
@@ -19,6 +20,7 @@ from gepsolve import (
     run_split_merge,
     top_k,
     transformed_dominant_eigenvalue,
+    validate_pair,
 )
 from gepsolve.errors import DimensionMismatch, NotNormalized, StageFailure
 
@@ -110,6 +112,23 @@ def test_deflate_matvec_matches_dense():
         x = rng.standard_normal(7)
         npt.assert_allclose(op.matvec(x), dense @ x, rtol=1e-12, atol=1e-13)
     npt.assert_allclose(op.diagonal(), np.diagonal(dense), rtol=1e-12)
+
+
+def test_validate_pair_materializes_a_deflated_a_once(monkeypatch):
+    pair = rand_pair(6, 15)
+    _, vecs = gen_spectrum(pair)
+    real = DeflatedOperator.dense
+    calls = []
+
+    def counted(self):
+        calls.append(self.n)
+        return real(self)
+
+    monkeypatch.setattr(DeflatedOperator, "dense", counted)
+    diag = validate_pair(MatrixPair(deflate(pair.a, pair.b, vecs[:, -1]), pair.b),
+                         dense_limit=0)
+    assert diag.route == "gershgorin"
+    assert calls == [6]
 
 
 def test_deflated_operator_counts_base_matvecs():

@@ -231,7 +231,7 @@ def test_dense_triangular_solves_match_solve_triangular_bitwise(n):
 def test_dense_solve_with_zero_pivot_raises_numerical_error():
     l = np.tril(rand_spd(5, 3)) + 5.0 * np.eye(5)
     l[2, 2] = 0.0
-    f = CholeskyFactor(5, dense_l=l)
+    f = CholeskyFactor(5, l)
     with pytest.raises(NumericalError):
         f.solve(np.ones(5))
 
@@ -355,7 +355,7 @@ def test_pcg_inner_kinds_pinned_on_grid_pencil(cap, inner):
     exactly, the solution to 1e-13, for every inner preconditioner."""
     lap = grid_laplacian(12)
     mat = SymmetricMatrix.from_sparse(
-        lap._sparse + 0.5 * scipy.sparse.eye_array(lap.n, format="csr"))
+        lap._m + 0.5 * scipy.sparse.eye_array(lap.n, format="csr"))
     r = np.random.default_rng(31).standard_normal(mat.n)
     counters = Counters()
     x = solve_spd(LinearSolver.pcg(mat, cap=cap, tol=1e-10, inner=inner), mat, r, counters)
@@ -646,7 +646,7 @@ def test_matrix_market_round_trip(tmp_path):
 
 def _csr_bytes(m):
     """Bytes of the CSR arrays the reader builds for m's entries."""
-    s = SymmetricMatrix.from_lower_entries(m.n, *m.lower_entries())._sparse
+    s = SymmetricMatrix.from_lower_entries(m.n, *m.lower_entries())._m
     return s.data.nbytes + s.indices.nbytes + s.indptr.nbytes
 
 
@@ -663,7 +663,7 @@ def test_read_matrix_market_storage_kind(tmp_path):
     m = read_matrix_market(path)
     assert m.kind == "dense" and m.nnz == 4
     grid = SymmetricMatrix.from_sparse(
-        grid_laplacian(10)._sparse + 0.5 * scipy.sparse.eye_array(100, format="csr"))
+        grid_laplacian(10)._m + 0.5 * scipy.sparse.eye_array(100, format="csr"))
     back = _read_back(grid, tmp_path / "grid.mtx")
     assert back.kind == "csr" and back.nnz == grid.nnz
     diag = SymmetricMatrix.from_dense(np.diag([1.0, 2.0, 3.0, 4.0]))
@@ -695,6 +695,40 @@ def test_matrix_market_storage_follows_byte_rule(tmp_path_factory, n, density, s
                         atol=1e-13 * max(np.abs(full).sum() * np.abs(x).max(), 1e-300))
     dense_bytes = n * n * np.dtype(np.float64).itemsize
     assert back.kind == ("dense" if dense_bytes <= _csr_bytes(m) else "csr")
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 24), density=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
+def test_storage_kinds_and_factor_kinds_agree(n, density, seed):
+    """Dense and CSR operands of one entry set agree, and each factor's
+    product and substitutions match its lower()."""
+    rng = np.random.default_rng(seed)
+    low = np.tril(rng.standard_normal((n, n)) * (rng.random((n, n)) < density))
+    sym = low + np.tril(low, -1).T
+    d = SymmetricMatrix.from_dense(sym)
+    s = SymmetricMatrix.from_sparse(scipy.sparse.csr_array(sym))
+    assert (d.kind, s.kind) == ("dense", "csr")
+    npt.assert_array_equal(d.diagonal(), s.diagonal())
+
+    def entries(m):
+        return {(int(i), int(j), float(v)) for i, j, v in zip(*m.lower_entries())}
+
+    assert entries(d) == entries(s)
+    assert d.fingerprint() == s.fingerprint()
+    x = rng.standard_normal(n)
+    npt.assert_allclose(d.matvec(x), s.matvec(x), rtol=0,
+                        atol=1e-13 * max(np.abs(sym).sum() * np.abs(x).max(), 1e-300))
+
+    spd = sym + np.diag(np.abs(sym).sum(axis=1) + 1.0)
+    for b in (SymmetricMatrix.from_dense(spd),
+              SymmetricMatrix.from_sparse(scipy.sparse.csr_array(spd))):
+        for f, kind in ((cholesky_factorize(b), "dense"), (incomplete_cholesky(b), "sparse")):
+            assert f.kind == kind
+            l = f.lower()
+            tol = 1e-12 * np.abs(l).max() * np.abs(x).max()
+            npt.assert_allclose(f.apply_upper(x), l.T @ x, rtol=0, atol=tol)
+            npt.assert_allclose(l @ f.solve_lower(x), x, rtol=0, atol=tol)
+            npt.assert_allclose(l.T @ f.solve_upper(x), x, rtol=0, atol=tol)
 
 
 def test_file_pencil_solves_like_the_in_memory_pencil(tmp_path):
