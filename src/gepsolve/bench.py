@@ -197,8 +197,8 @@ def run_suite(config: SuiteConfig, trace_dir=None) -> BenchmarkReport:
             n=cell.n, kappa_b=cell.kappa_b, kappa_a=config.kappa_a, seed=pair_seed))
         ref = reference_solution(pair)
 
-        # set up once per cell for every run on it: what the suite chooses
-        # here, and the rest, per method, by prepare
+        # set up once per cell: what the suite chooses here, the rest per method
+        # by prepare, pmd last so that its default metric is the solver's factor
         pmd_metric = "pmd" in config.methods and config.pmd_precond != "cholesky"
         base = SolverConfig(
             tol=config.tol, max_iterations=config.max_iterations, rho=config.rho,
@@ -206,7 +206,7 @@ def run_suite(config: SuiteConfig, trace_dir=None) -> BenchmarkReport:
                            if config.linsolve == "pcg" else None),
             preconditioner=build_preconditioner(pair.b, config.pmd_precond) if pmd_metric else None,
             reference=ref.u)
-        for method in config.methods:
+        for method in sorted(config.methods, key=lambda m: m == "pmd"):
             base = prepare(pair, replace(base, method=method))
 
         x0s = []

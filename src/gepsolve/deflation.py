@@ -38,9 +38,9 @@ class DeflatedOperator:
         self.n = b.n
 
     def matvec(self, x: np.ndarray, counters: Counters | None = None) -> np.ndarray:
-        y = x - self.u * float(self.bu @ x)
+        y = x - self.u * self.bu.dot(x)
         y = self.base.matvec(y, counters)
-        return y - self.bu * float(self.u @ y)
+        return y - self.bu * self.u.dot(y)
 
     def diagonal(self) -> np.ndarray:
         # row i of P A P' needs the full correction: materializes it per call

@@ -1,13 +1,13 @@
 """Symmetric matrices, factorizations, eigenvalue kernels, and matrix I/O.
 
 A :class:`SymmetricMatrix` holds one operand, a dense array or a CSR array,
-and a :class:`CholeskyFactor` one lower factor of either kind; products
-dispatch on the array type through ``@``. Construction symmetrizes and
-validates; everything downstream can then assume exact symmetry. Operation
-counts are accumulated in explicit :class:`Counters` objects passed by the
-caller, never in module globals, so concurrent runs cannot interfere. The
-B-solves built on the factors (:class:`LinearSolver`, :func:`solve_spd`)
-live in :mod:`gepsolve.precond`.
+and a :class:`CholeskyFactor` one lower factor of either kind; products run
+through ``ndarray.dot`` (cheaper to call than ``@``) or CSR ``@``.
+Construction symmetrizes and validates; everything downstream can then
+assume exact symmetry. Operation counts are accumulated in explicit
+:class:`Counters` objects passed by the caller, never in module globals, so
+concurrent runs cannot interfere. The B-solves built on the factors
+(:class:`LinearSolver`, :func:`solve_spd`) live in :mod:`gepsolve.precond`.
 """
 
 from __future__ import annotations
@@ -17,9 +17,9 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
+from scipy.linalg.lapack import dtrtrs
 
 from .errors import (
     AsymmetricEntries,
@@ -167,7 +167,7 @@ class SymmetricMatrix:
             raise DimensionMismatch(f"vector shape {x.shape} vs order {self.n}")
         if counters is not None:
             counters.matvecs += 1
-        return self._m @ x
+        return self._m.dot(x) if self.kind == "dense" else self._m @ x
 
     def lower_entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Nonzero lower-triangle entries as (rows, cols, values)."""
@@ -198,18 +198,20 @@ def add_scaled(a: SymmetricMatrix, b: SymmetricMatrix, eta: float) -> SymmetricM
 class CholeskyFactor:
     """Lower-triangular factor L with B = L L', held as one array ``l``.
 
-    A dense L (ndarray) solves each triangle with one LAPACK ``dtrtrs`` call
-    on its F-ordered view L', the call ``solve_triangular`` makes minus its
-    wrapper. A sparse L (CSR, diagonal stored in place) solves through a
-    SuperLU handle built once in natural order with diagonal pivoting: L is
-    already triangular with positive pivots, so the handle's L U is L itself
-    and both substitutions run compiled, the backward one transposed.
+    A dense L (ndarray) solves each triangle with one positional LAPACK
+    ``dtrtrs`` call on L', kept F-ordered from construction: the call
+    ``solve_triangular`` makes minus its wrapper. A sparse L (CSR, diagonal
+    stored in place) solves through a SuperLU handle built once in natural
+    order with diagonal pivoting: L is already triangular with positive
+    pivots, so the handle's L U is L itself and both substitutions run
+    compiled, the backward one transposed.
     """
 
     def __init__(self, n, l):
         self.n = n
         self._l = l
-        self._lu = None if isinstance(l, np.ndarray) else scipy.sparse.linalg.splu(
+        self._lt = np.asfortranarray(l.T) if isinstance(l, np.ndarray) else None
+        self._lu = None if self._lt is not None else scipy.sparse.linalg.splu(
             scipy.sparse.csc_array(l), permc_spec="NATURAL", diag_pivot_thresh=0.0)
 
     @property
@@ -224,7 +226,7 @@ class CholeskyFactor:
         return self._l.T @ x
 
     def _trtrs(self, b: np.ndarray, trans: int) -> np.ndarray:
-        x, info = scipy.linalg.lapack.dtrtrs(self._l.T, b, lower=0, trans=trans)
+        x, info = dtrtrs(self._lt, b, 0, trans)
         if info != 0:
             raise NumericalError(f"singular triangular factor (LAPACK dtrtrs info {info})")
         return x

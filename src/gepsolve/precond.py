@@ -11,6 +11,7 @@ inner preconditioner is one of the other kinds (see ``INNER_KINDS``).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -179,28 +180,28 @@ def _pcg(solver: LinearSolver, b: SymmetricMatrix, rhs: np.ndarray,
          counters: Counters | None) -> np.ndarray:
     x = np.zeros_like(rhs)
     r = rhs.copy()
-    norm_rhs = float(np.linalg.norm(rhs))
+    norm_rhs = math.sqrt(rhs.dot(rhs))
     if norm_rhs == 0.0:
         return x
     z = apply_gram_inverse(solver.metric, r)
     p = z.copy()
-    rz = float(r @ z)
+    rz = float(r.dot(z))
     if rz < 0.0:
         raise PcgBreakdown(f"indefinite inner preconditioner: r'z = {rz:.3e}")
     for _ in range(solver.cap):
         if counters is not None:
             counters.pcg_inner += 1
         bp = b.matvec(p, counters)
-        pbp = float(p @ bp)
+        pbp = float(p.dot(bp))
         if pbp <= 0.0:
             raise PcgBreakdown(f"nonpositive curvature p'Bp = {pbp:.3e}")
         alpha = rz / pbp
         x += alpha * p
         r -= alpha * bp
-        if np.linalg.norm(r) <= solver.tol * norm_rhs:
+        if math.sqrt(r.dot(r)) <= solver.tol * norm_rhs:
             break
         z = apply_gram_inverse(solver.metric, r)
-        rz_next = float(r @ z)
+        rz_next = float(r.dot(z))
         if rz_next < 0.0:
             raise PcgBreakdown(f"indefinite inner preconditioner: r'z = {rz_next:.3e}")
         p = z + (rz_next / rz) * p

@@ -114,10 +114,13 @@ class SolveTrace:
 
 def check_stopping(x: np.ndarray, u_ref: np.ndarray, tol: float) -> tuple[float, bool]:
     """Sine of the principal angle between x and the reference direction,
-    and whether it meets the tolerance. Scale and sign free; measured from
-    the part of x normal to the unit reference, which keeps the digits that
-    sqrt(1 - cos^2) loses (it reads 0 below about 1.5e-8)."""
-    sin = _sin_to_unit(x, _unit(u_ref))
+    and whether it meets the tolerance. Scale and sign free. With c = x.u
+    for the unit reference u, sqrt(1 - c^2/x.x) is returned where its square
+    exceeds max(4 tol^2, 1e-8): cancellation costs under 1e-7 relative there
+    and the value is at least 2 tol, so the decision is the exact sine's.
+    Below, the sine is measured from the part of x normal to u, which keeps
+    the digits sqrt(1 - c^2) loses (it reads 0 below about 1.5e-8)."""
+    sin = _sin_to_unit(x, _unit(u_ref), tol)
     return sin, sin <= tol
 
 
@@ -129,41 +132,45 @@ def _unit(v: np.ndarray) -> np.ndarray:
     return v / norm
 
 
-def _sin_to_unit(x: np.ndarray, unit: np.ndarray) -> float:
-    xx = float(x @ x)
+def _sin_to_unit(x: np.ndarray, unit: np.ndarray, tol: float, xx=None) -> float:
+    xx = x.dot(x) if xx is None else xx  # x.x, when the caller has it
     if xx == 0.0:
         raise ZeroVector("stopping check on a zero vector")
-    normal = x - float(x @ unit) * unit
-    return math.sqrt(float(normal @ normal) / xx)
+    c = x.dot(unit)
+    sin2 = 1.0 - c * c / xx
+    if sin2 > max(4.0 * tol * tol, 1e-8):
+        return math.sqrt(sin2)
+    normal = x - c * unit
+    return math.sqrt(normal.dot(normal) / xx)
 
 
 class _Recorder:
-    """Collects trace records against a shared clock and counter set."""
+    """One row per iteration against a shared clock and counter set."""
 
     def __init__(self, counters: Counters, reference, tol: float):
         self.counters = counters
         # normalized once; every record measures its angle against it
         self.unit = None if reference is None else _unit(reference)
         self.tol = tol
-        self.records: list[TraceRecord] = []
-        self.values: list[float] = []
+        self.rows: list[tuple] = []
         self.start = time.perf_counter_ns()
 
     def add(self, k: int, f: float, lam: float, x: np.ndarray,
-            grad_ratio: float | None) -> bool:
-        """Append a record; returns True when the stopping rule fires."""
-        if self.unit is not None:
-            sin = crit = _sin_to_unit(x, self.unit)
-        else:
-            sin = float("nan")
-            crit = grad_ratio if grad_ratio is not None else float("inf")
-        ok = crit <= self.tol
-        now = time.perf_counter_ns() - self.start
-        self.records.append(TraceRecord(k, float(f), float(lam), sin,
-                                        self.counters.matvecs, self.counters.solves,
-                                        now))
-        self.values.append(float(crit))
-        return ok
+            grad_ratio: float | None, xx=None) -> bool:
+        """Append a row; returns True when the stopping rule fires."""
+        crit = grad_ratio if self.unit is None else _sin_to_unit(x, self.unit, self.tol, xx)
+        self.rows.append((k, f, lam, crit, self.counters.matvecs, self.counters.solves,
+                          time.perf_counter_ns() - self.start))
+        return crit <= self.tol
+
+    def trace(self, method: str, status: str, x: np.ndarray, diagnostics: dict) -> SolveTrace:
+        """The run's trace; its records are built here, in Python scalars."""
+        ks, fs, lams, crits, mvs, svs, ts = zip(*self.rows)
+        fs, lams, crits = (list(map(float, col)) for col in (fs, lams, crits))
+        sins = [math.nan] * len(ks) if self.unit is None else crits
+        records = list(map(TraceRecord, ks, fs, lams, sins, mvs, svs, ts))
+        return SolveTrace(method, status, records, x, self.counters,
+                          "gradient" if self.unit is None else "sin-theta", crits, diagnostics)
 
 
 class _Degenerate(Exception):
@@ -172,7 +179,7 @@ class _Degenerate(Exception):
 
 class _Runner:
     """One method: set-up in ``__init__``; ``measure`` gives (f, lambda,
-    gradient ratio) at an iterate and ``advance`` the next iterate."""
+    gradient ratio, x.x or None) at an iterate, ``advance`` the next one."""
 
     def __init__(self, pair: MatrixPair, config: SolverConfig):
         self.pair = pair
@@ -187,13 +194,13 @@ class _Runner:
         counters = rec.counters
         try:
             for k in range(cap + 1):
-                f, lam, ratio = self.measure(x, counters)
-                if rec.add(k, f, lam, x, ratio):
+                f, lam, ratio, xx = self.measure(x, counters)
+                if rec.add(k, f, lam, x, ratio, xx):
                     return "converged", x
                 if k < cap:
                     x = self.advance(x, counters)
         except _Degenerate as exc:
-            rec.add(len(rec.records), exc.args[0], 0.0, x, None)
+            rec.add(len(rec.rows), exc.args[0], 0.0, x, math.inf)
             return "degenerate", x
         return "max-iterations", x
 
@@ -227,14 +234,14 @@ class _FirstOrder(_Runner):
     def measure(self, x, counters):
         ax = self.pair.a.matvec(x, counters)
         bx = self.pair.b.matvec(x, counters)
-        xax = float(x @ ax)
-        if xax <= DEGENERATE_RTOL * float(x @ x):
-            raise _Degenerate(float(x @ bx))
-        root = np.sqrt(xax)
+        xax, xbx, xx = float(x.dot(ax)), x.dot(bx), x.dot(x)
+        if xax <= DEGENERATE_RTOL * xx:
+            raise _Degenerate(xbx)
+        root = math.sqrt(xax)
         lam = 2.0 * root
-        self.g = 2.0 * bx - ax / root
-        ratio = float(np.linalg.norm(self.g)) / lam if self.gradient_stop else None
-        return float(x @ bx) - root, lam, ratio
+        g = self.g = 2.0 * bx - ax / root
+        ratio = math.sqrt(g.dot(g)) / lam if self.gradient_stop else None
+        return xbx - root, lam, ratio, xx
 
     def advance(self, x, counters):
         g = self.g
@@ -252,32 +259,32 @@ class _Ray(_Runner):
         self.diagnostics.update(setup_matvecs=1, solver_mode=self.solver.mode)
 
     def start(self, x):
-        x /= np.linalg.norm(x)
-        self.bq = float(x @ self.pair.b.matvec(x))  # setup matvec, uncounted
+        x /= math.sqrt(x.dot(x))
+        self.bq = float(x.dot(self.pair.b.matvec(x)))  # setup matvec, uncounted
         return x
 
     def measure(self, x, counters):
         ax = self.pair.a.matvec(x, counters)
-        xax = float(x @ ax)
+        xax = float(x.dot(ax))
         if xax <= DEGENERATE_RTOL:
             raise _Degenerate(0.0)
         q = xax / self.bq
         ratio = None
         if self.gradient_stop:
-            bd = self.pair.b.matvec(x, counters)
-            ratio = float(np.linalg.norm(ax - q * bd)) / (np.sqrt(xax) * q)
+            r = ax - q * self.pair.b.matvec(x, counters)
+            ratio = math.sqrt(r.dot(r)) / (math.sqrt(xax) * q)
         self.ax = ax
         self.xax = xax
-        return -q / 4.0, q, ratio
+        return -q / 4.0, q, ratio, None
 
 
 class _Power(_Ray):
     def advance(self, x, counters):
         w = solve_spd(self.solver, self.pair.b, self.ax, counters)
-        norm_w = float(np.linalg.norm(w))
+        norm_w = math.sqrt(w.dot(w))
         if norm_w == 0.0:
             raise _Degenerate(0.0)
-        self.bq = float(w @ self.ax) / (norm_w * norm_w)
+        self.bq = float(w.dot(self.ax)) / (norm_w * norm_w)
         return w / norm_w
 
 
@@ -288,13 +295,13 @@ class _SplitMerge(_Ray):
         self.diagnostics.update(rho_escalations=0, fallback_steps=0)
 
     def advance(self, x, counters):
-        scale = np.sqrt(self.xax) / (2.0 * self.bq)  # ray minimiser of f along x
+        scale = math.sqrt(self.xax) / (2.0 * self.bq)  # ray minimiser of f along x
         x_next, state = split_merge_step(self.pair, scale * x, self.rho, self.solver,
                                          counters, ax=scale * self.ax)
         self.diagnostics["rho_escalations"] += state.doublings
         self.diagnostics["fallback_steps"] += 1 if state.fallback else 0
-        norm = float(np.linalg.norm(x_next))
-        self.bq = float(x_next @ state.b_next) / (norm * norm)
+        norm = math.sqrt(x_next.dot(x_next))
+        self.bq = float(x_next.dot(state.b_next)) / (norm * norm)
         return x_next / norm
 
 
@@ -319,10 +326,10 @@ class _Lanczos(_Runner):
 
         while True:
             bx = b.matvec(x, counters)
-            nb2 = float(x @ bx)
+            nb2 = float(x.dot(bx))
             if nb2 <= 0.0:
                 raise ZeroVector("restart vector has zero B-norm")
-            nb = np.sqrt(nb2)
+            nb = math.sqrt(nb2)
             v = x / nb
             bv = bx / nb
             basis = np.empty((n, cycle))
@@ -331,6 +338,7 @@ class _Lanczos(_Runner):
             betas: list[float] = []
             v_prev = None
             beta_prev = 0.0
+            top = 1.0  # max(1, |alpha|, beta) over the cycle so far
             broke = False
 
             m = 0
@@ -339,20 +347,20 @@ class _Lanczos(_Runner):
                 bimages[:, m] = bv
                 av = a.matvec(v, counters)
                 u = solve_spd(solver, b, av, counters)
-                alpha = float(av @ v)
+                alpha = float(av.dot(v))
                 w = u - alpha * v
                 if v_prev is not None:
                     w -= beta_prev * v_prev
                 if self.reorthogonalize:
                     w -= basis[:, : m + 1] @ (bimages[:, : m + 1].T @ w)
                 bw = b.matvec(w, counters)
-                beta = float(np.sqrt(max(0.0, float(w @ bw))))
+                beta = math.sqrt(max(0.0, float(w.dot(bw))))
                 alphas.append(alpha)
                 betas.append(beta)
                 m += 1
                 builds += 1
-                tiny = 1e-13 * max(1.0, max(abs(al) for al in alphas), max(betas))
-                if beta <= tiny:
+                top = max(top, abs(alpha), beta)
+                if beta <= 1e-13 * top:
                     broke = True
                     break
                 if m < cycle:
@@ -372,9 +380,10 @@ class _Lanczos(_Runner):
             if self.gradient_stop:
                 aritz = a.matvec(ritz, counters)
                 britz = b.matvec(ritz, counters)
-                raz = float(ritz @ aritz)
+                raz = float(ritz.dot(aritz))
                 if raz > 0.0 and theta > 0.0:
-                    ratio = float(np.linalg.norm(aritz - theta * britz)) / (np.sqrt(raz) * theta)
+                    r = aritz - theta * britz
+                    ratio = math.sqrt(r.dot(r)) / (math.sqrt(raz) * theta)
                 else:
                     ratio = float("inf")
             if rec.add(builds, -theta / 4.0, theta, ritz, ratio):
@@ -445,9 +454,7 @@ def _run(method: str, pair: MatrixPair, config: SolverConfig, x0) -> SolveTrace:
     x = runner.start(x)
     rec = _Recorder(Counters(), config.reference, config.tol)
     status, x = runner.iterate(x, rec, config.max_iterations)
-    criterion = "sin-theta" if config.reference is not None else "gradient"
-    return SolveTrace(method, status, rec.records, x, rec.counters, criterion,
-                      rec.values, runner.diagnostics)
+    return rec.trace(method, status, x, runner.diagnostics)
 
 
 def solve(pair: MatrixPair, config: SolverConfig, x0: np.ndarray) -> SolveTrace:
@@ -559,16 +566,16 @@ def split_merge_step(pair: MatrixPair, x: np.ndarray, rho: float, solver: Linear
     """
     x = np.asarray(x, dtype=np.float64)
     g = ax if ax is not None else pair.a.matvec(x, counters)
-    quad_a = float(x @ g)
-    if quad_a <= DEGENERATE_RTOL * float(x @ x):
+    quad_a = float(x.dot(g))
+    if quad_a <= DEGENERATE_RTOL * x.dot(x):
         raise DegenerateDirection(f"x'Ax = {quad_a:.3e} is degenerate")
-    root_a = np.sqrt(quad_a)
+    root_a = math.sqrt(quad_a)
 
     w = solve_spd(solver, pair.b, g, counters)
-    quad_ab = float(g @ w)
+    quad_ab = float(g.dot(w))
     h = pair.a.matvec(w, counters)
     t = solve_spd(solver, pair.b, h, counters)
-    quad_aba = float(g @ t)
+    quad_aba = float(g.dot(t))
 
     ratio = quad_ab / quad_a
     resid_energy = quad_aba - quad_ab * ratio
@@ -576,7 +583,7 @@ def split_merge_step(pair: MatrixPair, x: np.ndarray, rho: float, solver: Linear
         return w / (2.0 * root_a), SplitMergeState(resid_energy, 1.0, 0.0, rho, 0, True,
                                                    g, w, h, t, g / (2.0 * root_a))
 
-    resid_gram = float((h - ratio * g) @ (t - ratio * w))
+    resid_gram = float((h - ratio * g).dot(t - ratio * w))
 
     rho_k = float(rho)
     doublings = 0

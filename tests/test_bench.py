@@ -26,7 +26,7 @@ from gepsolve.bench import (
 )
 from gepsolve.errors import InputError
 from gepsolve.precond import transformed_dominant_eigenvalue
-from gepsolve.solvers import TRACE_HEADER
+from gepsolve.solvers import METHODS, TRACE_HEADER
 
 
 def strip_timing(report_dict):
@@ -257,4 +257,25 @@ def test_power_pmd_cell_reuses_the_exact_solver_as_pmd_metric(monkeypatch):
     report = run_suite(SuiteConfig(cells=[SuiteCell(32, 10.0)], methods=["power", "pmd"],
                                    trials=2))
     assert [m.success_rate for m in report.cells[0].methods] == [1.0, 1.0]
+    assert calls == [32, 32]
+
+
+@pytest.mark.parametrize("methods", [["pmd", "power"], list(METHODS)],
+                         ids=["pmd-power", "all"])
+def test_pmd_reuses_the_exact_solver_in_any_method_order(monkeypatch, methods):
+    """pmd is prepared after the methods that build the exact B-solver, so
+    its default metric is that solver's factor whatever order the methods
+    are listed in: one factorization for the reference, one shared."""
+    real = gepsolve.linalg.cholesky_factorize
+    calls = []
+
+    def counted(b):
+        calls.append(b.n)
+        return real(b)
+
+    for module in (gepsolve.linalg, gepsolve.precond, gepsolve.reference):
+        monkeypatch.setattr(module, "cholesky_factorize", counted)
+    report = run_suite(SuiteConfig(cells=[SuiteCell(32, 10.0)], methods=methods, trials=2))
+    assert [m.method for m in report.cells[0].methods] == methods
+    assert all(m.success_rate == 1.0 for m in report.cells[0].methods)
     assert calls == [32, 32]

@@ -6,18 +6,24 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gepsolve import (
     CurvatureBound,
     MatrixPair,
     SolverConfig,
     SymmetricMatrix,
+    SyntheticSpec,
     build_preconditioner,
     check_stopping,
     estimate_curvature_bound,
+    gen_synthetic,
+    reference_solution,
     run_gd,
     run_pmd,
     run_power,
+    solve,
 )
 from gepsolve.errors import (
     DimensionMismatch,
@@ -25,7 +31,7 @@ from gepsolve.errors import (
     InvalidStepsize,
     ZeroVector,
 )
-from gepsolve.solvers import TRACE_HEADER
+from gepsolve.solvers import METHODS, TRACE_HEADER
 
 
 def rand_spd(n, seed, cond=10.0):
@@ -109,6 +115,76 @@ def test_check_stopping_zero_vector():
         check_stopping(np.zeros(2), np.ones(2), 1e-5)
     with pytest.raises(ZeroVector):
         check_stopping(np.ones(2), np.zeros(2), 1e-5)
+
+
+def normal_component_sine(x, u_ref):
+    """The sine read from the part of x normal to the unit reference alone."""
+    unit = u_ref / float(np.linalg.norm(u_ref))
+    normal = x - float(x @ unit) * unit
+    return math.sqrt(float(normal @ normal) / float(x @ x))
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(2, 64), log_angle=st.floats(-12.0, 0.0),
+       log_scale=st.floats(-100.0, 100.0), negative=st.booleans(),
+       log_ref_scale=st.floats(-50.0, 50.0), log_tol=st.floats(-11.0, math.log10(0.3)),
+       seed=st.integers(0, 2**32 - 1))
+def test_check_stopping_agrees_with_the_normal_component_sine(
+        n, log_angle, log_scale, negative, log_ref_scale, log_tol, seed):
+    """Two inner products give the sine wherever it is clearly above both
+    2 tol and 1e-4; below that the normal component gives it, bit for bit.
+    Either way the stop decision is the normal-component sine's."""
+    q = np.linalg.qr(np.random.default_rng(seed).standard_normal((n, 2)))[0]
+    theta, tol = 10.0 ** log_angle, 10.0 ** log_tol
+    scale = -(10.0 ** log_scale) if negative else 10.0 ** log_scale
+    x = scale * (math.cos(theta) * q[:, 0] + math.sin(theta) * q[:, 1])
+    u_ref = 10.0 ** log_ref_scale * q[:, 0]
+    sin, ok = check_stopping(x, u_ref, tol)
+    expected = normal_component_sine(x, u_ref)
+    assert type(sin) is float
+    assert ok == (expected <= tol)
+    if expected < max(2.0 * tol, 1e-4) * (1.0 - 1e-6):
+        assert sin == expected
+    else:
+        assert abs(sin - expected) <= 1e-6 * expected
+
+
+def assert_python_scalars(trace):
+    """Trace fields hold Python scalars (numpy 2 writes an np.float64 as
+    'np.float64(...)', which would corrupt the CSV), on a monotone clock."""
+    for r in trace.records:
+        assert [type(v) for v in (r.f, r.lam, r.sin_theta)] == [float] * 3, r
+        assert [type(v) for v in (r.k, r.matvecs, r.solves, r.elapsed_ns)] == [int] * 4, r
+    elapsed = [r.elapsed_ns for r in trace.records]
+    assert elapsed == sorted(elapsed)
+    assert len(trace.criterion_values) == len(trace.records)
+    assert all(type(v) is float for v in trace.criterion_values)
+
+
+@pytest.mark.parametrize("with_reference", [False, True])
+@pytest.mark.parametrize("method", METHODS)
+def test_trace_records_hold_python_scalars(method, with_reference):
+    pair = gen_synthetic(SyntheticSpec(n=24, kappa_b=10.0, seed=2))
+    reference = reference_solution(pair).u if with_reference else None
+    trace = solve(pair, SolverConfig(method=method, tol=1e-6, reference=reference),
+                  np.random.default_rng(5).standard_normal(pair.n))
+    assert trace.converged
+    assert_python_scalars(trace)
+    if with_reference:
+        assert [r.sin_theta for r in trace.records] == trace.criterion_values
+    else:
+        assert all(math.isnan(r.sin_theta) for r in trace.records)
+
+
+@pytest.mark.parametrize("with_reference", [False, True])
+@pytest.mark.parametrize("method", ["gd", "power", "split-merge"])
+def test_degenerate_trace_holds_python_scalars(method, with_reference):
+    pair = diag_pair([1.0, -2.0, 0.5, 0.3], [1.0, 1.0, 1.0, 1.0])
+    reference = np.array([1.0, 0.0, 0.0, 0.0]) if with_reference else None
+    trace = solve(pair, SolverConfig(method=method, tol=1e-8, reference=reference),
+                  np.array([0.0, 1.0, 0.0, 0.0]))
+    assert trace.status == "degenerate"
+    assert_python_scalars(trace)
 
 
 # ---------------------------------------------------------------------------
