@@ -9,7 +9,7 @@ to raise, then each of those paths runs. Dense triangular solves call
 LAPACK's `trtrs` directly; the wrapper's Python overhead cost more than the
 substitution itself at the grid's orders. Dense products call
 `ndarray.dot`, which costs less to call than `@`; for a CSR array it is the
-other way round (33 against 24 microseconds on a 4096-row grid B).
+other way round, since scipy's `dot` is a scalar check in front of `@`.
 """
 
 import sys
