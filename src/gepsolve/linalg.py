@@ -2,7 +2,7 @@
 
 A :class:`SymmetricMatrix` holds one operand, a dense array or a CSR array,
 and a :class:`CholeskyFactor` one lower factor of either kind; products run
-through ``ndarray.dot`` (cheaper to call than ``@``) or CSR ``@``.
+through the operand's ``dot`` (for an ndarray, cheaper to call than ``@``).
 Construction symmetrizes and validates; everything downstream can then
 assume exact symmetry. Operation counts are accumulated in explicit
 :class:`Counters` objects passed by the caller, never in module globals, so
@@ -167,7 +167,7 @@ class SymmetricMatrix:
             raise DimensionMismatch(f"vector shape {x.shape} vs order {self.n}")
         if counters is not None:
             counters.matvecs += 1
-        return self._m.dot(x) if self.kind == "dense" else self._m @ x
+        return self._m.dot(x)
 
     def lower_entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Nonzero lower-triangle entries as (rows, cols, values)."""

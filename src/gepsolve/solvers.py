@@ -116,7 +116,8 @@ def check_stopping(x: np.ndarray, u_ref: np.ndarray, tol: float) -> tuple[float,
     """Sine of the principal angle between x and the reference direction,
     and whether it meets the tolerance. Scale and sign free. With c = x.u
     for the unit reference u, sqrt(1 - c^2/x.x) is returned where its square
-    exceeds max(4 tol^2, 1e-8): cancellation costs under 1e-7 relative there
+    exceeds max(4 tol^2, 1e-9 n): rounding in the two length-n products
+    moves the square by a few n eps at most, under 3e-7 of the sine there,
     and the value is at least 2 tol, so the decision is the exact sine's.
     Below, the sine is measured from the part of x normal to u, which keeps
     the digits sqrt(1 - c^2) loses (it reads 0 below about 1.5e-8)."""
@@ -138,39 +139,35 @@ def _sin_to_unit(x: np.ndarray, unit: np.ndarray, tol: float, xx=None) -> float:
         raise ZeroVector("stopping check on a zero vector")
     c = x.dot(unit)
     sin2 = 1.0 - c * c / xx
-    if sin2 > max(4.0 * tol * tol, 1e-8):
+    if sin2 > max(4.0 * tol * tol, 1e-9 * x.size):
         return math.sqrt(sin2)
     normal = x - c * unit
     return math.sqrt(normal.dot(normal) / xx)
 
 
 class _Recorder:
-    """One row per iteration against a shared clock and counter set."""
+    """Collects trace records against a shared clock and counter set."""
 
     def __init__(self, counters: Counters, reference, tol: float):
         self.counters = counters
         # normalized once; every record measures its angle against it
         self.unit = None if reference is None else _unit(reference)
         self.tol = tol
-        self.rows: list[tuple] = []
+        self.records: list[TraceRecord] = []
+        self.values: list[float] = []
         self.start = time.perf_counter_ns()
 
     def add(self, k: int, f: float, lam: float, x: np.ndarray,
             grad_ratio: float | None, xx=None) -> bool:
-        """Append a row; returns True when the stopping rule fires."""
-        crit = grad_ratio if self.unit is None else _sin_to_unit(x, self.unit, self.tol, xx)
-        self.rows.append((k, f, lam, crit, self.counters.matvecs, self.counters.solves,
-                          time.perf_counter_ns() - self.start))
+        """Append a record; returns True when the stopping rule fires."""
+        if self.unit is None:
+            sin, crit = math.nan, float(grad_ratio)
+        else:
+            sin = crit = _sin_to_unit(x, self.unit, self.tol, xx)
+        self.records.append(TraceRecord(k, float(f), float(lam), sin, self.counters.matvecs,
+                                        self.counters.solves, time.perf_counter_ns() - self.start))
+        self.values.append(crit)
         return crit <= self.tol
-
-    def trace(self, method: str, status: str, x: np.ndarray, diagnostics: dict) -> SolveTrace:
-        """The run's trace; its records are built here, in Python scalars."""
-        ks, fs, lams, crits, mvs, svs, ts = zip(*self.rows)
-        fs, lams, crits = (list(map(float, col)) for col in (fs, lams, crits))
-        sins = [math.nan] * len(ks) if self.unit is None else crits
-        records = list(map(TraceRecord, ks, fs, lams, sins, mvs, svs, ts))
-        return SolveTrace(method, status, records, x, self.counters,
-                          "gradient" if self.unit is None else "sin-theta", crits, diagnostics)
 
 
 class _Degenerate(Exception):
@@ -200,7 +197,7 @@ class _Runner:
                 if k < cap:
                     x = self.advance(x, counters)
         except _Degenerate as exc:
-            rec.add(len(rec.rows), exc.args[0], 0.0, x, math.inf)
+            rec.add(len(rec.records), exc.args[0], 0.0, x, math.inf)
             return "degenerate", x
         return "max-iterations", x
 
@@ -454,7 +451,9 @@ def _run(method: str, pair: MatrixPair, config: SolverConfig, x0) -> SolveTrace:
     x = runner.start(x)
     rec = _Recorder(Counters(), config.reference, config.tol)
     status, x = runner.iterate(x, rec, config.max_iterations)
-    return rec.trace(method, status, x, runner.diagnostics)
+    criterion = "sin-theta" if config.reference is not None else "gradient"
+    return SolveTrace(method, status, rec.records, x, rec.counters, criterion,
+                      rec.values, runner.diagnostics)
 
 
 def solve(pair: MatrixPair, config: SolverConfig, x0: np.ndarray) -> SolveTrace:

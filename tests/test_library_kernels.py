@@ -1,15 +1,12 @@
-"""No library path runs the pure-Python Jacobi eigensolver, no dense
-B-solve goes through scipy's `solve_triangular` wrapper, and no CSR product
-goes through `csr_array.dot`.
+"""No library path runs the pure-Python Jacobi eigensolver, and no dense
+B-solve goes through scipy's `solve_triangular` wrapper.
 
 `jacobi_eigh` stays exported, but the reference, pair validation and the
 Lanczos Ritz step use LAPACK; it is about a thousand times slower at the
 orders the benchmark grid uses. Every module attribute bound to it is made
 to raise, then each of those paths runs. Dense triangular solves call
 LAPACK's `trtrs` directly; the wrapper's Python overhead cost more than the
-substitution itself at the grid's orders. Dense products call
-`ndarray.dot`, which costs less to call than `@`; for a CSR array it is the
-other way round, since scipy's `dot` is a scalar check in front of `@`.
+substitution itself at the grid's orders.
 """
 
 import sys
@@ -17,12 +14,11 @@ import sys
 import numpy as np
 import pytest
 import scipy.linalg
-import scipy.sparse
 
 import gepsolve.linalg
-from gepsolve import (LinearSolver, MatrixPair, SolverConfig, SymmetricMatrix,
-                      SyntheticSpec, build_preconditioner, gen_synthetic,
-                      reference_solution, run_lanczos, solve, top_k, validate_pair)
+from gepsolve import (MatrixPair, SolverConfig, SymmetricMatrix, SyntheticSpec,
+                      gen_synthetic, reference_solution, run_lanczos, solve, top_k,
+                      validate_pair)
 from gepsolve.bench import SuiteCell, SuiteConfig, run_suite
 from gepsolve.solvers import METHODS
 
@@ -77,26 +73,3 @@ def test_dense_b_solves_avoid_solve_triangular(monkeypatch):
         assert solve(pair, SolverConfig(method=method, tol=1e-6), x0).converged
     for method in ("split-merge", "pmd"):
         assert len(top_k(pair, 2, SolverConfig(method=method, tol=1e-6))) == 2
-
-
-def test_csr_products_avoid_csr_dot(monkeypatch):
-    def forbidden(*args, **kwargs):
-        raise AssertionError("csr_array.dot called from a library path")
-
-    m = 8
-    t = scipy.sparse.diags_array([-1.0, 2.0, -1.0], offsets=[-1, 0, 1], shape=(m, m))
-    eye = scipy.sparse.eye_array(m)
-    b = scipy.sparse.kron(eye, t) + scipy.sparse.kron(t, eye) + 0.5 * scipy.sparse.eye_array(m * m)
-    a = scipy.sparse.diags_array(np.append(np.linspace(0.01, 1.0, m * m - 1), 2.0))
-    pair = MatrixPair(SymmetricMatrix.from_sparse(a), SymmetricMatrix.from_sparse(b))
-    assert pair.a.kind == pair.b.kind == "csr"
-
-    monkeypatch.setattr(scipy.sparse.csr_array, "dot", forbidden)
-    ic0 = build_preconditioner(pair.b, "incomplete-cholesky")
-    solver = LinearSolver.pcg(pair.b, inner="ichol")
-    x0 = np.random.default_rng(0).standard_normal(pair.n)
-    for method in ("gd", "power", "pmd"):
-        config = SolverConfig(method=method, tol=1e-6, preconditioner=ic0,
-                              linear_solver=solver)
-        assert solve(pair, config, x0).converged
-        assert len(top_k(pair, 2, config)) == 2

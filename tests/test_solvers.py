@@ -125,15 +125,17 @@ def normal_component_sine(x, u_ref):
 
 
 @settings(max_examples=300, deadline=None)
-@given(n=st.integers(2, 64), log_angle=st.floats(-12.0, 0.0),
-       log_scale=st.floats(-100.0, 100.0), negative=st.booleans(),
+@given(n=st.integers(2, 64) | st.sampled_from([576, 4096, 65536]),
+       log_angle=st.floats(-12.0, 0.0), log_scale=st.floats(-100.0, 100.0),
+       negative=st.booleans(),
        log_ref_scale=st.floats(-50.0, 50.0), log_tol=st.floats(-11.0, math.log10(0.3)),
        seed=st.integers(0, 2**32 - 1))
 def test_check_stopping_agrees_with_the_normal_component_sine(
         n, log_angle, log_scale, negative, log_ref_scale, log_tol, seed):
     """Two inner products give the sine wherever it is clearly above both
-    2 tol and 1e-4; below that the normal component gives it, bit for bit.
-    Either way the stop decision is the normal-component sine's."""
+    2 tol and sqrt(1e-9 n), at any order up to sparse-pcg's and beyond;
+    below that the normal component gives it, bit for bit. Either way the
+    stop decision is the normal-component sine's."""
     q = np.linalg.qr(np.random.default_rng(seed).standard_normal((n, 2)))[0]
     theta, tol = 10.0 ** log_angle, 10.0 ** log_tol
     scale = -(10.0 ** log_scale) if negative else 10.0 ** log_scale
@@ -143,7 +145,7 @@ def test_check_stopping_agrees_with_the_normal_component_sine(
     expected = normal_component_sine(x, u_ref)
     assert type(sin) is float
     assert ok == (expected <= tol)
-    if expected < max(2.0 * tol, 1e-4) * (1.0 - 1e-6):
+    if expected < max(2.0 * tol, math.sqrt(1e-9 * n)) * (1.0 - 1e-6):
         assert sin == expected
     else:
         assert abs(sin - expected) <= 1e-6 * expected
