@@ -160,8 +160,8 @@ def solve_spd(solver: LinearSolver, b: SymmetricMatrix, r: np.ndarray,
               counters: Counters | None = None) -> np.ndarray:
     """Solve B x = r through the given handle.
 
-    Counts one solve per call; in PCG mode the inner B-matvecs and inner
-    iterations are additionally counted in matvecs and pcg_inner.
+    Counts one solve per call; PCG mode adds its inner B-matvecs (matvecs),
+    inner steps (pcg_inner) and, if the cap stops it, pcg_capped/pcg_residual.
     """
     r = np.asarray(r, dtype=np.float64)
     n = solver.metric.n
@@ -178,12 +178,12 @@ def solve_spd(solver: LinearSolver, b: SymmetricMatrix, r: np.ndarray,
 
 def _pcg(solver: LinearSolver, b: SymmetricMatrix, rhs: np.ndarray,
          counters: Counters | None) -> np.ndarray:
-    x = np.zeros_like(rhs)
-    r = rhs.copy()
-    norm_rhs = math.sqrt(rhs.dot(rhs))
+    x, step, r = np.zeros_like(rhs), np.empty_like(rhs), rhs.copy()
+    norm_rhs = norm_r = math.sqrt(rhs.dot(rhs))
     if norm_rhs == 0.0:
         return x
-    z = apply_gram_inverse(solver.metric, r)
+    metric, stop = solver.metric, solver.tol * norm_rhs
+    z = apply_gram_inverse(metric, r)
     p = z.copy()
     rz = float(r.dot(z))
     if rz < 0.0:
@@ -196,14 +196,19 @@ def _pcg(solver: LinearSolver, b: SymmetricMatrix, rhs: np.ndarray,
         if pbp <= 0.0:
             raise PcgBreakdown(f"nonpositive curvature p'Bp = {pbp:.3e}")
         alpha = rz / pbp
-        x += alpha * p
-        r -= alpha * bp
-        if math.sqrt(r.dot(r)) <= solver.tol * norm_rhs:
+        x += np.multiply(p, alpha, out=step)
+        r -= np.multiply(bp, alpha, out=bp)
+        norm_r = math.sqrt(r.dot(r))
+        if norm_r <= stop:
             break
-        z = apply_gram_inverse(solver.metric, r)
+        z = np.divide(r, metric.diag, out=z) if metric.factor is None else metric.factor.solve(r)
         rz_next = float(r.dot(z))
         if rz_next < 0.0:
             raise PcgBreakdown(f"indefinite inner preconditioner: r'z = {rz_next:.3e}")
-        p = z + (rz_next / rz) * p
+        p *= rz_next / rz
+        p += z
         rz = rz_next
+    if norm_r > stop and counters is not None:
+        counters.pcg_capped += 1
+        counters.pcg_residual = max(counters.pcg_residual, norm_r / norm_rhs)
     return x

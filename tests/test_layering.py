@@ -1,12 +1,12 @@
 """Storage stays private to the module that owns it: only linalg.py reads a
-SymmetricMatrix's operand or a CholeskyFactor's L and SuperLU handle, and no
-module reads the retired per-kind fields."""
+SymmetricMatrix's operand or its CSR arrays, or a CholeskyFactor's L and
+SuperLU handle, and no module reads the retired per-kind fields."""
 
 import pathlib
 import re
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "gepsolve"
-OWNED = re.compile(r"\._(?:m|l|lu)\b")
+OWNED = re.compile(r"\._(?:m|csr|l|lu)\b")
 RETIRED = re.compile(r"\._(?:dense|sparse|strict|diag)\b")
 
 

@@ -1,5 +1,7 @@
 """Matrix storage, Cholesky and IC(0) factorizations, PCG, and matrix I/O."""
 
+import math
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -16,6 +18,7 @@ from gepsolve import (
     SolverConfig,
     SymmetricMatrix,
     SyntheticSpec,
+    apply_gram_inverse,
     cholesky_factorize,
     gen_synthetic,
     incomplete_cholesky,
@@ -363,6 +366,106 @@ def test_pcg_inner_kinds_pinned_on_grid_pencil(cap, inner):
     assert (counters.pcg_inner, counters.matvecs, counters.solves) == (inner_its, inner_its, 1)
     got = (np.linalg.norm(x), x @ r, x @ np.arange(1.0, mat.n + 1.0))
     assert got == pytest.approx((norm_x, xr, xw), rel=1e-13, abs=0)
+
+
+def textbook_solve_spd(solver, b, rhs, counters):
+    """PCG as written before its loop stored results in place (Saad, Alg.
+    9.1), less the breakdown checks: the reference the in-place loop must
+    match bit for bit. It also counts a solve that stops at its cap."""
+    counters.solves += 1
+    x = np.zeros_like(rhs)
+    r = rhs.copy()
+    norm_rhs = math.sqrt(rhs.dot(rhs))
+    if norm_rhs == 0.0:
+        return x
+    z = apply_gram_inverse(solver.metric, r)
+    p = z.copy()
+    rz = float(r.dot(z))
+    for _ in range(solver.cap):
+        counters.pcg_inner += 1
+        bp = b.matvec(p, counters)
+        alpha = rz / float(p.dot(bp))
+        x += alpha * p
+        r -= alpha * bp
+        if math.sqrt(r.dot(r)) <= solver.tol * norm_rhs:
+            break
+        z = apply_gram_inverse(solver.metric, r)
+        rz_next = float(r.dot(z))
+        p = z + (rz_next / rz) * p
+        rz = rz_next
+    else:
+        counters.pcg_capped += 1
+        counters.pcg_residual = max(counters.pcg_residual, math.sqrt(r.dot(r)) / norm_rhs)
+    return x
+
+
+def grid_pencil_b():
+    """B = Laplacian + 0.5 I on the 12 x 12 grid, as the PCG pins use."""
+    lap = grid_laplacian(12)
+    return SymmetricMatrix.from_sparse(
+        lap._m + 0.5 * scipy.sparse.eye_array(lap.n, format="csr"))
+
+
+@pytest.mark.parametrize("inner", ["jacobi", "ichol", None])
+@pytest.mark.parametrize("cap", [4, 500])
+@pytest.mark.parametrize("storage", ["csr", "dense"])
+def test_pcg_matches_textbook_loop_bitwise(inner, cap, storage):
+    """The in-place PCG loop returns the textbook loop's bytes and counters,
+    for runs stopped by the cap (4) and by the tolerance (500), and for a
+    zero right-hand side."""
+    mat = grid_pencil_b()
+    if storage == "dense":
+        mat = SymmetricMatrix.from_dense(mat.dense())
+    solver = LinearSolver.pcg(mat, cap=cap, tol=1e-10, inner=inner)
+    rng = np.random.default_rng(31)
+    got_counters, want_counters = Counters(), Counters()
+    for rhs in (rng.standard_normal(mat.n), rng.standard_normal(mat.n), np.zeros(mat.n)):
+        got = solve_spd(solver, mat, rhs, got_counters)
+        want = textbook_solve_spd(solver, mat, rhs, want_counters)
+        assert got.tobytes() == want.tobytes()
+        assert got_counters == want_counters
+    assert got_counters.pcg_capped == (2 if cap == 4 else 0)
+
+
+@pytest.mark.parametrize("inner", ["jacobi", "ichol", None])
+def test_pcg_reports_capped_solves_and_their_residual(inner):
+    """At cap 3 every solve on the grid pencil stops short of tol 1e-10 and
+    reports the relative residual it left; a generous cap reports none."""
+    mat = grid_pencil_b()
+    rhs = np.random.default_rng(31).standard_normal(mat.n)
+    tol = 1e-10
+    counters = Counters()
+    x = solve_spd(LinearSolver.pcg(mat, cap=3, tol=tol, inner=inner), mat, rhs, counters)
+    true_residual = np.linalg.norm(rhs - mat.matvec(x)) / np.linalg.norm(rhs)
+    assert counters.pcg_capped == 1
+    assert counters.pcg_residual > tol
+    assert counters.pcg_residual == pytest.approx(true_residual, rel=1e-8)
+
+    generous = Counters()
+    solve_spd(LinearSolver.pcg(mat, cap=500, tol=tol, inner=inner), mat, rhs, generous)
+    assert (generous.pcg_capped, generous.pcg_residual) == (0, 0.0)
+
+
+def test_capped_solves_reach_the_trace_counters():
+    """Power with cap-3 PCG B-solves reports capped solves in its trace; with
+    a generous cap and on the exact path the fields stay 0."""
+    b = grid_pencil_b()
+    a = SymmetricMatrix.from_sparse(scipy.sparse.diags_array(
+        np.append(np.linspace(0.01, 1.0, b.n - 1), 2.0)).tocsr())
+    pair = MatrixPair(a, b)
+    x0 = np.random.default_rng(2).standard_normal(b.n)
+
+    def counters(solver):
+        config = SolverConfig(method="power", tol=1e-6, max_iterations=50, linear_solver=solver)
+        return solve(pair, config, x0).counters
+
+    capped = counters(LinearSolver.pcg(b, cap=3))
+    assert capped.pcg_capped == capped.solves > 0
+    assert capped.pcg_residual > 1e-10
+    for solver in (LinearSolver.pcg(b, cap=500), LinearSolver.exact(b)):
+        c = counters(solver)
+        assert c.solves > 0
+        assert (c.pcg_capped, c.pcg_residual) == (0, 0.0)
 
 
 def test_pcg_unknown_inner_rejected():
