@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import GepSolveError, InputError
-from .precond import LinearSolver, build_preconditioner
+from .precond import KINDS, LinearSolver, build_preconditioner
 from .reference import reference_solution
 from .solvers import METHODS, SolverConfig, prepare, solve
 from .synthetic import SyntheticSpec, gen_synthetic
@@ -64,6 +64,10 @@ class SuiteConfig:
                 raise InputError(f"unknown method {m!r}")
         if self.linsolve not in ("cholesky", "pcg"):
             raise InputError(f"linsolve must be cholesky or pcg, got {self.linsolve!r}")
+        if self.pmd_precond not in KINDS:
+            raise InputError(f"pmd_precond must be one of {KINDS}, got {self.pmd_precond!r}")
+        if self.trials < 1:
+            raise InputError(f"trials must be at least 1, got {self.trials}")
         if not self.cells:
             raise InputError("suite has no cells")
 
@@ -198,15 +202,15 @@ def run_suite(config: SuiteConfig, trace_dir=None) -> BenchmarkReport:
         ref = reference_solution(pair)
 
         # set up once per cell: what the suite chooses here, the rest per method
-        # by prepare, pmd last so that its default metric is the solver's factor
-        pmd_metric = "pmd" in config.methods and config.pmd_precond != "cholesky"
+        # by prepare; B's Cholesky factor is computed once, shared by b.cholesky()
         base = SolverConfig(
             tol=config.tol, max_iterations=config.max_iterations, rho=config.rho,
             linear_solver=(LinearSolver.pcg(pair.b, cap=config.pcg_cap)
                            if config.linsolve == "pcg" else None),
-            preconditioner=build_preconditioner(pair.b, config.pmd_precond) if pmd_metric else None,
+            preconditioner=(build_preconditioner(pair.b, config.pmd_precond)
+                            if "pmd" in config.methods else None),
             reference=ref.u)
-        for method in sorted(config.methods, key=lambda m: m == "pmd"):
+        for method in config.methods:
             base = prepare(pair, replace(base, method=method))
 
         x0s = []

@@ -114,9 +114,8 @@ def _build_config(args, pair, reference) -> SolverConfig:
         # also the only check that B is positive definite for gd and for pmd
         # with a non-Cholesky metric, whose runs never factor B
         solver = LinearSolver.exact(pair.b)
-    precond = None
-    if args.method == "pmd" and args.precond != "cholesky":
-        precond = build_preconditioner(pair.b, PRECOND_KINDS[args.precond])
+    precond = (build_preconditioner(pair.b, PRECOND_KINDS[args.precond])
+               if args.method == "pmd" else None)
     return SolverConfig(
         method=args.method, tol=args.tol, max_iterations=args.max_iters,
         seed=args.seed, rho=args.rho, stepsize=args.stepsize,

@@ -106,6 +106,7 @@ class SymmetricMatrix:
         self._m = m
         self._csr = None if self.kind == "dense" else (m.indptr, m.indices, m.data)
         self._fp: int | None = None
+        self._chol: CholeskyFactor | NotPositiveDefinite | None = None
 
     @classmethod
     def from_dense(cls, arr) -> "SymmetricMatrix":
@@ -195,6 +196,17 @@ class SymmetricMatrix:
             self._fp = _entry_fingerprint(self.n, r, c, v)
         return self._fp
 
+    def cholesky(self) -> "CholeskyFactor":
+        """B = L L' by cholesky_factorize, run once; a NotPositiveDefinite is kept and re-raised."""
+        if self._chol is None:
+            try:
+                self._chol = cholesky_factorize(self)
+            except NotPositiveDefinite as exc:
+                self._chol = exc
+        if isinstance(self._chol, NotPositiveDefinite):
+            raise self._chol
+        return self._chol
+
 
 def add_scaled(a: SymmetricMatrix, b: SymmetricMatrix, eta: float) -> SymmetricMatrix:
     """Return a + eta * b as a new SymmetricMatrix."""
@@ -259,7 +271,7 @@ class CholeskyFactor:
 
 
 def cholesky_factorize(b: SymmetricMatrix) -> CholeskyFactor:
-    """Dense Cholesky factorization B = L L'.
+    """Dense Cholesky factorization B = L L', run once per matrix by ``b.cholesky()``.
 
     Raises NotPositiveDefinite when a pivot is nonpositive or falls below
     ``PIVOT_RTOL`` times the largest diagonal entry of B. Sparse input is
@@ -341,20 +353,12 @@ def jacobi_eigh(a: np.ndarray, tol: float = 1e-12,
                max_sweeps: int = 30) -> tuple[np.ndarray, np.ndarray]:
     """Cyclic Jacobi eigendecomposition of a dense symmetric matrix.
 
-    Sweeps row pairs until the off-diagonal Frobenius norm falls below
-    ``tol`` times the Frobenius norm of the input. Returns eigenvalues in
+    Rotates a copy of ``a`` in sweeps over row pairs until the off-diagonal
+    Frobenius norm falls below ``tol`` times that of the input; more than
+    ``max_sweeps`` sweeps raise NumericalError. Returns eigenvalues in
     ascending order and the matching eigenvector columns. No library path
     calls it (the reference, ``validate_pair`` and the Lanczos Ritz step use
     LAPACK); it is kept because the benchmark's kernel probe imports it.
-
-    Parameters
-    ----------
-    a : (n, n) array
-        Symmetric input; a copy is rotated in place.
-    tol : float
-        Relative off-diagonal target.
-    max_sweeps : int
-        Hard sweep cap; exceeding it raises NumericalError.
     """
     a = np.array(a, dtype=np.float64)
     n = a.shape[0]

@@ -22,8 +22,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import DegenerateDirection, DimensionMismatch, InputError, NotPositiveDefinite
-from .linalg import Counters, SymmetricMatrix, add_scaled, cholesky_factorize, \
-    dominant_eigenvalue
+from .linalg import Counters, SymmetricMatrix, add_scaled, dominant_eigenvalue
 
 DEGENERATE_RTOL = 1e-30
 PSD_RTOL = 1e-10
@@ -75,7 +74,7 @@ def validate_pair(pair: MatrixPair, dense_limit: int = DENSE_VALIDATE_LIMIT) -> 
     coupling.
     """
     try:
-        cholesky_factorize(pair.b)
+        pair.b.cholesky()
         b_pd = True
     except NotPositiveDefinite:
         b_pd = False
@@ -122,8 +121,7 @@ def shift_to_psd(pair: MatrixPair, margin: float = 0.0) -> MatrixPair:
         if gersh >= 0.0:
             lam_min = 0.0
         else:
-            factor = cholesky_factorize(pair.b)
-            bmin = 1.0 / dominant_eigenvalue(factor.solve, pair.n)
+            bmin = 1.0 / dominant_eigenvalue(pair.b.cholesky().solve, pair.n)
             lam_min = gersh / max(bmin, 1e-300)
     eta = max(0.0, -lam_min) + margin
     if eta == 0.0:

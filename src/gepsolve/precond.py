@@ -16,9 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, PcgBreakdown, StaleFactor, ZeroDiagonal
-from .linalg import CholeskyFactor, Counters, SymmetricMatrix, cholesky_factorize, \
-    dominant_eigenvalue, incomplete_cholesky
+from .errors import DimensionMismatch, InputError, PcgBreakdown, StaleFactor, ZeroDiagonal
+from .linalg import CholeskyFactor, Counters, SymmetricMatrix, dominant_eigenvalue, \
+    incomplete_cholesky
 
 KINDS = ("cholesky", "diagonal", "incomplete-cholesky", "identity")
 
@@ -62,13 +62,6 @@ class Preconditioner:
             return x / self.scale
         return self.factor.solve_lower(x)
 
-    def gram_dense(self) -> np.ndarray:
-        """P'P as a dense array (diagnostics only)."""
-        if self.factor is None:
-            return np.diag(self.diag)
-        l = self.factor.lower()
-        return l @ l.T
-
     def _check(self, x):
         if np.shape(x) != (self.n,):
             raise DimensionMismatch(f"vector shape {np.shape(x)} vs order {self.n}")
@@ -77,7 +70,7 @@ class Preconditioner:
 def build_preconditioner(b: SymmetricMatrix, kind: str) -> Preconditioner:
     """Construct a preconditioner of the given kind for B."""
     if kind == "cholesky":
-        return Preconditioner("cholesky", b.n, factor=cholesky_factorize(b))
+        return Preconditioner("cholesky", b.n, factor=b.cholesky())
     if kind == "incomplete-cholesky":
         return Preconditioner("incomplete-cholesky", b.n, factor=incomplete_cholesky(b))
     if kind == "diagonal":
@@ -108,7 +101,9 @@ def apply_gram_inverse(p: Preconditioner, g: np.ndarray,
 
 def frobenius_gap(b: SymmetricMatrix, p: Preconditioner) -> float:
     """||B - P'P||_F, the metric mismatch of the preconditioner."""
-    return float(np.linalg.norm(b.dense() - p.gram_dense()))
+    l = None if p.factor is None else p.factor.lower()
+    gram = np.diag(p.diag) if l is None else l @ l.T
+    return float(np.linalg.norm(b.dense() - gram))
 
 
 def transformed_dominant_eigenvalue(b: SymmetricMatrix, p: Preconditioner) -> float:
@@ -145,13 +140,15 @@ class LinearSolver:
     @classmethod
     def exact(cls, b: SymmetricMatrix) -> "LinearSolver":
         return cls("cholesky", b.fingerprint(),
-                   Preconditioner("cholesky", b.n, factor=cholesky_factorize(b)))
+                   Preconditioner("cholesky", b.n, factor=b.cholesky()))
 
     @classmethod
     def pcg(cls, b: SymmetricMatrix, cap: int = 30, tol: float = 1e-10,
             inner: str | None = "jacobi") -> "LinearSolver":
         if inner not in INNER_KINDS:
             raise ValueError(f"unknown inner preconditioner {inner!r}")
+        if cap < 1:
+            raise InputError(f"PCG cap must be at least 1, got {cap}")
         return cls("pcg", b.fingerprint(), build_preconditioner(b, INNER_KINDS[inner]),
                    cap=cap, tol=tol)
 

@@ -15,7 +15,6 @@ import numpy as np
 import scipy.linalg
 
 from .errors import NotPositiveDefinite, NumericalError
-from .linalg import cholesky_factorize
 from .objective import MatrixPair
 from .solvers import SolverConfig, run_split_merge
 
@@ -51,7 +50,7 @@ def _dense_route(pair: MatrixPair):
     if not hasattr(pair.a, "dense"):
         raise NumericalError("dense reference needs a materializable A operand")
     # the solvers' pivot floor; LAPACK alone accepts a numerically singular B
-    cholesky_factorize(pair.b)
+    pair.b.cholesky()
     n = pair.n
     try:
         evals, vecs = scipy.linalg.eigh(pair.a.dense(), pair.b.dense(),

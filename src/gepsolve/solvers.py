@@ -406,9 +406,9 @@ METHODS = tuple(RUNNERS)
 def prepare(pair: MatrixPair, config: SolverConfig) -> SolverConfig:
     """``config`` with what ``config.method`` needs and lacks set up: the exact
     B-solver for power, split-merge and lanczos, the curvature bound for gd,
-    pmd's metric (by default exact Cholesky: the exact solver's own factor
-    when there is one) and its transformed bound. Returns ``config`` itself
-    when nothing is missing."""
+    pmd's metric (by default exact Cholesky) and its transformed bound. B's
+    factor is computed once and shared through ``b.cholesky()``. Returns
+    ``config`` itself when nothing is missing."""
     method, fill = config.method, {}
     if method in ("power", "split-merge", "lanczos") and config.linear_solver is None:
         fill["linear_solver"] = LinearSolver.exact(pair.b)
@@ -416,9 +416,7 @@ def prepare(pair: MatrixPair, config: SolverConfig) -> SolverConfig:
         fill["curvature_bound"] = estimate_curvature_bound(pair.b)
     elif method == "pmd":
         if config.preconditioner is None:
-            solver = config.linear_solver
-            fill["preconditioner"] = (solver.metric if solver and solver.mode == "cholesky"
-                                      else build_preconditioner(pair.b, "cholesky"))
+            fill["preconditioner"] = build_preconditioner(pair.b, "cholesky")
         if config.transformed_bound is None:
             precond = fill.get("preconditioner", config.preconditioner)
             fill["transformed_bound"] = transformed_dominant_eigenvalue(pair.b, precond)

@@ -6,9 +6,6 @@ import numpy as np
 import pytest
 
 import gepsolve.bench
-import gepsolve.linalg
-import gepsolve.precond
-import gepsolve.reference
 import gepsolve.solvers
 from gepsolve.bench import (
     CI_N,
@@ -222,60 +219,22 @@ def test_pmd_transformed_bound_is_estimated_once_per_cell(monkeypatch):
                                   5.386185934254441, 5.386185928642408], rel=1e-12, abs=0)
 
 
-def test_gd_pmd_cell_factors_b_only_for_the_reference_and_the_metric(monkeypatch):
+def test_gd_pmd_cell_factors_b_once(factorizations):
     """Neither gd nor pmd solves with B, so a cell running only them builds
-    no exact B-solver: one factorization for the reference, one for pmd's
-    default Cholesky metric."""
-    real = gepsolve.linalg.cholesky_factorize
-    calls = []
-
-    def counted(b):
-        calls.append(b.n)
-        return real(b)
-
-    for module in (gepsolve.linalg, gepsolve.precond, gepsolve.reference):
-        monkeypatch.setattr(module, "cholesky_factorize", counted)
+    no exact B-solver: the reference's check and pmd's default Cholesky
+    metric share B's one factorization."""
     report = run_suite(SuiteConfig(cells=[SuiteCell(32, 10.0)], methods=["gd", "pmd"],
                                    trials=2))
     assert [m.success_rate for m in report.cells[0].methods] == [1.0, 1.0]
-    assert calls == [32, 32]
+    assert factorizations == [32]
 
 
-def test_power_pmd_cell_reuses_the_exact_solver_as_pmd_metric(monkeypatch):
-    """pmd's default metric is the exact B-solver's own Cholesky factor when
-    the cell already has one: one factorization for the reference, one
-    shared by power's solver and pmd's metric."""
-    real = gepsolve.linalg.cholesky_factorize
-    calls = []
-
-    def counted(b):
-        calls.append(b.n)
-        return real(b)
-
-    for module in (gepsolve.linalg, gepsolve.precond, gepsolve.reference):
-        monkeypatch.setattr(module, "cholesky_factorize", counted)
-    report = run_suite(SuiteConfig(cells=[SuiteCell(32, 10.0)], methods=["power", "pmd"],
-                                   trials=2))
-    assert [m.success_rate for m in report.cells[0].methods] == [1.0, 1.0]
-    assert calls == [32, 32]
-
-
-@pytest.mark.parametrize("methods", [["pmd", "power"], list(METHODS)],
-                         ids=["pmd-power", "all"])
-def test_pmd_reuses_the_exact_solver_in_any_method_order(monkeypatch, methods):
-    """pmd is prepared after the methods that build the exact B-solver, so
-    its default metric is that solver's factor whatever order the methods
-    are listed in: one factorization for the reference, one shared."""
-    real = gepsolve.linalg.cholesky_factorize
-    calls = []
-
-    def counted(b):
-        calls.append(b.n)
-        return real(b)
-
-    for module in (gepsolve.linalg, gepsolve.precond, gepsolve.reference):
-        monkeypatch.setattr(module, "cholesky_factorize", counted)
+@pytest.mark.parametrize("methods", [["pmd", "power"], ["power", "pmd"], list(METHODS)],
+                         ids=["pmd-power", "power-pmd", "all"])
+def test_cell_factors_b_once_in_any_method_order(factorizations, methods):
+    """The reference's check, the exact B-solver and pmd's default metric
+    all take B's cached factor, whatever order the methods are listed in."""
     report = run_suite(SuiteConfig(cells=[SuiteCell(32, 10.0)], methods=methods, trials=2))
     assert [m.method for m in report.cells[0].methods] == methods
     assert all(m.success_rate == 1.0 for m in report.cells[0].methods)
-    assert calls == [32, 32]
+    assert factorizations == [32]

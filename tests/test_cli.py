@@ -230,6 +230,29 @@ def test_bench_malformed_suite_exit_three(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, value", [("pmd_precond", "diag"), ("trials", 0)])
+def test_bench_suite_bad_value_exit_three(tmp_path, capsys, key, value):
+    # "diag" is the CLI's --precond spelling, not a metric kind
+    suite = {"cells": [{"n": 8, "kappa_b": 5.0}], "methods": ["power", "pmd"],
+             "trials": 1, key: value}
+    suite_path = tmp_path / "suite.json"
+    suite_path.write_text(json.dumps(suite), encoding="ascii")
+    out_dir = tmp_path / "report"
+    rc = main(["bench", "--suite", str(suite_path), "--out", str(out_dir)])
+    assert rc == 3
+    assert key in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("cap", ["0", "-3"])
+def test_solve_pcg_cap_below_one_exit_three(tmp_path, capsys, cap):
+    a_path, b_path = gen_files(tmp_path, n=6, kappa_b=5.0, seed=8)
+    rc = main(["solve", "--a", a_path, "--b", b_path, "--method", "power",
+               "--linsolve", "pcg", "--pcg-cap", cap])
+    assert rc == 3
+    assert "cap" in capsys.readouterr().err
+
+
 def test_module_entry_point(tmp_path):
     prefix = str(tmp_path / "pair")
     proc = subprocess.run(
@@ -241,23 +264,21 @@ def test_module_entry_point(tmp_path):
 
 
 @pytest.mark.parametrize("command", [["solve", "--ref", "none"], ["topk", "--k", "2"]])
-def test_pmd_factors_b_once(tmp_path, monkeypatch, command):
-    # pmd's default metric is the exact solver's Cholesky factor: one
-    # factorization serves the definiteness check and the metric
-    import gepsolve.linalg
-
+def test_pmd_factors_b_once(tmp_path, factorizations, command):
+    # pmd's default metric takes B's cached factor: one factorization
+    # serves the exact solver's definiteness check and the metric
     a_path, b_path = gen_files(tmp_path, n=10, kappa_b=8.0, seed=7)
-    real = gepsolve.linalg.cholesky_factorize
-    factored = []
-
-    def spy(b):
-        factored.append(b.n)
-        return real(b)
-
-    for name, module in list(sys.modules.items()):
-        if name.startswith("gepsolve") and hasattr(module, "cholesky_factorize"):
-            monkeypatch.setattr(module, "cholesky_factorize", spy)
     rc = main([command[0], "--a", a_path, "--b", b_path, "--method", "pmd",
                *command[1:]])
     assert rc == 0
-    assert factored == [10]
+    assert factorizations == [10]
+
+
+@pytest.mark.parametrize("method", ["gd", "pmd", "power", "split-merge", "lanczos"])
+def test_solve_with_reference_factors_b_once(tmp_path, factorizations, method):
+    # the reference's definiteness check, the exact B-solver and pmd's
+    # metric all take B's cached factor
+    a_path, b_path = gen_files(tmp_path, n=10, kappa_b=8.0, seed=7)
+    rc = main(["solve", "--a", a_path, "--b", b_path, "--method", method, "--ref", "internal"])
+    assert rc == 0
+    assert factorizations == [10]

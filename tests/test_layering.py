@@ -1,21 +1,32 @@
 """Storage stays private to the module that owns it: only linalg.py reads a
-SymmetricMatrix's operand or its CSR arrays, or a CholeskyFactor's L and
-SuperLU handle, and no module reads the retired per-kind fields."""
+SymmetricMatrix's operand, its CSR arrays or its cached Cholesky factor, or
+a CholeskyFactor's L and SuperLU handle, and no module reads the retired
+per-kind fields. B's factor has one owner: only linalg.py calls
+``cholesky_factorize``; every other module asks ``b.cholesky()``."""
 
 import pathlib
 import re
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "gepsolve"
-OWNED = re.compile(r"\._(?:m|csr|l|lu)\b")
+OWNED = re.compile(r"\._(?:m|csr|chol|l|lu)\b")
 RETIRED = re.compile(r"\._(?:dense|sparse|strict|diag)\b")
 
 
-def test_no_module_reads_another_modules_storage():
+def module_lines():
     modules = sorted(SRC.glob("*.py"))
     assert any(p.name == "linalg.py" for p in modules)
-    offenders = []
     for path in modules:
         for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
-            if RETIRED.search(line) or (path.name != "linalg.py" and OWNED.search(line)):
-                offenders.append(f"{path.name}:{lineno}: {line.strip()}")
+            yield path.name, lineno, line
+
+
+def test_no_module_reads_another_modules_storage():
+    offenders = [f"{name}:{lineno}: {line.strip()}" for name, lineno, line in module_lines()
+                 if RETIRED.search(line) or (name != "linalg.py" and OWNED.search(line))]
+    assert offenders == []
+
+
+def test_only_linalg_calls_cholesky_factorize():
+    offenders = [f"{name}:{lineno}: {line.strip()}" for name, lineno, line in module_lines()
+                 if name != "linalg.py" and "cholesky_factorize(" in line]
     assert offenders == []

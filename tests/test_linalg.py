@@ -33,6 +33,7 @@ from gepsolve import (
 from gepsolve.errors import (
     AsymmetricEntries,
     DimensionMismatch,
+    InputError,
     NonFiniteEntries,
     NotPositiveDefinite,
     NotSquare,
@@ -208,6 +209,23 @@ def test_cholesky_rejects_tiny_pivot():
         cholesky_factorize(SymmetricMatrix.from_dense(np.diag([1.0, 1e-16])))
 
 
+def test_cholesky_is_computed_once_and_kept_with_the_matrix(factorizations):
+    b = SymmetricMatrix.from_dense(rand_spd(6, 4))
+    factor = b.cholesky()
+    assert b.cholesky() is factor
+    assert factorizations == [6]
+    npt.assert_array_equal(factor.lower(), cholesky_factorize(b).lower())
+
+
+def test_cholesky_failure_is_kept_and_raised_again(factorizations):
+    """On an indefinite B two calls make one attempt, and both raise."""
+    b = SymmetricMatrix.from_dense(np.diag([1.0, -1.0]))
+    for _ in range(2):
+        with pytest.raises(NotPositiveDefinite):
+            b.cholesky()
+    assert factorizations == [2]
+
+
 @pytest.mark.parametrize("n", [1, 2, 64, 256])
 def test_dense_triangular_solves_match_solve_triangular_bitwise(n):
     """Each dense substitution gives solve_triangular's bits for contiguous,
@@ -322,6 +340,13 @@ def test_pcg_cap_limits_inner_iterations():
     counters = Counters()
     solve_spd(pcg, mat, np.ones(40), counters)
     assert counters.pcg_inner == 3
+
+
+@pytest.mark.parametrize("cap", [0, -3])
+def test_pcg_cap_below_one_rejected(cap):
+    mat = SymmetricMatrix.from_dense(rand_spd(8, 2))
+    with pytest.raises(InputError):
+        LinearSolver.pcg(mat, cap=cap)
 
 
 def test_pcg_ichol_inner_converges_faster():

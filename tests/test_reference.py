@@ -5,7 +5,8 @@ import numpy.testing as npt
 import pytest
 import scipy.linalg
 
-from gepsolve import MatrixPair, SymmetricMatrix, SyntheticSpec, gen_synthetic, reference_solution
+from gepsolve import (MatrixPair, SymmetricMatrix, SyntheticSpec, gen_synthetic,
+                      reference_solution, validate_pair)
 from gepsolve.errors import NotPositiveDefinite
 
 
@@ -113,3 +114,12 @@ def test_numerically_singular_b_raises_not_positive_definite():
                       SymmetricMatrix.from_dense(np.diag([1.0, 1.0, 1e-16])))
     with pytest.raises(NotPositiveDefinite):
         reference_solution(pair)
+
+
+def test_validate_pair_and_reference_factor_b_once(factorizations):
+    """Both check B's definiteness through its one cached factor."""
+    pair = rand_pair(24, 3)
+    assert validate_pair(pair).b_positive_definite
+    ref = reference_solution(pair)
+    assert ref.route == "dense-lapack"
+    assert factorizations == [24]
