@@ -150,6 +150,73 @@ def test_all_failures_yield_nan_statistics():
     assert len(m.failures) == 5
 
 
+NAN = float("nan")
+MAX_IT = "max-iterations"
+PINNED = ("trials", "successes", "success_rate", "iterations_median", "iterations_mean",
+          "iterations_std", "matvecs_mean", "solves_mean", "pcg_inner_mean")
+# Per suite and cell: the start fingerprints, the speedup and, per method,
+# the PINNED statistics followed by the trials that hit the cap of 50.
+GOLDEN_SUITES = {
+    "cholesky": ({}, {
+        (16, 10.0): (["27631f2e6841d6ec", "94b8f046bde812b3", "cd4171ce643e0f2b"], 4.4, {
+            "gd": (3, 0, 0.0, NAN, NAN, NAN, NAN, NAN, NAN, [0, 1, 2]),
+            "pmd": (3, 1, 1 / 3, 44.0, 44.0, 0.0, 90.0, 44.0, 0.0, [0, 1]),
+            "power": (3, 2, 2 / 3, 44.0, 44.0, 3.0, 45.0, 44.0, 0.0, [0]),
+            "split-merge": (3, 3, 1.0, 10.0, 10.333333333333334, 1.247219128924647,
+                            21.666666666666668, 20.666666666666668, 0.0, []),
+            "lanczos": (3, 3, 1.0, 16.0, 16.0, 0.0, 33.0, 16.0, 0.0, []),
+        }),
+        (32, 100.0): (["cb322a9fb2cea8a8", "512aae1cd96748bb", "d3a683bfe6037560"], 3.0, {
+            "gd": (3, 0, 0.0, NAN, NAN, NAN, NAN, NAN, NAN, [0, 1, 2]),
+            "pmd": (3, 0, 0.0, NAN, NAN, NAN, NAN, NAN, NAN, [0, 1, 2]),
+            "power": (3, 3, 1.0, 9.0, 8.333333333333334, 0.9428090415820634,
+                      9.333333333333334, 8.333333333333334, 0.0, []),
+            "split-merge": (3, 3, 1.0, 3.0, 3.3333333333333335, 0.4714045207910317,
+                            7.666666666666667, 6.666666666666667, 0.0, []),
+            "lanczos": (3, 3, 1.0, 20.0, 20.0, 0.0, 41.0, 20.0, 0.0, []),
+        }),
+    }),
+    "pcg-diagonal": ({"linsolve": "pcg", "pmd_precond": "diagonal"}, {
+        (16, 10.0): (["27631f2e6841d6ec", "94b8f046bde812b3", "cd4171ce643e0f2b"], 4.4, {
+            "gd": (3, 0, 0.0, NAN, NAN, NAN, NAN, NAN, NAN, [0, 1, 2]),
+            "pmd": (3, 0, 0.0, NAN, NAN, NAN, NAN, NAN, NAN, [0, 1, 2]),
+            "power": (3, 2, 2 / 3, 44.0, 44.0, 3.0, 748.5, 44.0, 703.5, [0]),
+            "split-merge": (3, 3, 1.0, 10.0, 10.333333333333334, 1.247219128924647,
+                            352.3333333333333, 20.666666666666668, 330.6666666666667, []),
+            "lanczos": (3, 3, 1.0, 16.0, 16.0, 0.0, 289.0, 16.0, 256.0, []),
+        }),
+        (32, 100.0): (["cb322a9fb2cea8a8", "512aae1cd96748bb", "d3a683bfe6037560"], 3.0, {
+            "gd": (3, 0, 0.0, NAN, NAN, NAN, NAN, NAN, NAN, [0, 1, 2]),
+            "pmd": (3, 0, 0.0, NAN, NAN, NAN, NAN, NAN, NAN, [0, 1, 2]),
+            "power": (3, 3, 1.0, 9.0, 8.333333333333334, 0.9428090415820634,
+                      259.3333333333333, 8.333333333333334, 250.0, []),
+            "split-merge": (3, 3, 1.0, 3.0, 3.3333333333333335, 0.4714045207910317,
+                            207.66666666666666, 6.666666666666667, 200.0, []),
+            "lanczos": (3, 3, 1.0, 20.0, 20.0, 0.0, 641.0, 20.0, 600.0, []),
+        }),
+    }),
+}
+
+
+@pytest.mark.parametrize("suite", sorted(GOLDEN_SUITES))
+def test_seeded_suite_report_is_pinned(suite):
+    """A seeded suite with capped, partly failing and all-failing methods
+    gives exactly these statistics (timings aside), failures, speedups and
+    start fingerprints."""
+    overrides, expected = GOLDEN_SUITES[suite]
+    report = run_suite(SuiteConfig(cells=[SuiteCell(16, 10.0), SuiteCell(32, 100.0)],
+                                   methods=list(METHODS), trials=3, seed=4,
+                                   max_iterations=50, **overrides))
+    got = {(c.n, c.kappa_b): (c.x0_fingerprints, c.speedup, {
+        m.method: (*(getattr(m, s) for s in PINNED), m.failures) for m in c.methods})
+        for c in report.cells}
+    want = {key: (fps, {"iterations_ratio": ratio}, {
+        method: (*row[:-1], [{"trial": t, "status": MAX_IT} for t in row[-1]])
+        for method, row in methods.items()})
+        for key, (fps, ratio, methods) in expected.items()}
+    np.testing.assert_equal(got, want)
+
+
 def test_export_report_shapes(tmp_path):
     cfg = SuiteConfig(cells=[SuiteCell(8, 5.0)],
                       methods=["power", "split-merge"], trials=2, seed=1)
