@@ -4,8 +4,10 @@ A suite is a grid of (n, kappa_b) cells crossed with solver methods. Per
 cell the pair is generated once, the reference eigenpair is computed once,
 and every method sees the same start vectors trial for trial (their
 fingerprints are recorded so fairness is auditable from the report).
-Failures never abort a suite; they are tallied separately, and statistics
-cover only the successful runs whenever any run fails.
+A run that ends unconverged or raises a NumericalError never aborts a
+suite: it is tallied separately, and statistics cover only the converged
+runs whenever any run fails. An input error ends the suite; SuiteConfig
+rejects a malformed suite, naming the key, before any run starts.
 """
 
 from __future__ import annotations
@@ -13,12 +15,13 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import numbers
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
-from .errors import GepSolveError, InputError
+from .errors import InputError, NumericalError
 from .precond import KINDS, LinearSolver, build_preconditioner
 from .reference import reference_solution
 from .solvers import METHODS, SolverConfig, prepare, solve
@@ -30,9 +33,17 @@ FULL_KAPPA_B = (3.0, 5.0, 8.0, 10.0, 13.0, 30.0, 40.0, 50.0, 80.0, 100.0)
 FULL_N = (256, 512, 1024)
 CI_N = (64, 128)
 
-STATISTICS = ("success_rate", "trials", "successes", "iterations_median",
-              "iterations_mean", "iterations_std", "matvecs_mean", "solves_mean",
-              "pcg_inner_mean", "elapsed_ns_median", "elapsed_ns_mean")
+_TYPES = {"int": numbers.Integral, "float": numbers.Real, "str": str, "list[str]": (list, tuple)}
+
+
+def _check_types(obj, where="") -> None:
+    """Reject a field of the wrong type, naming it; a float field takes an int."""
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if isinstance(value, bool) or not isinstance(value, _TYPES.get(f.type, object)):
+            raise InputError(f"{where}{f.name} must be {f.type}, got {value!r}")
+        if f.type == "float":
+            setattr(obj, f.name, float(value))
 
 
 @dataclass
@@ -55,82 +66,72 @@ class SuiteConfig:
     pcg_cap: int = 30
     pmd_precond: str = "cholesky"
 
-    _KEYS = ("cells", "methods", "trials", "tol", "max_iterations", "kappa_a",
-             "seed", "rho", "linsolve", "pcg_cap", "pmd_precond")
-
     def __post_init__(self):
-        for m in self.methods:
-            if m not in METHODS:
-                raise InputError(f"unknown method {m!r}")
-        if self.linsolve not in ("cholesky", "pcg"):
-            raise InputError(f"linsolve must be cholesky or pcg, got {self.linsolve!r}")
-        if self.pmd_precond not in KINDS:
-            raise InputError(f"pmd_precond must be one of {KINDS}, got {self.pmd_precond!r}")
-        if self.trials < 1:
-            raise InputError(f"trials must be at least 1, got {self.trials}")
-        if not self.cells:
-            raise InputError("suite has no cells")
+        _check_types(self)
+        for cell in self.cells:
+            _check_types(cell, "cells: ")
+        for name, ok, rule in (
+                ("cells", len(self.cells) > 0, "non-empty"),
+                ("methods", len(self.methods) > 0 and all(m in METHODS for m in self.methods),
+                 f"a non-empty list from {METHODS}"),
+                ("linsolve", self.linsolve in ("cholesky", "pcg"), "cholesky or pcg"),
+                ("pmd_precond", self.pmd_precond in KINDS, f"one of {KINDS}"),
+                ("trials", self.trials >= 1, "at least 1"),
+                ("tol", self.tol > 0, "positive"),
+                ("max_iterations", self.max_iterations >= 1, "at least 1"),
+                ("rho", self.rho >= 1, "at least 1"),
+                ("seed", self.seed >= 0, "non-negative")):
+            if not ok:
+                raise InputError(f"{name} must be {rule}, got {getattr(self, name)!r}")
 
     @classmethod
     def from_dict(cls, data: dict) -> "SuiteConfig":
-        unknown = set(data) - set(cls._KEYS)
+        if not isinstance(data, dict) or not {"cells", "methods"} <= set(data):
+            raise InputError("a suite is a JSON object with 'cells' and 'methods'")
+        unknown = set(data) - {f.name for f in fields(cls)}
         if unknown:
             raise InputError(f"unknown suite keys: {sorted(unknown)}")
-        if "cells" not in data or "methods" not in data:
-            raise InputError("suite needs 'cells' and 'methods'")
-        cells = [SuiteCell(int(c["n"]), float(c["kappa_b"])) for c in data["cells"]]
-        rest = {k: v for k, v in data.items() if k not in ("cells", "methods")}
-        return cls(cells=cells, methods=list(data["methods"]), **rest)
+        try:
+            cells = [SuiteCell(**c) for c in data["cells"]]
+        except TypeError as exc:  # a cell key missing or unknown, or not a list of objects
+            raise InputError(f"cells must be a list of {{n, kappa_b}} objects: {exc}") from exc
+        return cls(**{**data, "cells": cells})
 
     @classmethod
     def from_json(cls, path) -> "SuiteConfig":
-        with open(path, "r", encoding="ascii") as fh:
-            try:
+        try:
+            with open(path, "r", encoding="ascii") as fh:
                 data = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise InputError(f"suite file {path}: {exc}") from exc
+        except (OSError, ValueError) as exc:  # unreadable, not ASCII or not JSON
+            raise InputError(f"suite file {path}: {exc}") from exc
         return cls.from_dict(data)
 
     def to_dict(self) -> dict:
-        out = {k: getattr(self, k) for k in self._KEYS}
-        out["cells"] = [{"n": c.n, "kappa_b": c.kappa_b} for c in self.cells]
-        out["methods"] = list(self.methods)
-        return out
+        return asdict(self)
+
+
+def _grid_suite(ns, methods, trials, seed, overrides) -> SuiteConfig:
+    return SuiteConfig(cells=[SuiteCell(n, kb) for n in ns for kb in FULL_KAPPA_B],
+                       methods=list(methods), trials=trials, seed=seed, **overrides)
 
 
 def ci_suite(methods, trials: int = 20, seed: int = 0, **overrides) -> SuiteConfig:
     """The small grid used by continuous checks: n in CI_N, full kappa row."""
-    cells = [SuiteCell(n, kb) for n in CI_N for kb in FULL_KAPPA_B]
-    return SuiteConfig(cells=cells, methods=list(methods), trials=trials,
-                       seed=seed, **overrides)
+    return _grid_suite(CI_N, methods, trials, seed, overrides)
 
 
 def full_suite(methods, trials: int = 100, seed: int = 0, **overrides) -> SuiteConfig:
-    cells = [SuiteCell(n, kb) for n in FULL_N for kb in FULL_KAPPA_B]
-    return SuiteConfig(cells=cells, methods=list(methods), trials=trials,
-                       seed=seed, **overrides)
-
-
-@dataclass
-class RunOutcome:
-    trial: int
-    status: str
-    iterations: int
-    matvecs: int
-    solves: int
-    pcg_inner: int
-    elapsed_ns: int
-    lam: float
+    return _grid_suite(FULL_N, methods, trials, seed, overrides)
 
 
 @dataclass
 class MethodCellStats:
+    """One method's statistics over one cell's trials, in report order; those
+    after the three tallies cover the converged runs, NaN if none converged."""
     method: str
-    n: int
-    kappa_b: float
+    success_rate: float
     trials: int
     successes: int
-    success_rate: float
     iterations_median: float
     iterations_mean: float
     iterations_std: float
@@ -141,8 +142,8 @@ class MethodCellStats:
     elapsed_ns_mean: float
     failures: list[dict] = field(default_factory=list)
 
-    def statistic(self, name: str) -> float:
-        return float(getattr(self, name))
+
+STATISTICS = tuple(f.name for f in fields(MethodCellStats) if f.type in ("int", "float"))
 
 
 @dataclass
@@ -163,29 +164,11 @@ class BenchmarkReport:
     cells: list[CellReport]
 
     def to_dict(self) -> dict:
-        out = {"schema_version": self.schema_version, "config": self.config,
-               "cells": []}
-        for cell in self.cells:
-            out["cells"].append({
-                "n": cell.n, "kappa_b": cell.kappa_b, "pair_seed": cell.pair_seed,
-                "reference_lambda": cell.reference_lambda,
-                "x0_fingerprints": cell.x0_fingerprints,
-                "speedup": cell.speedup,
-                "methods": [{
-                    "method": m.method,
-                    **{s: m.statistic(s) for s in STATISTICS},
-                    "failures": m.failures,
-                } for m in cell.methods],
-            })
-        return out
+        return asdict(self)
 
 
 def _derived_seed(parts) -> int:
     return int(np.random.SeedSequence(parts).generate_state(1)[0])
-
-
-def _x0_fingerprint(x0: np.ndarray) -> str:
-    return hashlib.blake2b(x0.tobytes(), digest_size=8).hexdigest()
 
 
 def run_suite(config: SuiteConfig, trace_dir=None) -> BenchmarkReport:
@@ -213,74 +196,53 @@ def run_suite(config: SuiteConfig, trace_dir=None) -> BenchmarkReport:
         for method in config.methods:
             base = prepare(pair, replace(base, method=method))
 
-        x0s = []
-        fps = []
-        for t in range(config.trials):
-            x0 = np.random.default_rng(
-                np.random.SeedSequence([config.seed, ci, 1, t])).standard_normal(cell.n)
-            x0s.append(x0)
-            fps.append(_x0_fingerprint(x0))
+        x0s = [np.random.default_rng(np.random.SeedSequence([config.seed, ci, 1, t]))
+               .standard_normal(cell.n) for t in range(config.trials)]
+        fps = [hashlib.blake2b(x0.tobytes(), digest_size=8).hexdigest() for x0 in x0s]
 
         method_stats = []
-        iterations_by_method = {}
         for method in config.methods:
-            outcomes = []
+            runs = []
             for t, x0 in enumerate(x0s):
                 run_config = replace(base, method=method,
                                      seed=_derived_seed([config.seed, ci, 2, t]))
                 try:
                     trace = solve(pair, run_config, x0)
-                except GepSolveError as exc:
-                    outcomes.append(RunOutcome(t, f"error:{type(exc).__name__}",
-                                               0, 0, 0, 0, 0, float("nan")))
+                except NumericalError as exc:
+                    runs.append((t, f"error:{type(exc).__name__}", None))
                     continue
-                final = trace.final()
-                outcomes.append(RunOutcome(
-                    t, trace.status, trace.iterations, trace.counters.matvecs,
-                    trace.counters.solves, trace.counters.pcg_inner,
-                    final.elapsed_ns, final.lam))
+                runs.append((t, trace.status, trace))
                 if trace_dir is not None:
                     _write_trace(trace_dir, cell, method, t, trace)
-            method_stats.append(_aggregate(method, cell, outcomes))
-            good = [o for o in outcomes if o.status == "converged"]
-            if good:
-                iterations_by_method[method] = float(np.median(
-                    [o.iterations for o in good]))
+            method_stats.append(_aggregate(method, runs))
 
-        speedup = None
-        if "power" in iterations_by_method and "split-merge" in iterations_by_method:
-            sm = iterations_by_method["split-merge"]
-            if sm > 0:
-                speedup = {"iterations_ratio": iterations_by_method["power"] / sm}
-
+        medians = {m.method: m.iterations_median for m in method_stats if m.successes}
+        speedup = ({"iterations_ratio": medians["power"] / medians["split-merge"]}
+                   if "power" in medians and medians.get("split-merge", 0) > 0 else None)
         cells.append(CellReport(cell.n, cell.kappa_b, pair_seed, ref.lam, fps,
                                 method_stats, speedup))
     return BenchmarkReport(SCHEMA_VERSION, config.to_dict(), cells)
 
 
-def _aggregate(method, cell, outcomes) -> MethodCellStats:
-    good = [o for o in outcomes if o.status == "converged"]
-    bad = [o for o in outcomes if o.status != "converged"]
-    if good:
-        iters = np.array([o.iterations for o in good], dtype=np.float64)
-        stats = dict(
-            iterations_median=float(np.median(iters)),
-            iterations_mean=float(np.mean(iters)),
-            iterations_std=float(np.std(iters)),
-            matvecs_mean=float(np.mean([o.matvecs for o in good])),
-            solves_mean=float(np.mean([o.solves for o in good])),
-            pcg_inner_mean=float(np.mean([o.pcg_inner for o in good])),
-            elapsed_ns_median=float(np.median([o.elapsed_ns for o in good])),
-            elapsed_ns_mean=float(np.mean([o.elapsed_ns for o in good])),
-        )
-    else:
-        # every statistic but the three tallies passed below
-        stats = dict.fromkeys(STATISTICS[3:], float("nan"))
+def _aggregate(method, runs) -> MethodCellStats:
+    """Statistics over (trial, status, trace or None) runs, from the converged traces."""
+    good = [trace for _, status, trace in runs if status == "converged"]
+
+    def over(value, reduce=np.mean) -> float:
+        return float(reduce([value(t) for t in good])) if good else float("nan")
+
     return MethodCellStats(
-        method=method, n=cell.n, kappa_b=cell.kappa_b, trials=len(outcomes),
-        successes=len(good), success_rate=len(good) / max(len(outcomes), 1),
-        failures=[{"trial": o.trial, "status": o.status} for o in bad],
-        **stats)
+        method=method, success_rate=len(good) / len(runs), trials=len(runs), successes=len(good),
+        iterations_median=over(lambda t: t.iterations, np.median),
+        iterations_mean=over(lambda t: t.iterations),
+        iterations_std=over(lambda t: t.iterations, np.std),
+        matvecs_mean=over(lambda t: t.counters.matvecs),
+        solves_mean=over(lambda t: t.counters.solves),
+        pcg_inner_mean=over(lambda t: t.counters.pcg_inner),
+        elapsed_ns_median=over(lambda t: t.final().elapsed_ns, np.median),
+        elapsed_ns_mean=over(lambda t: t.final().elapsed_ns),
+        failures=[{"trial": t, "status": status} for t, status, _ in runs
+                  if status != "converged"])
 
 
 def _write_trace(trace_dir, cell, method, trial, trace) -> None:
@@ -295,25 +257,19 @@ def matvec_equivalent_cost(matvecs: int, solves: int, n: int, exact_mode: bool) 
     Exact mode charges the Cholesky setup (n^3/3 flops = n/6 matvecs) plus
     one unit per triangular solve pair; PCG solves are already paid for by
     their counted inner matvecs."""
-    if exact_mode:
-        return matvecs + solves + n / 6.0
-    return float(matvecs)
+    return matvecs + solves + n / 6.0 if exact_mode else float(matvecs)
 
 
 def export_report(report: BenchmarkReport, out_dir) -> tuple[str, str]:
     """Write report.json and the long-format report.csv; returns the paths."""
     os.makedirs(str(out_dir), exist_ok=True)
-    json_path = os.path.join(str(out_dir), "report.json")
-    csv_path = os.path.join(str(out_dir), "report.csv")
+    json_path, csv_path = (os.path.join(str(out_dir), f) for f in ("report.json", "report.csv"))
     with open(json_path, "w", encoding="ascii") as fh:
         json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
         fh.write("\n")
     with open(csv_path, "w", encoding="ascii", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["n", "kappa_b", "method", "statistic", "value"])
-        for cell in report.cells:
-            for m in cell.methods:
-                for stat in STATISTICS:
-                    writer.writerow([cell.n, f"{cell.kappa_b:g}", m.method,
-                                     stat, repr(m.statistic(stat))])
+        writer.writerows([cell.n, f"{cell.kappa_b:g}", m.method, s, repr(float(getattr(m, s)))]
+                         for cell in report.cells for m in cell.methods for s in STATISTICS)
     return json_path, csv_path

@@ -230,9 +230,14 @@ def test_bench_malformed_suite_exit_three(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("key, value", [("pmd_precond", "diag"), ("trials", 0)])
+@pytest.mark.parametrize("key, value", [
+    ("pmd_precond", "diag"), ("trials", 0), ("cells", [{"n": 8}]),
+    ("cells", [{"n": "x", "kappa_b": 5.0}]), ("cells", {"n": 8}), ("trials", "2"),
+    ("tol", "1e-5"), ("tol", -1), ("max_iterations", 0), ("rho", 0.5), ("methods", []),
+    ("seed", -1)])
 def test_bench_suite_bad_value_exit_three(tmp_path, capsys, key, value):
-    # "diag" is the CLI's --precond spelling, not a metric kind
+    # "diag" is the CLI's --precond spelling, not a metric kind; a suite's
+    # type and range errors are caught before any run, not tallied as runs
     suite = {"cells": [{"n": 8, "kappa_b": 5.0}], "methods": ["power", "pmd"],
              "trials": 1, key: value}
     suite_path = tmp_path / "suite.json"
@@ -242,6 +247,15 @@ def test_bench_suite_bad_value_exit_three(tmp_path, capsys, key, value):
     assert rc == 3
     assert key in capsys.readouterr().err
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("argv", [["--methods", ""], ["--suite", "missing.json"]])
+def test_bench_no_methods_or_no_suite_file_exit_three(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    rc = main(["bench", *argv, "--out", "report"])
+    assert rc == 3
+    assert argv[0].lstrip("-") in capsys.readouterr().err
+    assert not (tmp_path / "report").exists()
 
 
 @pytest.mark.parametrize("cap", ["0", "-3"])
