@@ -68,8 +68,10 @@ class SuiteConfig:
 
     def __post_init__(self):
         _check_types(self)
-        for cell in self.cells:
-            _check_types(cell, "cells: ")
+        for i, cell in enumerate(self.cells):
+            _check_types(cell, f"cells[{i}]: ")
+            if not (cell.n >= 2 and cell.kappa_b >= 1):
+                raise InputError(f"cells[{i}] needs n >= 2 and kappa_b >= 1, got {cell}")
         for name, ok, rule in (
                 ("cells", len(self.cells) > 0, "non-empty"),
                 ("methods", len(self.methods) > 0 and all(m in METHODS for m in self.methods),
@@ -80,6 +82,7 @@ class SuiteConfig:
                 ("tol", self.tol > 0, "positive"),
                 ("max_iterations", self.max_iterations >= 1, "at least 1"),
                 ("rho", self.rho >= 1, "at least 1"),
+                ("kappa_a", self.kappa_a >= 1, "at least 1"),
                 ("seed", self.seed >= 0, "non-negative")):
             if not ok:
                 raise InputError(f"{name} must be {rule}, got {getattr(self, name)!r}")
@@ -110,18 +113,18 @@ class SuiteConfig:
         return asdict(self)
 
 
-def _grid_suite(ns, methods, trials, seed, overrides) -> SuiteConfig:
+def _grid_suite(ns, methods, trials, seed) -> SuiteConfig:
     return SuiteConfig(cells=[SuiteCell(n, kb) for n in ns for kb in FULL_KAPPA_B],
-                       methods=list(methods), trials=trials, seed=seed, **overrides)
+                       methods=list(methods), trials=trials, seed=seed)
 
 
-def ci_suite(methods, trials: int = 20, seed: int = 0, **overrides) -> SuiteConfig:
+def ci_suite(methods, trials: int = 20, seed: int = 0) -> SuiteConfig:
     """The small grid used by continuous checks: n in CI_N, full kappa row."""
-    return _grid_suite(CI_N, methods, trials, seed, overrides)
+    return _grid_suite(CI_N, methods, trials, seed)
 
 
-def full_suite(methods, trials: int = 100, seed: int = 0, **overrides) -> SuiteConfig:
-    return _grid_suite(FULL_N, methods, trials, seed, overrides)
+def full_suite(methods, trials: int = 100, seed: int = 0) -> SuiteConfig:
+    return _grid_suite(FULL_N, methods, trials, seed)
 
 
 @dataclass

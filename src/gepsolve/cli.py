@@ -2,8 +2,8 @@
 
 Subcommands: gen (write a synthetic pair), solve (one run on a pair from
 disk), topk (staged deflation), bench (suite over a grid). Exit codes: 0
-converged or completed, 2 iteration cap hit, 3 input error, 4 numerical
-failure, 5 degenerate run.
+converged or completed, 2 iteration cap hit, 3 input error or invalid
+argument, 4 numerical failure, 5 degenerate run.
 """
 
 from __future__ import annotations
@@ -49,6 +49,8 @@ def build_parser() -> argparse.ArgumentParser:
     solve = sub.add_parser("solve", help="run one solver on a pair from disk")
     _pair_arguments(solve)
     _solver_arguments(solve)
+    solve.add_argument("--ref", choices=("internal", "none"), default="internal",
+                       help="stopping reference: computed eigenpair or gradient-based")
     solve.add_argument("--trace", help="write the iteration trace CSV here")
 
     topk = sub.add_parser("topk", help="leading k eigenpairs by deflation")
@@ -89,8 +91,6 @@ def _solver_arguments(p) -> None:
     p.add_argument("--max-iters", type=int, default=100000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--stepsize", type=float, default=None)
-    p.add_argument("--ref", choices=("internal", "none"), default="internal",
-                   help="stopping reference: computed eigenpair or gradient-based")
 
 
 PRECOND_KINDS = {"identity": "identity", "diag": "diagonal",
@@ -191,7 +191,10 @@ def _cmd_bench(args) -> int:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # --help exits 0; a usage error 2, here the cap-hit code
+        return EXIT_INPUT if exc.code else EXIT_OK
     handlers = {"gen": _cmd_gen, "solve": _cmd_solve, "topk": _cmd_topk,
                 "bench": _cmd_bench}
     try:

@@ -417,19 +417,17 @@ def jacobi_eigh(a: np.ndarray, tol: float = 1e-12,
     return w[order], v[:, order]
 
 
-def dominant_eigenvalue(apply_op, n: int, rtol: float = 1e-6, inflate: float = 1.01,
-                        max_iters: int = 20000, seed: int = 180) -> float:
+def dominant_eigenvalue(apply_op, n: int, rtol: float = 1e-6) -> float:
     """Power-iteration estimate of the largest eigenvalue of a symmetric
-    positive semidefinite operator, inflated by the given factor.
-
-    The start vector comes from a fixed internal seed so repeated calls are
-    bitwise identical. Poorly separated spectra stall the iteration; the
-    inflation factor is the safety margin for that."""
-    rng = np.random.default_rng(seed)
+    positive semidefinite operator, inflated by 1% as the safety margin for
+    poorly separated spectra, which stall the iteration. It stops once two
+    successive estimates agree to ``rtol``, or after 20000 steps, and starts
+    from a fixed seed, so repeated calls are bitwise identical."""
+    rng = np.random.default_rng(180)
     v = rng.standard_normal(n)
     v /= np.linalg.norm(v)
     lam = 0.0
-    for _ in range(max_iters):
+    for _ in range(20000):
         w = apply_op(v)
         lam_next = float(v @ w)
         norm_w = float(np.linalg.norm(w))
@@ -440,7 +438,7 @@ def dominant_eigenvalue(apply_op, n: int, rtol: float = 1e-6, inflate: float = 1
             lam = lam_next
             break
         lam = lam_next
-    return lam * inflate
+    return lam * 1.01
 
 
 # ---------------------------------------------------------------------------

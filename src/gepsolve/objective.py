@@ -193,7 +193,7 @@ def estimate_curvature_bound(b: SymmetricMatrix, method: str = "dominant") -> Cu
     largest eigenvalue never exceeds the trace for positive definite B.
     """
     if method == "dominant":
-        lam = dominant_eigenvalue(lambda v: b.matvec(v), b.n, rtol=1e-6, inflate=1.01)
+        lam = dominant_eigenvalue(lambda v: b.matvec(v), b.n, rtol=1e-6)
         return CurvatureBound(2.0 * lam, "dominant")
     if method == "trace":
         return CurvatureBound(2.0 * b.trace(), "trace")

@@ -50,7 +50,8 @@ RHO_DOUBLING_CAP = 30
 @dataclass
 class SolverConfig:
     """Knobs shared by every runner; method-specific fields are ignored by
-    the methods that do not use them."""
+    the methods that do not use them. Without ``stepsize``, gd and pmd draw
+    one from [0.9, 0.99] of the stability limit with ``seed``."""
 
     method: str = "split-merge"
     tol: float = 1e-5
@@ -58,14 +59,12 @@ class SolverConfig:
     seed: int = 0
     rho: float = 1.0
     stepsize: float | None = None
-    stepsize_interval: tuple[float, float] | None = None
     curvature_bound: CurvatureBound | None = None
     transformed_bound: float | None = None
     linear_solver: LinearSolver | None = None
     preconditioner: Preconditioner | None = None
     reference: np.ndarray | None = None
     lanczos_cycle: int = 20
-    reorthogonalize: bool = True
 
 
 @dataclass
@@ -209,22 +208,22 @@ class _FirstOrder(_Runner):
         super().__init__(pair, config)
         self.precond = config.preconditioner if config.method == "pmd" else None
         if self.precond is None:
-            bound = config.curvature_bound
-            limit = 2.0 / bound.bound
-            self.diagnostics.update(curvature_bound=bound.bound, curvature_method=bound.method)
+            curvature = config.curvature_bound
+            bound, scale = curvature.bound, 2.0
+            self.diagnostics.update(curvature_bound=bound, curvature_method=curvature.method)
         else:
-            limit = 1.0 / config.transformed_bound
-            self.diagnostics["transformed_bound"] = config.transformed_bound
+            bound, scale = config.transformed_bound, 1.0
+            self.diagnostics["transformed_bound"] = bound
+        if not (0.0 < bound < math.inf):
+            raise InvalidStepsize(f"stability bound must be positive and finite, got {bound}")
+        limit = scale / bound
 
         if config.stepsize is not None:
             alpha = float(config.stepsize)
             if not (0.0 < alpha < limit):
                 raise InvalidStepsize(f"stepsize {alpha} outside (0, {limit})")
         else:
-            lo, hi = config.stepsize_interval or (0.9 * limit, 0.99 * limit)
-            if not (0.0 < lo <= hi < limit):
-                raise InvalidStepsize(f"interval [{lo}, {hi}] not inside (0, {limit})")
-            alpha = float(np.random.default_rng(config.seed).uniform(lo, hi))
+            alpha = float(np.random.default_rng(config.seed).uniform(0.9 * limit, 0.99 * limit))
         self.alpha = alpha
         self.diagnostics["stepsize"] = alpha
 
@@ -311,7 +310,6 @@ class _Lanczos(_Runner):
         self.cycle = config.lanczos_cycle
         if self.cycle < 2:
             raise InputError(f"cycle length must be at least 2, got {self.cycle}")
-        self.reorthogonalize = config.reorthogonalize
         self.diagnostics.update(solver_mode=self.solver.mode, basis_drift=[])
 
     def iterate(self, x, rec, cap):
@@ -333,8 +331,6 @@ class _Lanczos(_Runner):
             bimages = np.empty((n, cycle))
             alphas: list[float] = []
             betas: list[float] = []
-            v_prev = None
-            beta_prev = 0.0
             top = 1.0  # max(1, |alpha|, beta) over the cycle so far
             broke = False
 
@@ -346,10 +342,7 @@ class _Lanczos(_Runner):
                 u = solve_spd(solver, b, av, counters)
                 alpha = float(av.dot(v))
                 w = u - alpha * v
-                if v_prev is not None:
-                    w -= beta_prev * v_prev
-                if self.reorthogonalize:
-                    w -= basis[:, : m + 1] @ (bimages[:, : m + 1].T @ w)
+                w -= basis[:, : m + 1] @ (bimages[:, : m + 1].T @ w)
                 bw = b.matvec(w, counters)
                 beta = math.sqrt(max(0.0, float(w.dot(bw))))
                 alphas.append(alpha)
@@ -361,7 +354,6 @@ class _Lanczos(_Runner):
                     broke = True
                     break
                 if m < cycle:
-                    v_prev = v
                     v = w / beta
                     bv = bw / beta
 
@@ -467,9 +459,9 @@ def solve(pair: MatrixPair, config: SolverConfig, x0: np.ndarray) -> SolveTrace:
 def run_gd(pair: MatrixPair, config: SolverConfig, x0: np.ndarray) -> SolveTrace:
     """Gradient descent on f with a fixed stepsize.
 
-    The stepsize is validated against the curvature bound: fixed values must
-    satisfy alpha * bound in (0, 2); otherwise one value is drawn uniformly
-    from [0.9, 0.99] * (2 / bound) once per run using config.seed.
+    The curvature bound must be positive and finite, and a fixed stepsize
+    must satisfy alpha * bound in (0, 2); otherwise one value is drawn
+    uniformly from [0.9, 0.99] * (2 / bound) once per run using config.seed.
     """
     return _run("gd", pair, config, x0)
 
@@ -484,19 +476,19 @@ def run_pmd(pair: MatrixPair, config: SolverConfig,
 
     Stability demands alpha * lambda_1(P^{-T} B P^{-1}) < 1; with the exact
     Cholesky metric that eigenvalue is 1 and alpha = 1/2 reproduces the
-    power method iterate for iterate. Sampling defaults to [0.9, 0.99] of
-    the limit.
+    power method iterate for iterate. Without a fixed stepsize alpha is drawn
+    from [0.9, 0.99] of the limit.
 
     With the exact metric, near the solution each eigen-component of the
     iterate is multiplied by 1 - 2 alpha (1 - lambda_i / lambda_1) per step,
     so the angle to the dominant eigenvector contracts at
     max_{i>=2} |1 - 2 alpha (1 - lambda_i / lambda_1)|. At alpha = 1/2 that
     is lambda_2 / lambda_1, the power method's rate. For alpha in the
-    default interval the bottom of the spectrum floors the rate at
+    sampled interval the bottom of the spectrum floors the rate at
     |1 - 2 alpha (1 - lambda_n / lambda_1)|, which is 0.80..0.98 when
-    lambda_n << lambda_1. The default beats 1/2 only when the maximum is
-    below lambda_2 / lambda_1: a clustered top of the spectrum, not a wide
-    gap.
+    lambda_n << lambda_1. The drawn alpha beats 1/2 only when the maximum
+    is below lambda_2 / lambda_1: a clustered top of the spectrum, not a
+    wide gap.
     """
     if precond is not None:
         config = replace(config, preconditioner=precond)
@@ -617,9 +609,9 @@ def run_split_merge(pair: MatrixPair, config: SolverConfig, x0: np.ndarray) -> S
 def run_lanczos(pair: MatrixPair, config: SolverConfig, x0: np.ndarray) -> SolveTrace:
     """Restarted Lanczos on B^{-1}A in the B inner product.
 
-    Builds cycles of up to config.lanczos_cycle basis vectors with the
-    three-term recurrence, optional full reorthogonalization against the
-    stored B-images of the basis, then restarts from the top Ritz vector.
+    Builds cycles of up to config.lanczos_cycle basis vectors, each new
+    vector B-orthogonalized in full against the whole basis through its
+    stored B-images, then restarts from the top Ritz vector.
     One trace record per cycle at k = cumulative basis builds; the max
     off-diagonal of V'BV - I per cycle lands in diagnostics["basis_drift"].
     A vanishing continuation norm with the Ritz pair unconverged raises

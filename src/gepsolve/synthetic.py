@@ -41,9 +41,9 @@ def _rotated_diagonal(spectrum: np.ndarray, rng: np.random.Generator) -> np.ndar
 def gen_synthetic(spec: SyntheticSpec) -> MatrixPair:
     """Pair (A, B) with cond(A) = kappa_a, cond(B) = kappa_b exactly."""
     if spec.n < 2:
-        raise InputError(f"order must be at least 2, got {spec.n}")
-    if spec.kappa_a < 1.0 or spec.kappa_b < 1.0:
-        raise InputError("condition numbers must be at least 1")
+        raise InputError(f"n must be at least 2, got {spec.n}")
+    if not (spec.kappa_a >= 1.0 and spec.kappa_b >= 1.0):
+        raise InputError(f"kappa_a, kappa_b must be at least 1, got {spec.kappa_a}, {spec.kappa_b}")
     rng = np.random.default_rng(spec.seed)
     d_a = np.linspace(1.0 / spec.kappa_a, 1.0, spec.n)
     d_b = np.linspace(1.0 / spec.kappa_b, 1.0, spec.n)

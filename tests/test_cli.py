@@ -193,6 +193,21 @@ def test_topk_k_out_of_range_exit_three(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [["solve", "--method", "bogus"], ["solve", "--tol", "abc"],
+                                     ["topk", "--k", "2", "--ref", "none"]])
+def test_invalid_argument_exit_three(tmp_path, capsys, command):
+    # argparse's own usage-error code, 2, is the code for an iteration cap hit
+    a_path, b_path = gen_files(tmp_path, n=6, kappa_b=5.0, seed=8)
+    rc = main([command[0], "--a", a_path, "--b", b_path, *command[1:]])
+    assert rc == 3
+    assert "error:" in capsys.readouterr().err
+
+
+def test_help_exit_zero(capsys):
+    assert main(["solve", "--help"]) == 0
+    assert "--ref" in capsys.readouterr().out
+
+
 def test_bench_custom_suite(tmp_path, capsys):
     suite = {"cells": [{"n": 8, "kappa_b": 5.0}], "methods": ["power"],
              "trials": 2, "seed": 1}
@@ -234,7 +249,8 @@ def test_bench_malformed_suite_exit_three(tmp_path, capsys):
     ("pmd_precond", "diag"), ("trials", 0), ("cells", [{"n": 8}]),
     ("cells", [{"n": "x", "kappa_b": 5.0}]), ("cells", {"n": 8}), ("trials", "2"),
     ("tol", "1e-5"), ("tol", -1), ("max_iterations", 0), ("rho", 0.5), ("methods", []),
-    ("seed", -1)])
+    ("seed", -1), ("cells", [{"n": 1, "kappa_b": 5.0}]), ("cells", [{"n": 8, "kappa_b": 0.5}]),
+    ("kappa_a", 0.5)])
 def test_bench_suite_bad_value_exit_three(tmp_path, capsys, key, value):
     # "diag" is the CLI's --precond spelling, not a metric kind; a suite's
     # type and range errors are caught before any run, not tallied as runs

@@ -220,9 +220,16 @@ def test_invalid_stepsizes_rejected():
         with pytest.raises(InvalidStepsize):
             run_gd(pair, SolverConfig(method="gd", stepsize=alpha,
                                       curvature_bound=bound), x0)
-    with pytest.raises(InvalidStepsize):
-        run_gd(pair, SolverConfig(method="gd", stepsize_interval=(0.5, 1.2),
-                                  curvature_bound=bound), x0)
+    # a stability bound that is not positive and finite has no stepsize
+    # range; it is rejected before the limit is divided out of it
+    metric = build_preconditioner(pair.b, "diagonal")
+    for bad in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(InvalidStepsize):
+            run_gd(pair, SolverConfig(method="gd",
+                                      curvature_bound=CurvatureBound(bad, "dominant")), x0)
+        with pytest.raises(InvalidStepsize):
+            run_pmd(pair, SolverConfig(method="pmd", preconditioner=metric,
+                                       transformed_bound=bad), x0=x0)
 
 
 def test_valid_fixed_stepsize_accepted():
