@@ -11,6 +11,7 @@ compiled `csr_matvec`, which lives in a private module; its contract with
 `csr_array @ x` is pinned here.
 """
 
+import hashlib
 import sys
 
 import numpy as np
@@ -19,9 +20,10 @@ import scipy.linalg
 import scipy.sparse
 
 import gepsolve.linalg
-from gepsolve import (Counters, MatrixPair, SolverConfig, SymmetricMatrix, SyntheticSpec,
-                      gen_synthetic, read_matrix_market, reference_solution, run_lanczos,
-                      solve, top_k, validate_pair, write_matrix_market)
+from gepsolve import (Counters, CurvatureBound, MatrixPair, NotPositiveDefinite, SolverConfig,
+                      SymmetricMatrix, SyntheticSpec, gen_synthetic, incomplete_cholesky,
+                      read_matrix_market, reference_solution, run_lanczos, solve, top_k,
+                      validate_pair, write_matrix_market)
 from gepsolve.bench import SuiteCell, SuiteConfig, run_suite
 from gepsolve.solvers import METHODS
 
@@ -130,3 +132,61 @@ def test_csr_products_call_the_compiled_kernel_bitwise(tmp_path, monkeypatch):
         if name == "zero-row":
             assert y[5] == 0.0
     assert len(calls) == 3 * len(cases)
+
+
+def ring_beside_grid():
+    """The 12 x 12 grid of csr_cases beside a definite 4 x 4 ring whose
+    zero-fill factorization breaks down until the shift ladder's last rung."""
+    side = 12
+    t = scipy.sparse.diags_array([-1.0, 2.5, -1.0], offsets=[-1, 0, 1], shape=(side, side))
+    eye = scipy.sparse.eye_array(side)
+    grid = scipy.sparse.kron(eye, t) + scipy.sparse.kron(t, eye)
+    base = np.array([[3.0, -2.0, 0.0, 2.0],
+                     [-2.0, 3.0, -2.0, 0.0],
+                     [0.0, -2.0, 3.0, -2.0],
+                     [2.0, 0.0, -2.0, 3.0]])
+    d = np.diag(np.diagonal(base))
+    ring = d + 0.9 * (base - d)
+    return SymmetricMatrix.from_sparse(scipy.sparse.block_diag([grid, ring], format="csr"))
+
+
+IC0_SHA256 = {
+    "int64": "4b5021db00d3c485cd7d4750154c4b937a0c7729890ab61eb055c432cdbc9592",
+    "int32": "4b5021db00d3c485cd7d4750154c4b937a0c7729890ab61eb055c432cdbc9592",
+    "shifted": "22a6d04637cb1a4893099ba54b4fd03d4501e281defb24c0b2880af12234c5ad",
+}
+
+
+def test_ic0_factor_bytes_are_pinned(tmp_path):
+    # the factor's bytes are seeded output: PCG inner steps and pmd's metric
+    # run on them, so a faster factorization must reproduce them exactly
+    cases = csr_cases(tmp_path)
+    shifted = ring_beside_grid()
+    assert np.linalg.eigvalsh(shifted.dense())[0] > 0.0
+    for gamma in (0.0, 1e-3, 1e-2):
+        with pytest.raises(NotPositiveDefinite):
+            incomplete_cholesky(shifted, shifts=(gamma,))
+    mats = {"int64": cases["int64"], "int32": cases["int32"], "shifted": shifted}
+    for name, mat in mats.items():
+        lower = incomplete_cholesky(mat).lower()
+        assert hashlib.sha256(lower.tobytes()).hexdigest() == IC0_SHA256[name], name
+
+
+def test_diverging_gd_on_a_banded_pencil_ends_alike():
+    # half the curvature the grid needs: the iterates grow until x'Ax
+    # overflows, so the run crosses non-finite values in its products
+    m = 8
+    n = m * m
+    t = scipy.sparse.diags_array([-1.0, 2.0, -1.0], offsets=[-1, 0, 1], shape=(m, m))
+    eye = scipy.sparse.eye_array(m)
+    b = scipy.sparse.kron(eye, t) + scipy.sparse.kron(t, eye) + 0.5 * scipy.sparse.eye_array(n)
+    d = np.append(np.linspace(0.01, 1.0, n - 1), 2.0)[np.random.default_rng(0).permutation(n)]
+    pair = MatrixPair(SymmetricMatrix.from_sparse(scipy.sparse.diags_array(d)),
+                      SymmetricMatrix.from_sparse(b))
+    assert pair.a.kind == pair.b.kind == "csr"
+    config = SolverConfig(method="gd", tol=1e-6, curvature_bound=CurvatureBound(0.5, "dominant"))
+    with np.errstate(over="ignore", invalid="ignore"):
+        trace = solve(pair, config, np.ones(n))
+    assert trace.status == "degenerate"
+    assert trace.final().k == 88
+    assert trace.counters.matvecs == 178
