@@ -2,7 +2,8 @@
 
 A :class:`SymmetricMatrix` holds one operand, a dense array or a CSR array,
 and a :class:`CholeskyFactor` one lower factor of either kind; products run
-through the ndarray's ``dot`` (cheaper than ``@``) or scipy's ``csr_matvec``.
+through the ndarray's ``dot`` (cheaper than ``@``) or scipy's ``dia_matvec``
+(nonzeros on few diagonals, see ``DIA_MAX_FILL``) or ``csr_matvec``.
 Construction symmetrizes and validates; everything downstream can then
 assume exact symmetry. Operation counts are accumulated in explicit
 :class:`Counters` objects passed by the caller, never in module globals, so
@@ -13,14 +14,16 @@ concurrent runs cannot interfere. The B-solves built on the factors
 from __future__ import annotations
 
 import hashlib
+import math
 import warnings
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 import scipy.sparse
 import scipy.sparse.linalg
 from scipy.linalg.lapack import dtrtrs
-from scipy.sparse._sparsetools import csr_matvec  # private; test_library_kernels pins it
+from scipy.sparse._sparsetools import csr_matvec, dia_matvec  # private; tests pin both
 
 from .errors import (
     AsymmetricEntries,
@@ -34,6 +37,10 @@ from .errors import (
 
 SYMMETRY_RTOL = 1e-12
 PIVOT_RTOL = 1e-14
+# CSR products run by diagonals when n * (distinct diagonals) <= this * nnz. At
+# n = 4096, bands of 3-9 diagonals with holes took 0.55-0.83 of csr_matvec's
+# time up to 1.44 slots per nonzero, and 0.66-1.08 of it at 1.57-1.68.
+DIA_MAX_FILL = 1.5
 
 
 @dataclass
@@ -96,15 +103,30 @@ class SymmetricMatrix:
     part of the public surface. NaN and infinite entries are rejected on
     entry, symmetry is checked against ``SYMMETRY_RTOL`` relative to the
     largest entry, and the stored data is exactly symmetrized afterwards. A
-    CSR product calls the compiled kernel that ``@`` reaches after ~6 µs of
-    dispatch (1.9 vs 7.9 µs at n = 16, 11.8 vs 19.3 µs at n = 4096), bitwise.
+    CSR product calls a compiled kernel bound here, skipping ``@``'s ~6 µs of
+    dispatch: ``dia_matvec`` on a diagonal-storage copy when ``DIA_MAX_FILL``
+    allows (10.6 vs 16.3 µs by CSR for an n = 4096 grid), else ``csr_matvec``.
+    Both equal ``csr_array @ x`` bitwise for finite x: ascending offsets are
+    each row's column order, and a padded slot adds 0.0 * x[j] = ±0.0. With a
+    non-finite x[j] that slot adds NaN, which CSR never does.
     """
 
     def __init__(self, m):
-        self.n = m.shape[0]
+        self.n = n = m.shape[0]
         self.kind = "dense" if isinstance(m, np.ndarray) else "csr"
         self._m = m
-        self._csr = None if self.kind == "dense" else (m.indptr, m.indices, m.data)
+        self._kernel = None
+        if self.kind == "csr":
+            # diagonal j - i + n of each nonzero; a bincount, not a sort
+            diag = m.indices - np.repeat(np.arange(n), np.diff(m.indptr)) + n
+            used = np.bincount(diag, minlength=2 * n) > 0
+            offsets = np.flatnonzero(used) - n
+            if len(offsets) * n <= DIA_MAX_FILL * m.nnz:
+                diags = np.zeros((len(offsets), n))
+                diags[(np.cumsum(used) - 1)[diag], m.indices] = m.data
+                self._kernel = partial(dia_matvec, n, n, len(offsets), n, offsets, diags)
+            else:
+                self._kernel = partial(csr_matvec, n, n, m.indptr, m.indices, m.data)
         self._fp: int | None = None
         self._chol: CholeskyFactor | NotPositiveDefinite | None = None
 
@@ -175,9 +197,9 @@ class SymmetricMatrix:
             raise DimensionMismatch(f"vector shape {x.shape} vs order {self.n}")
         if counters is not None:
             counters.matvecs += 1
-        if self._csr is None:
+        if self._kernel is None:
             return self._m.dot(x)
-        csr_matvec(self.n, self.n, *self._csr, x, y := np.zeros(self.n))
+        self._kernel(x, y := np.zeros(self.n))
         return y
 
     def lower_entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -314,10 +336,12 @@ def incomplete_cholesky(b: SymmetricMatrix,
 
 
 def _ic0(low, diag_shift, floor):
-    """Factor the given lower CSR pattern; returns L in CSR on that pattern."""
+    """Factor the given lower CSR pattern; returns L in CSR on that pattern.
+    The loops index lists, not arrays, to skip numpy scalars; each pivot's dot
+    stays BLAS ``ddot``, whose fused multiply-adds a Python sum would not match."""
     n = low.shape[0]
-    indptr, indices, data = low.indptr, low.indices, low.data
-    lvals = np.zeros_like(data)
+    indptr, indices, data = low.indptr.tolist(), low.indices.tolist(), low.data.tolist()
+    lvals = [0.0] * len(data)
     # row i is data[indptr[i]:indptr[i + 1]], its diagonal entry last
     for i in range(n):
         lo, hi = indptr[i], indptr[i + 1]
@@ -340,11 +364,12 @@ def _ic0(low, diag_shift, floor):
                 else:
                     pj += 1
             lvals[idx] = (data[idx] - s) / lvals[hij]
-        d = data[hi - 1] + diag_shift[i] - np.dot(lvals[lo:hi - 1], lvals[lo:hi - 1])
+        row = np.array(lvals[lo:hi - 1])
+        d = data[hi - 1] + diag_shift[i] - row.dot(row)
         if d <= max(floor, 0.0):
             raise NotPositiveDefinite(f"pivot {d:.3e} in row {i}")
-        lvals[hi - 1] = np.sqrt(d)
-    l = scipy.sparse.csr_array((lvals, indices.copy(), indptr.copy()), shape=(n, n))
+        lvals[hi - 1] = math.sqrt(d)
+    l = scipy.sparse.csr_array((lvals, indices, indptr), shape=(n, n))
     l.eliminate_zeros()
     return l
 
@@ -430,7 +455,7 @@ def dominant_eigenvalue(apply_op, n: int, rtol: float = 1e-6) -> float:
     for _ in range(20000):
         w = apply_op(v)
         lam_next = float(v @ w)
-        norm_w = float(np.linalg.norm(w))
+        norm_w = math.sqrt(w.dot(w))  # np.linalg.norm's own sum, without its dispatch
         if norm_w == 0.0:
             return 0.0
         v = w / norm_w

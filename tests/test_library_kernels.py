@@ -7,8 +7,9 @@ orders the benchmark grid uses. Every module attribute bound to it is made
 to raise, then each of those paths runs. Dense triangular solves call
 LAPACK's `trtrs` directly; the wrapper's Python overhead cost more than the
 substitution itself at the grid's orders. CSR products call scipy's
-compiled `csr_matvec`, which lives in a private module; its contract with
-`csr_array @ x` is pinned here.
+compiled `dia_matvec` when the nonzeros lie on few diagonals and
+`csr_matvec` otherwise; both live in a private module, and their contract
+with `csr_array @ x` is pinned here.
 """
 
 import hashlib
@@ -18,6 +19,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gepsolve.linalg
 from gepsolve import (Counters, CurvatureBound, MatrixPair, NotPositiveDefinite, SolverConfig,
@@ -97,23 +100,38 @@ def csr_cases(tmp_path):
     return {"int64": from_file, "int32": in_memory, "zero-row": with_zero_row}
 
 
+def scattered_case():
+    """A CSR matrix whose nonzeros spread over most diagonals."""
+    rng = np.random.default_rng(9)
+    s = scipy.sparse.random_array((30, 30), density=0.1, rng=rng)
+    return SymmetricMatrix.from_sparse(s + s.T + scipy.sparse.eye_array(30))
+
+
 def test_csr_products_call_the_compiled_kernel_bitwise(tmp_path, monkeypatch):
-    # an ImportError here means scipy moved its private kernel: linalg.py
-    # imports it from the same place
-    from scipy.sparse._sparsetools import csr_matvec
+    # an ImportError here means scipy moved its private kernels: linalg.py
+    # imports them from the same place
+    from scipy.sparse._sparsetools import csr_matvec, dia_matvec
 
     assert gepsolve.linalg.csr_matvec is csr_matvec
+    assert gepsolve.linalg.dia_matvec is dia_matvec
     calls = []
 
-    def spy(*args):
-        calls.append(args[-1])
-        return csr_matvec(*args)
+    def spying(kernel):
+        def spy(*args):
+            calls.append((kernel, args[-1]))
+            return kernel(*args)
+        return spy
 
-    monkeypatch.setattr(gepsolve.linalg, "csr_matvec", spy)
+    monkeypatch.setattr(gepsolve.linalg, "csr_matvec", spying(csr_matvec))
+    monkeypatch.setattr(gepsolve.linalg, "dia_matvec", spying(dia_matvec))
     cases = csr_cases(tmp_path)
     assert cases["int64"].kind == "csr" and cases["int64"]._m.indices.dtype == np.int64
     assert cases["int32"]._m.indices.dtype == np.int32
     assert cases["zero-row"]._m.indptr[5] == cases["zero-row"]._m.indptr[6]
+    # the grids' nonzeros lie on five diagonals; the scattered pattern's do not
+    cases["scattered"] = scattered_case()
+    kernels = {"int64": dia_matvec, "int32": dia_matvec, "zero-row": dia_matvec,
+               "scattered": csr_matvec}
 
     rng = np.random.default_rng(4)
     for name, mat in cases.items():
@@ -127,11 +145,38 @@ def test_csr_products_call_the_compiled_kernel_bitwise(tmp_path, monkeypatch):
             want = mat._m @ np.asarray(x, dtype=np.float64)
             assert y.dtype == want.dtype and y.shape == want.shape, name
             assert y.tobytes() == want.tobytes(), name
-            assert calls[-1] is y
+            assert calls[-1][0] is kernels[name] and calls[-1][1] is y, name
             assert counters.matvecs == i
         if name == "zero-row":
             assert y[5] == 0.0
     assert len(calls) == 3 * len(cases)
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(1, 60), band=st.integers(0, 3), holes=st.floats(0.0, 0.3),
+       zero_rows=st.integers(0, 2), seed=st.integers(0, 2**32 - 1))
+def test_banded_products_are_bitwise_csr_products(n, band, holes, zero_rows, seed):
+    """Products of banded matrices with holes, zero rows and diagonal-only
+    patterns equal ``csr_array @ x`` bit for bit, on either kernel."""
+    from scipy.sparse._sparsetools import csr_matvec, dia_matvec
+
+    rng = np.random.default_rng(seed)
+    dense = np.zeros((n, n))
+    for k in range(min(band, n - 1) + 1):
+        vals = rng.standard_normal(n - k) * (rng.random(n - k) >= holes)
+        dense += np.diag(vals, k) + (np.diag(vals, -k) if k else 0.0)
+    for i in rng.integers(0, n, zero_rows):
+        dense[i, :] = dense[:, i] = 0.0
+    mat = SymmetricMatrix.from_sparse(scipy.sparse.csr_array(dense))
+    rows, cols = mat._m.nonzero()
+    diagonals = len(np.unique(cols - rows))
+    banded = diagonals * n <= gepsolve.linalg.DIA_MAX_FILL * mat.nnz
+    assert mat._kernel.func is (dia_matvec if banded else csr_matvec)
+
+    basis = rng.standard_normal((n, 2))
+    for x in (rng.standard_normal(n), basis[:, 1], list(rng.standard_normal(n))):
+        want = mat._m @ np.asarray(x, dtype=np.float64)
+        assert mat.matvec(x).tobytes() == want.tobytes()
 
 
 def ring_beside_grid():
