@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import replace
 
 import numpy as np
+from scipy.linalg.blas import daxpy, ddot
 
 from .errors import DimensionMismatch, NotNormalized, StageFailure
 from .linalg import Counters
@@ -38,9 +39,8 @@ class DeflatedOperator:
         self.n = b.n
 
     def matvec(self, x: np.ndarray, counters: Counters | None = None) -> np.ndarray:
-        y = x - self.u * self.bu.dot(x)
-        y = self.base.matvec(y, counters)
-        return y - self.bu * self.u.dot(y)
+        y = self.base.matvec(daxpy(x, self.u * -ddot(self.bu, x)), counters)
+        return daxpy(y, self.bu * -ddot(self.u, y))
 
     def diagonal(self) -> np.ndarray:
         # row i of P A P' needs the full correction: materializes it per call

@@ -22,6 +22,7 @@ from functools import partial
 import numpy as np
 import scipy.sparse
 import scipy.sparse.linalg
+from scipy.linalg.blas import ddot
 from scipy.linalg.lapack import dtrtrs
 from scipy.sparse._sparsetools import csr_matvec, dia_matvec  # private; tests pin both
 
@@ -145,38 +146,12 @@ class SymmetricMatrix:
 
     @classmethod
     def from_sparse(cls, mat) -> "SymmetricMatrix":
-        s = scipy.sparse.csr_array(mat, dtype=np.float64)
-        if s.ndim != 2 or s.shape[0] != s.shape[1]:
-            raise NotSquare(f"expected a square sparse matrix, got shape {s.shape}")
-        _check_finite(s.data)
-        diff = (s - s.T).tocoo()
-        scale = np.max(np.abs(s.data)) if s.nnz else 0.0
-        gap = np.max(np.abs(diff.data)) if diff.nnz else 0.0
-        if gap > SYMMETRY_RTOL * max(scale, 1e-300):
-            raise AsymmetricEntries(f"max |M - M'| = {gap:.3e} exceeds tolerance")
-        s = ((s + s.T) / 2.0).tocsr()
-        s.sum_duplicates()
-        s.eliminate_zeros()
-        s.sort_indices()
-        return cls(s)
+        return cls(_symmetric_csr(mat))
 
     @classmethod
     def from_lower_entries(cls, n: int, rows, cols, vals) -> "SymmetricMatrix":
         """Build from lower-triangle coordinates (i >= j), mirroring them."""
-        rows = np.asarray(rows, dtype=np.int64)
-        cols = np.asarray(cols, dtype=np.int64)
-        vals = np.asarray(vals, dtype=np.float64)
-        _check_finite(vals)
-        off = rows != cols
-        r = np.concatenate([rows, cols[off]])
-        c = np.concatenate([cols, rows[off]])
-        v = np.concatenate([vals, vals[off]])
-        coo = scipy.sparse.coo_array((v, (r, c)), shape=(n, n))
-        coo.sum_duplicates()
-        s = coo.tocsr()
-        s.eliminate_zeros()
-        s.sort_indices()
-        return cls(s)
+        return cls(_mirrored_csr(n, rows, cols, vals))
 
     @property
     def nnz(self) -> int:
@@ -228,6 +203,41 @@ class SymmetricMatrix:
         if isinstance(self._chol, NotPositiveDefinite):
             raise self._chol
         return self._chol
+
+
+def _symmetric_csr(mat):
+    """``mat`` checked, exactly symmetrized, summed and sorted as a CSR array."""
+    s = scipy.sparse.csr_array(mat, dtype=np.float64)
+    if s.ndim != 2 or s.shape[0] != s.shape[1]:
+        raise NotSquare(f"expected a square sparse matrix, got shape {s.shape}")
+    _check_finite(s.data)
+    diff = (s - s.T).tocoo()
+    scale = np.max(np.abs(s.data)) if s.nnz else 0.0
+    gap = np.max(np.abs(diff.data)) if diff.nnz else 0.0
+    if gap > SYMMETRY_RTOL * max(scale, 1e-300):
+        raise AsymmetricEntries(f"max |M - M'| = {gap:.3e} exceeds tolerance")
+    s = ((s + s.T) / 2.0).tocsr()
+    s.sum_duplicates()
+    s.eliminate_zeros()
+    s.sort_indices()
+    return s
+
+
+def _mirrored_csr(n: int, rows, cols, vals):
+    rows = np.asarray(rows, dtype=np.int64)
+    cols = np.asarray(cols, dtype=np.int64)
+    vals = np.asarray(vals, dtype=np.float64)
+    _check_finite(vals)
+    off = rows != cols
+    r = np.concatenate([rows, cols[off]])
+    c = np.concatenate([cols, rows[off]])
+    v = np.concatenate([vals, vals[off]])
+    coo = scipy.sparse.coo_array((v, (r, c)), shape=(n, n))
+    coo.sum_duplicates()
+    s = coo.tocsr()
+    s.eliminate_zeros()
+    s.sort_indices()
+    return s
 
 
 def add_scaled(a: SymmetricMatrix, b: SymmetricMatrix, eta: float) -> SymmetricMatrix:
@@ -454,8 +464,8 @@ def dominant_eigenvalue(apply_op, n: int, rtol: float = 1e-6) -> float:
     lam = 0.0
     for _ in range(20000):
         w = apply_op(v)
-        lam_next = float(v @ w)
-        norm_w = math.sqrt(w.dot(w))  # np.linalg.norm's own sum, without its dispatch
+        lam_next = ddot(v, w)
+        norm_w = math.sqrt(ddot(w, w))  # np.linalg.norm's own sum, without numpy's dispatch
         if norm_w == 0.0:
             return 0.0
         v = w / norm_w
@@ -535,15 +545,13 @@ def read_matrix_market(path) -> SymmetricMatrix:
         # mirror across the diagonal; either triangle may be stored
         low_r = np.where(rows >= cols, rows, cols)
         low_c = np.where(rows >= cols, cols, rows)
-        m = SymmetricMatrix.from_lower_entries(nrows, low_r, low_c, vals)
+        s = _mirrored_csr(nrows, low_r, low_c, vals)
     else:
         coo = scipy.sparse.coo_array((vals, (rows, cols)), shape=(nrows, ncols))
         coo.sum_duplicates()
-        m = SymmetricMatrix.from_sparse(coo.tocsr())
-    s = m._m
-    if nrows * nrows * s.data.itemsize <= s.data.nbytes + s.indices.nbytes + s.indptr.nbytes:
-        return SymmetricMatrix.from_dense(s.toarray())
-    return m
+        s = _symmetric_csr(coo.tocsr())
+    dense = nrows * nrows * s.data.itemsize <= s.data.nbytes + s.indices.nbytes + s.indptr.nbytes
+    return SymmetricMatrix(s.toarray() if dense else s)
 
 
 def write_matrix_market(m: SymmetricMatrix, path) -> None:

@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.blas import daxpy, ddot, dscal
 
 from .errors import DimensionMismatch, InputError, PcgBreakdown, StaleFactor, ZeroDiagonal
 from .linalg import CholeskyFactor, Counters, SymmetricMatrix, dominant_eigenvalue, \
@@ -175,35 +176,35 @@ def solve_spd(solver: LinearSolver, b: SymmetricMatrix, r: np.ndarray,
 
 def _pcg(solver: LinearSolver, b: SymmetricMatrix, rhs: np.ndarray,
          counters: Counters | None) -> np.ndarray:
+    # ddot, dscal and unit-coefficient daxpy give numpy's bytes; a general daxpy fuses
     x, step, r = np.zeros_like(rhs), np.empty_like(rhs), rhs.copy()
-    norm_rhs = norm_r = math.sqrt(rhs.dot(rhs))
+    norm_rhs = norm_r = math.sqrt(ddot(r, r))
     if norm_rhs == 0.0:
         return x
     metric, stop = solver.metric, solver.tol * norm_rhs
     z = apply_gram_inverse(metric, r)
     p = z.copy()
-    rz = float(r.dot(z))
+    rz = ddot(r, z)
     if rz < 0.0:
         raise PcgBreakdown(f"indefinite inner preconditioner: r'z = {rz:.3e}")
-    for _ in range(solver.cap):
+    for k in range(1, solver.cap + 1):
         if counters is not None:
             counters.pcg_inner += 1
         bp = b.matvec(p, counters)
-        pbp = float(p.dot(bp))
+        pbp = ddot(p, bp)
         if pbp <= 0.0:
             raise PcgBreakdown(f"nonpositive curvature p'Bp = {pbp:.3e}")
         alpha = rz / pbp
         x += np.multiply(p, alpha, out=step)
-        r -= np.multiply(bp, alpha, out=bp)
-        norm_r = math.sqrt(r.dot(r))
-        if norm_r <= stop:
+        r = daxpy(dscal(alpha, bp), r, a=-1.0)
+        norm_r = math.sqrt(ddot(r, r))
+        if norm_r <= stop or k == solver.cap:  # no direction after the last step
             break
         z = np.divide(r, metric.diag, out=z) if metric.factor is None else metric.factor.solve(r)
-        rz_next = float(r.dot(z))
+        rz_next = ddot(r, z)
         if rz_next < 0.0:
             raise PcgBreakdown(f"indefinite inner preconditioner: r'z = {rz_next:.3e}")
-        p *= rz_next / rz
-        p += z
+        p = daxpy(z, dscal(rz_next / rz, p))
         rz = rz_next
     if norm_r > stop and counters is not None:
         counters.pcg_capped += 1

@@ -25,6 +25,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.blas import daxpy, ddot, dscal
 
 from .errors import (
     Breakdown,
@@ -133,15 +134,15 @@ def _unit(v: np.ndarray) -> np.ndarray:
 
 
 def _sin_to_unit(x: np.ndarray, unit: np.ndarray, tol: float, xx=None) -> float:
-    xx = x.dot(x) if xx is None else xx  # x.x, when the caller has it
+    xx = ddot(x, x) if xx is None else xx  # x.x, when the caller has it
     if xx == 0.0:
         raise ZeroVector("stopping check on a zero vector")
-    c = x.dot(unit)
+    c = ddot(x, unit)
     sin2 = 1.0 - c * c / xx
     if sin2 > max(4.0 * tol * tol, 1e-9 * x.size):
         return math.sqrt(sin2)
-    normal = x - c * unit
-    return math.sqrt(normal.dot(normal) / xx)
+    normal = daxpy(x, unit * -c)
+    return math.sqrt(ddot(normal, normal) / xx)
 
 
 class _Recorder:
@@ -230,19 +231,19 @@ class _FirstOrder(_Runner):
     def measure(self, x, counters):
         ax = self.pair.a.matvec(x, counters)
         bx = self.pair.b.matvec(x, counters)
-        xax, xbx, xx = float(x.dot(ax)), x.dot(bx), x.dot(x)
+        xax, xbx, xx = ddot(x, ax), ddot(x, bx), ddot(x, x)
         if xax <= DEGENERATE_RTOL * xx:
             raise _Degenerate(xbx)
         root = math.sqrt(xax)
         lam = 2.0 * root
-        g = self.g = 2.0 * bx - ax / root
-        ratio = math.sqrt(g.dot(g)) / lam if self.gradient_stop else None
+        g = self.g = daxpy(bx, np.divide(ax, -root), a=2.0)  # 2 bx - ax/root: 2 bx is exact
+        ratio = math.sqrt(ddot(g, g)) / lam if self.gradient_stop else None
         return xbx - root, lam, ratio, xx
 
     def advance(self, x, counters):
         g = self.g
         d = g if self.precond is None else apply_gram_inverse(self.precond, g, counters)
-        return x - self.alpha * d
+        return x - dscal(self.alpha, d)
 
 
 class _Ray(_Runner):
@@ -255,20 +256,20 @@ class _Ray(_Runner):
         self.diagnostics.update(setup_matvecs=1, solver_mode=self.solver.mode)
 
     def start(self, x):
-        x /= math.sqrt(x.dot(x))
-        self.bq = float(x.dot(self.pair.b.matvec(x)))  # setup matvec, uncounted
+        x /= math.sqrt(ddot(x, x))
+        self.bq = ddot(x, self.pair.b.matvec(x))  # setup matvec, uncounted
         return x
 
     def measure(self, x, counters):
         ax = self.pair.a.matvec(x, counters)
-        xax = float(x.dot(ax))
+        xax = ddot(x, ax)
         if xax <= DEGENERATE_RTOL:
             raise _Degenerate(0.0)
         q = xax / self.bq
         ratio = None
         if self.gradient_stop:
-            r = ax - q * self.pair.b.matvec(x, counters)
-            ratio = math.sqrt(r.dot(r)) / (math.sqrt(xax) * q)
+            r = daxpy(ax, dscal(-q, self.pair.b.matvec(x, counters)))
+            ratio = math.sqrt(ddot(r, r)) / (math.sqrt(xax) * q)
         self.ax = ax
         self.xax = xax
         return -q / 4.0, q, ratio, None
@@ -277,10 +278,10 @@ class _Ray(_Runner):
 class _Power(_Ray):
     def advance(self, x, counters):
         w = solve_spd(self.solver, self.pair.b, self.ax, counters)
-        norm_w = math.sqrt(w.dot(w))
+        norm_w = math.sqrt(ddot(w, w))
         if norm_w == 0.0:
             raise _Degenerate(0.0)
-        self.bq = float(w.dot(self.ax)) / (norm_w * norm_w)
+        self.bq = ddot(w, self.ax) / (norm_w * norm_w)
         return w / norm_w
 
 
@@ -292,12 +293,12 @@ class _SplitMerge(_Ray):
 
     def advance(self, x, counters):
         scale = math.sqrt(self.xax) / (2.0 * self.bq)  # ray minimiser of f along x
-        x_next, state = split_merge_step(self.pair, scale * x, self.rho, self.solver,
-                                         counters, ax=scale * self.ax)
+        x_next, state = split_merge_step(self.pair, dscal(scale, x), self.rho, self.solver,
+                                         counters, ax=dscal(scale, self.ax))
         self.diagnostics["rho_escalations"] += state.doublings
         self.diagnostics["fallback_steps"] += 1 if state.fallback else 0
-        norm = math.sqrt(x_next.dot(x_next))
-        self.bq = float(x_next.dot(state.b_next)) / (norm * norm)
+        norm = math.sqrt(ddot(x_next, x_next))
+        self.bq = ddot(x_next, state.b_next) / (norm * norm)
         return x_next / norm
 
 
@@ -321,7 +322,7 @@ class _Lanczos(_Runner):
 
         while True:
             bx = b.matvec(x, counters)
-            nb2 = float(x.dot(bx))
+            nb2 = ddot(x, bx)
             if nb2 <= 0.0:
                 raise ZeroVector("restart vector has zero B-norm")
             nb = math.sqrt(nb2)
@@ -340,11 +341,11 @@ class _Lanczos(_Runner):
                 bimages[:, m] = bv
                 av = a.matvec(v, counters)
                 u = solve_spd(solver, b, av, counters)
-                alpha = float(av.dot(v))
-                w = u - alpha * v
+                alpha = ddot(av, v)
+                w = daxpy(dscal(-alpha, v), u)  # v is in the basis already
                 w -= basis[:, : m + 1] @ (bimages[:, : m + 1].T @ w)
                 bw = b.matvec(w, counters)
-                beta = math.sqrt(max(0.0, float(w.dot(bw))))
+                beta = math.sqrt(max(0.0, ddot(w, bw)))
                 alphas.append(alpha)
                 betas.append(beta)
                 m += 1
@@ -369,10 +370,10 @@ class _Lanczos(_Runner):
             if self.gradient_stop:
                 aritz = a.matvec(ritz, counters)
                 britz = b.matvec(ritz, counters)
-                raz = float(ritz.dot(aritz))
+                raz = ddot(ritz, aritz)
                 if raz > 0.0 and theta > 0.0:
-                    r = aritz - theta * britz
-                    ratio = math.sqrt(r.dot(r)) / (math.sqrt(raz) * theta)
+                    r = daxpy(aritz, dscal(-theta, britz))
+                    ratio = math.sqrt(ddot(r, r)) / (math.sqrt(raz) * theta)
                 else:
                     ratio = float("inf")
             if rec.add(builds, -theta / 4.0, theta, ritz, ratio):
@@ -555,16 +556,16 @@ def split_merge_step(pair: MatrixPair, x: np.ndarray, rho: float, solver: Linear
     """
     x = np.asarray(x, dtype=np.float64)
     g = ax if ax is not None else pair.a.matvec(x, counters)
-    quad_a = float(x.dot(g))
-    if quad_a <= DEGENERATE_RTOL * x.dot(x):
+    quad_a = ddot(x, g)
+    if quad_a <= DEGENERATE_RTOL * ddot(x, x):
         raise DegenerateDirection(f"x'Ax = {quad_a:.3e} is degenerate")
     root_a = math.sqrt(quad_a)
 
     w = solve_spd(solver, pair.b, g, counters)
-    quad_ab = float(g.dot(w))
+    quad_ab = ddot(g, w)
     h = pair.a.matvec(w, counters)
     t = solve_spd(solver, pair.b, h, counters)
-    quad_aba = float(g.dot(t))
+    quad_aba = ddot(g, t)
 
     ratio = quad_ab / quad_a
     resid_energy = quad_aba - quad_ab * ratio
@@ -572,7 +573,7 @@ def split_merge_step(pair: MatrixPair, x: np.ndarray, rho: float, solver: Linear
         return w / (2.0 * root_a), SplitMergeState(resid_energy, 1.0, 0.0, rho, 0, True,
                                                    g, w, h, t, g / (2.0 * root_a))
 
-    resid_gram = float((h - ratio * g).dot(t - ratio * w))
+    resid_gram = ddot(daxpy(h, g * -ratio), daxpy(t, w * -ratio))
 
     rho_k = float(rho)
     doublings = 0

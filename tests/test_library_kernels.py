@@ -9,7 +9,10 @@ LAPACK's `trtrs` directly; the wrapper's Python overhead cost more than the
 substitution itself at the grid's orders. CSR products call scipy's
 compiled `dia_matvec` when the nonzeros lie on few diagonals and
 `csr_matvec` otherwise; both live in a private module, and their contract
-with `csr_array @ x` is pinned here.
+with `csr_array @ x` is pinned here. The iteration loops' inner products,
+scalings and unit-coefficient updates call BLAS level 1 (`ddot`, `dscal`,
+`daxpy`) through scipy's wrappers; each form used equals its numpy form bit
+for bit on contiguous vectors, which is pinned here too.
 """
 
 import hashlib
@@ -21,12 +24,15 @@ import scipy.linalg
 import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg.blas import daxpy, ddot, dscal
 
 import gepsolve.linalg
-from gepsolve import (Counters, CurvatureBound, MatrixPair, NotPositiveDefinite, SolverConfig,
-                      SymmetricMatrix, SyntheticSpec, gen_synthetic, incomplete_cholesky,
-                      read_matrix_market, reference_solution, run_lanczos, solve, top_k,
-                      validate_pair, write_matrix_market)
+import gepsolve.precond
+import gepsolve.solvers
+from gepsolve import (Counters, CurvatureBound, LinearSolver, MatrixPair, NotPositiveDefinite,
+                      SolverConfig, SymmetricMatrix, SyntheticSpec, gen_synthetic,
+                      incomplete_cholesky, read_matrix_market, reference_solution, run_lanczos,
+                      solve, solve_spd, top_k, validate_pair, write_matrix_market)
 from gepsolve.bench import SuiteCell, SuiteConfig, run_suite
 from gepsolve.solvers import METHODS
 
@@ -235,3 +241,113 @@ def test_diverging_gd_on_a_banded_pencil_ends_alike():
     assert trace.status == "degenerate"
     assert trace.final().k == 88
     assert trace.counters.matvecs == 178
+
+
+def vectors(n, seed, count):
+    """Contiguous vectors with negative entries, exact zeros of both signs
+    and magnitudes over twelve decades."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(count):
+        v = rng.standard_normal(n) * 10.0 ** rng.uniform(-6.0, 6.0, n)
+        v[rng.random(n) < 0.1] = 0.0
+        v[rng.random(n) < 0.05] = -0.0
+        out.append(v)
+    return out
+
+
+# lengths either side of OpenBLAS's threading threshold, run at its default
+# thread count, and of the kernels' unrolled blocks
+LENGTHS = st.one_of(st.integers(1, 70_000), st.integers(1, 70),
+                    st.sampled_from([4096, 65_536, 70_000]))
+COEFFICIENTS = st.floats(1e-8, 1e8).flatmap(lambda a: st.sampled_from([a, -a]))
+
+
+@settings(max_examples=120, deadline=None)
+@given(n=LENGTHS, seed=st.integers(0, 2**32 - 1), a=COEFFICIENTS)
+def test_level1_blas_forms_equal_their_numpy_forms_bitwise(n, seed, a):
+    """Every BLAS form the loops use against the numpy expression it
+    replaced. ``daxpy`` only ever adds with coefficient 1, -1 or 2: those
+    products are exact, so its fused multiply-add rounds once, as numpy's
+    add does."""
+    x, y, z = vectors(n, seed, 3)
+
+    def same(got, want):
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+    for u, v in ((x, y), (x, x), (y, z)):
+        if n > 1:
+            same(ddot(u, v), u.dot(v))
+        else:  # numpy returns a lone product, keeping -0.0; ddot adds it to +0.0
+            assert ddot(u, v) == u.dot(v)
+    same(dscal(a, x.copy()), a * x)
+    same(x - dscal(a, y.copy()), x - a * y)                      # gd/pmd step
+    same(daxpy(dscal(a, y.copy()), x.copy(), a=-1.0), x - a * y)  # PCG residual
+    same(daxpy(z, dscal(a, y.copy())), z + a * y)                 # PCG direction
+    same(daxpy(x, dscal(-a, y.copy())), x - a * y)                # Rayleigh residuals
+    same(daxpy(dscal(-a, y.copy()), x.copy()), x - a * y)         # Lanczos w
+    same(daxpy(x, y * -a), x - y * a)                             # deflation, sin, split-merge
+    root = abs(a)
+    same(daxpy(x, np.divide(y, -root), a=2.0), 2.0 * x - y / root)  # gd gradient
+
+
+def test_strided_numpy_dots_can_differ_from_contiguous_ddot():
+    # why every BLAS operand is contiguous: numpy hands a strided view to the
+    # kernel's strided loop, which sums in another order than the unrolled one
+    rng = np.random.default_rng(0)
+    differ = 0
+    for _ in range(10):
+        view = rng.standard_normal(3 * 4096)[::3]
+        differ += view.dot(view) != ddot(view.copy(), view.copy())
+    assert differ > 0
+
+
+def test_pcg_and_gd_call_level1_blas(monkeypatch):
+    """A refactor that falls back to numpy's dispatch in these loops fails here."""
+    calls = []
+
+    def spying(module, name):
+        real = getattr(module, name)
+
+        def spy(*args, **kwargs):
+            calls.append((module.__name__, name))
+            return real(*args, **kwargs)
+        monkeypatch.setattr(module, name, spy)
+
+    for module in (gepsolve.precond, gepsolve.solvers):
+        for name in ("ddot", "dscal", "daxpy"):
+            spying(module, name)
+    b = SymmetricMatrix.from_sparse(scipy.sparse.diags_array(
+        [-1.0, 2.5, -1.0], offsets=[-1, 0, 1], shape=(40, 40)))
+    rhs = np.random.default_rng(0).standard_normal(b.n)
+    solve_spd(LinearSolver.pcg(b, cap=5), b, rhs, Counters())
+    assert {name for module, name in calls if module == "gepsolve.precond"} == \
+        {"ddot", "dscal", "daxpy"}
+    calls.clear()
+    pair = gen_synthetic(SyntheticSpec(n=16, kappa_b=10.0, seed=0))
+    solve(pair, SolverConfig(method="gd", max_iterations=1), np.ones(pair.n))
+    assert {name for module, name in calls if module == "gepsolve.solvers"} == \
+        {"ddot", "dscal", "daxpy"}
+
+
+def test_dense_matrix_market_files_are_wrapped_once(tmp_path, monkeypatch):
+    """A file stored dense is checked once, on its CSR form, then wrapped
+    dense: same bytes and fingerprint as densifying the CSR matrix."""
+    pair = gen_synthetic(SyntheticSpec(n=24, kappa_b=10.0, seed=0))
+    write_matrix_market(pair.b, tmp_path / "b.mtx")
+    built = []
+    real_init = SymmetricMatrix.__init__
+
+    def counted(self, m):
+        built.append(type(m).__name__)
+        real_init(self, m)
+
+    monkeypatch.setattr(SymmetricMatrix, "__init__", counted)
+    got = read_matrix_market(tmp_path / "b.mtx")
+    assert built == ["ndarray"] and got.kind == "dense"
+    monkeypatch.undo()
+    r, c, v = pair.b.lower_entries()
+    want = SymmetricMatrix.from_dense(
+        SymmetricMatrix.from_lower_entries(pair.n, r, c, v).dense())
+    assert got._m.tobytes() == want._m.tobytes()
+    assert got.fingerprint() == want.fingerprint() == pair.b.fingerprint()

@@ -433,6 +433,23 @@ def grid_pencil_b():
 
 @pytest.mark.parametrize("inner", ["jacobi", "ichol", None])
 @pytest.mark.parametrize("cap", [4, 500])
+def test_pcg_is_independent_of_the_rhs_layout(inner, cap):
+    """A strided right-hand side gives its contiguous copy's bytes and
+    counters: PCG takes every inner product from its own contiguous vectors."""
+    mat = grid_pencil_b()
+    solver = LinearSolver.pcg(mat, cap=cap, tol=1e-10, inner=inner)
+    # numpy's strided dot of this rhs with itself differs from the contiguous one
+    strided = np.random.default_rng(31).standard_normal(2 * mat.n)[::2]
+    assert not strided.flags.c_contiguous
+    runs = []
+    for rhs in (strided, strided.copy()):
+        counters = Counters()
+        runs.append((solve_spd(solver, mat, rhs, counters).tobytes(), counters))
+    assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("inner", ["jacobi", "ichol", None])
+@pytest.mark.parametrize("cap", [4, 500])
 @pytest.mark.parametrize("storage", ["csr", "dense"])
 def test_pcg_matches_textbook_loop_bitwise(inner, cap, storage):
     """The in-place PCG loop returns the textbook loop's bytes and counters,
