@@ -12,7 +12,9 @@ compiled `dia_matvec` when the nonzeros lie on few diagonals and
 with `csr_array @ x` is pinned here. The iteration loops' inner products,
 scalings and unit-coefficient updates call BLAS level 1 (`ddot`, `dscal`,
 `daxpy`) through scipy's wrappers; each form used equals its numpy form bit
-for bit on contiguous vectors, which is pinned here too.
+for bit on contiguous vectors, which is pinned here too. Dense operands and
+the dense factor's L' start on a 64-byte line, where `dgemv` and `dtrtrs`
+run fastest; their results do not depend on that placement.
 """
 
 import hashlib
@@ -31,9 +33,11 @@ import gepsolve.precond
 import gepsolve.solvers
 from gepsolve import (Counters, CurvatureBound, LinearSolver, MatrixPair, NotPositiveDefinite,
                       SolverConfig, SymmetricMatrix, SyntheticSpec, gen_synthetic,
-                      incomplete_cholesky, read_matrix_market, reference_solution, run_lanczos,
-                      solve, solve_spd, top_k, validate_pair, write_matrix_market)
+                      incomplete_cholesky, read_dense_text, read_matrix_market,
+                      reference_solution, run_lanczos, solve, solve_spd, top_k, validate_pair,
+                      write_dense_text, write_matrix_market)
 from gepsolve.bench import SuiteCell, SuiteConfig, run_suite
+from gepsolve.linalg import add_scaled
 from gepsolve.solvers import METHODS
 
 
@@ -351,3 +355,70 @@ def test_dense_matrix_market_files_are_wrapped_once(tmp_path, monkeypatch):
         SymmetricMatrix.from_lower_entries(pair.n, r, c, v).dense())
     assert got._m.tobytes() == want._m.tobytes()
     assert got.fingerprint() == want.fingerprint() == pair.b.fingerprint()
+
+
+def placed(a, offset, order="C"):
+    """A copy of ``a`` in ``order`` whose data starts ``offset`` bytes past a 64-byte line."""
+    buf = np.empty(a.nbytes + 128, dtype=np.uint8)
+    start = -buf.ctypes.data % 64 + offset
+    out = buf[start:start + a.nbytes].view(np.float64).reshape(a.shape, order=order)
+    out[...] = a
+    return out
+
+
+def on_line(a, order="C"):
+    return a.ctypes.data % 64 == 0 and a.flags[order + "_CONTIGUOUS"]
+
+
+def test_dense_operands_and_factors_start_on_a_line(tmp_path):
+    for n in (40, 41, 64):
+        pair = gen_synthetic(SyntheticSpec(n=n, kappa_b=10.0, seed=n))
+        write_matrix_market(pair.b, tmp_path / "b.mtx")
+        write_dense_text(pair.a, tmp_path / "a.txt")
+        mats = {
+            "gen_synthetic A": pair.a, "gen_synthetic B": pair.b,
+            "from_dense": SymmetricMatrix.from_dense(placed(pair.a.dense(), 16)),
+            "from_dense, F order": SymmetricMatrix.from_dense(placed(pair.a.dense(), 8, "F")),
+            "read_matrix_market": read_matrix_market(tmp_path / "b.mtx"),
+            "read_dense_text": read_dense_text(tmp_path / "a.txt"),
+            "add_scaled": add_scaled(pair.a, pair.b, -0.5),
+        }
+        for name, m in mats.items():
+            assert m.kind == "dense" and on_line(m._m), (n, name)
+            assert m.dense().tobytes() == m._m.tobytes(), (n, name)
+        factor = pair.b.cholesky()
+        assert on_line(factor._lt, "F") and factor._l.flags.c_contiguous
+        assert np.array_equal(factor.lower(), np.linalg.cholesky(pair.b.dense()))
+
+
+@pytest.mark.parametrize("n", [63, 64, 65, 256])
+def test_operand_placement_leaves_results_unchanged(n):
+    """A pencil built from operands 16 bytes off a line computes what one
+    built from operands on a line does, and what BLAS and LAPACK compute on
+    the off-line operands themselves, bit for bit."""
+    from scipy.linalg.lapack import dtrtrs
+
+    base = gen_synthetic(SyntheticSpec(n=n, kappa_b=10.0, seed=n))
+    a, b = base.a.dense(), base.b.dense()
+    pairs = [MatrixPair(SymmetricMatrix.from_dense(placed(a, offset)),
+                        SymmetricMatrix.from_dense(placed(b, offset))) for offset in (16, 0)]
+    off_a = placed(a, 16)
+    off_lt = placed(base.b.cholesky().lower().T, 16, "F")
+    assert off_a.ctypes.data % 64 == off_lt.ctypes.data % 64 == 16
+
+    rng = np.random.default_rng(n)
+    x = rng.standard_normal(n)
+    results = []
+    for pair in pairs:
+        factor = pair.b.cholesky()
+        assert on_line(pair.a._m) and on_line(factor._lt, "F")
+        got = [pair.a.matvec(x), factor.solve_lower(x), factor.solve_upper(x)]
+        for method in ("gd", "pmd", "power"):
+            trace = solve(pair, SolverConfig(method=method, tol=1e-6, seed=n), x)
+            last = trace.final()
+            got.append((trace.status, last.k, last.f.hex(), last.lam.hex(),
+                        trace.counters.matvecs, trace.counters.solves))
+        results.append([r.tobytes() if isinstance(r, np.ndarray) else r for r in got])
+    assert results[0] == results[1]
+    assert results[0][:3] == [off_a.dot(x).tobytes(), dtrtrs(off_lt, x, 0, 1)[0].tobytes(),
+                              dtrtrs(off_lt, x, 0, 0)[0].tobytes()]

@@ -1,6 +1,7 @@
 """Matrix storage, Cholesky and IC(0) factorizations, PCG, and matrix I/O."""
 
 import math
+import warnings
 
 import numpy as np
 import numpy.testing as npt
@@ -111,6 +112,28 @@ def test_from_dense_symmetrizes_roundoff():
     m = SymmetricMatrix.from_dense(bumped)
     d = m.dense()
     npt.assert_array_equal(d, d.T)
+
+
+@pytest.mark.parametrize("build", [SymmetricMatrix.from_dense,
+                                   lambda a: SymmetricMatrix.from_sparse(scipy.sparse.csr_array(a))],
+                         ids=["dense", "csr"])
+def test_symmetrizing_keeps_huge_finite_entries_finite(build):
+    """(M + M') / 2 overflows above about 8.99e307: there each entry is halved
+    first, and every other entry keeps the halved sum's bits, subnormals too."""
+    tiny = 5e-324  # halving it first would give 0.0
+    big = 1.7e308
+    a = np.array([[1e308, big, tiny, 0.0],
+                  [big, 1.0, 0.0, big],
+                  [tiny, 0.0, -1e308, 0.0],
+                  [0.0, np.nextafter(big, np.inf), 0.0, 2.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        d = build(a).dense()
+    want = a.copy()
+    want[1, 3] = want[3, 1] = big / 2.0 + np.nextafter(big, np.inf) / 2.0
+    assert np.isfinite(want[1, 3])
+    assert d.tobytes() == want.tobytes()
+    assert np.array_equal(d, d.T)
 
 
 def test_matvec_identity():
