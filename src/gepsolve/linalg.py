@@ -4,9 +4,9 @@ A :class:`SymmetricMatrix` holds one operand, a dense array or a CSR array,
 and a :class:`CholeskyFactor` one lower factor of either kind; products run
 through the ndarray's ``dot`` (cheaper than ``@``) or scipy's ``dia_matvec``
 (nonzeros on few diagonals, see ``DIA_MAX_FILL``) or ``csr_matvec``. Dense
-operands and a dense factor's L' start on a 64-byte boundary, where OpenBLAS's
-``dgemv`` and ``dtrtrs`` ran up to 47% and 25% faster at n = 256 than 16 to 48
-bytes off it, and gave the same bytes at every offset.
+operands and a dense factor's L' start on a 64-byte boundary: 16 to 48 bytes
+off it, OpenBLAS's ``dgemv`` and ``dtrtrs`` took up to 47% and 26% longer at
+n = 256, and gave the same bytes.
 Construction symmetrizes and validates; everything downstream can then
 assume exact symmetry. Operation counts are accumulated in explicit
 :class:`Counters` objects passed by the caller, never in module globals, so

@@ -1,14 +1,17 @@
 """Command-line surface: subcommands, file formats, exit codes."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 import scipy.linalg
 
+import gepsolve
 from gepsolve import SymmetricMatrix, SyntheticSpec, gen_synthetic
 from gepsolve.cli import main
 from gepsolve.linalg import (read_dense_text, read_matrix_market, write_dense_text,
@@ -285,10 +288,14 @@ def test_solve_pcg_cap_below_one_exit_three(tmp_path, capsys, cap):
 
 def test_module_entry_point(tmp_path):
     prefix = str(tmp_path / "pair")
+    # the child imports gepsolve from where this process did, installed or not
+    src = str(Path(gepsolve.__file__).resolve().parents[1])
+    path = [src, os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
     proc = subprocess.run(
         [sys.executable, "-m", "gepsolve", "gen", "--n", "4", "--kappa-b", "5",
          "--out", prefix],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "wrote" in proc.stdout
 

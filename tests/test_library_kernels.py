@@ -27,6 +27,7 @@ import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg.blas import daxpy, ddot, dscal
+from scipy.linalg.lapack import dtrtrs
 
 import gepsolve.linalg
 import gepsolve.precond
@@ -396,8 +397,6 @@ def test_operand_placement_leaves_results_unchanged(n):
     """A pencil built from operands 16 bytes off a line computes what one
     built from operands on a line does, and what BLAS and LAPACK compute on
     the off-line operands themselves, bit for bit."""
-    from scipy.linalg.lapack import dtrtrs
-
     base = gen_synthetic(SyntheticSpec(n=n, kappa_b=10.0, seed=n))
     a, b = base.a.dense(), base.b.dense()
     pairs = [MatrixPair(SymmetricMatrix.from_dense(placed(a, offset)),
