@@ -64,8 +64,8 @@ class InvalidStepsize(InputError):
 
 
 class Breakdown(NumericalError):
-    """Krylov recurrence produced a zero continuation vector before
-    the wanted Ritz pair converged."""
+    """A Krylov basis spans the whole space and the wanted Ritz pair
+    still misses the stopping rule."""
 
 
 class ZeroVector(InputError):

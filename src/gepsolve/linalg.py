@@ -517,8 +517,9 @@ def read_matrix_market(path) -> SymmetricMatrix:
     General files must be square and symmetric within the entry tolerance.
     Duplicate coordinates are summed, per the exchange-format convention.
     Storage is dense where n^2 entries take no more bytes than the CSR arrays
-    (there a dense product is also faster), CSR otherwise.
-    """
+    (there a dense product is also faster), CSR otherwise. A file that may
+    be dense is scattered straight into dense storage, and built as CSR only
+    when the rule then says so."""
     with open(path, "r", encoding="ascii") as fh:
         header = fh.readline()
         if not header.startswith("%%MatrixMarket"):
@@ -571,17 +572,36 @@ def read_matrix_market(path) -> SymmetricMatrix:
         k = int(np.argmax(outside))
         raise ParseError(f"entry {k + 1}: index ({rows[k] + 1}, {cols[k] + 1}) out of range")
 
-    if symmetry.lower() == "symmetric":
-        # mirror across the diagonal; either triangle may be stored
-        low_r = np.where(rows >= cols, rows, cols)
-        low_c = np.where(rows >= cols, cols, rows)
-        s = _mirrored_csr(nrows, low_r, low_c, vals)
-    else:
-        coo = scipy.sparse.coo_array((vals, (rows, cols)), shape=(nrows, ncols))
+    n, symmetric = nrows, symmetry.lower() == "symmetric"
+    if symmetric:  # either triangle may be stored; keep the lower one
+        _check_finite(vals)
+        rows, cols = np.maximum(rows, cols), np.minimum(rows, cols)
+    # n^2 doubles against CSR's float64 values, int64 indices and row pointers,
+    # for at most twice the file's entries once mirrored, then for the nonzeros
+    if 8 * n * n <= 32 * len(vals) + 8 * (n + 1):
+        m = _scattered(n, rows, cols, vals, symmetric)
+        if 8 * n * n <= 16 * m.nnz + 8 * (n + 1):
+            return m
+    if symmetric:
+        return SymmetricMatrix(_mirrored_csr(n, rows, cols, vals))
+    coo = scipy.sparse.coo_array((vals, (rows, cols)), shape=(n, n))
+    coo.sum_duplicates()
+    return SymmetricMatrix(_symmetric_csr(coo.tocsr()))
+
+
+def _scattered(n, rows, cols, vals, symmetric) -> SymmetricMatrix:
+    """Entries summed into dense storage by one bincount, to the bytes of the
+    CSR route's ``toarray()`` (a sum starts at +0.0, as CSR drops zeros): a
+    symmetric file's lower triangle mirrored, a general file by ``from_dense``."""
+    idx = rows * n + cols
+    if np.bincount(idx).max(initial=0) > 2:  # sum_duplicates adds a0 + (a1 + a2)
+        coo = scipy.sparse.coo_array((vals, (rows, cols)), shape=(n, n))
         coo.sum_duplicates()
-        s = _symmetric_csr(coo.tocsr())
-    dense = nrows * nrows * s.data.itemsize <= s.data.nbytes + s.indices.nbytes + s.indptr.nbytes
-    return SymmetricMatrix(s.toarray(out=_empty_aligned(s.shape)) if dense else s)
+        idx, vals = coo.row.astype(np.int64) * n + coo.col, coo.data
+    a = np.bincount(idx, weights=vals, minlength=n * n).reshape(n, n)
+    if not symmetric:  # + 0.0: -5e-324 halves to -0.0, which CSR drops
+        return SymmetricMatrix(SymmetricMatrix.from_dense(a)._m + 0.0)
+    return SymmetricMatrix(np.add(a, np.tril(a, -1).T, out=_empty_aligned((n, n))))
 
 
 def write_matrix_market(m: SymmetricMatrix, path) -> None:

@@ -128,19 +128,19 @@ class LinearSolver:
 
     mode 'cholesky' solves exactly in the Cholesky metric; mode 'pcg' runs
     preconditioned conjugate gradients capped at ``cap`` inner iterations
-    with ``metric`` as the inner preconditioner. Both modes pin the
-    fingerprint of B at construction and refuse mismatched matrices later.
+    with ``metric`` as the inner preconditioner. Both modes keep the B they
+    were built for and refuse a matrix whose entries differ from it later.
     """
 
     mode: str
-    fingerprint: int
+    matrix: SymmetricMatrix
     metric: Preconditioner
     cap: int = 30
     tol: float = 1e-10
 
     @classmethod
     def exact(cls, b: SymmetricMatrix) -> "LinearSolver":
-        return cls("cholesky", b.fingerprint(),
+        return cls("cholesky", b,
                    Preconditioner("cholesky", b.n, factor=b.cholesky()))
 
     @classmethod
@@ -150,7 +150,7 @@ class LinearSolver:
             raise ValueError(f"unknown inner preconditioner {inner!r}")
         if cap < 1:
             raise InputError(f"PCG cap must be at least 1, got {cap}")
-        return cls("pcg", b.fingerprint(), build_preconditioner(b, INNER_KINDS[inner]),
+        return cls("pcg", b, build_preconditioner(b, INNER_KINDS[inner]),
                    cap=cap, tol=tol)
 
 
@@ -160,12 +160,13 @@ def solve_spd(solver: LinearSolver, b: SymmetricMatrix, r: np.ndarray,
 
     Counts one solve per call; PCG mode adds its inner B-matvecs (matvecs),
     inner steps (pcg_inner) and, if the cap stops it, pcg_capped/pcg_residual.
+    A ``b`` other than the handle's own matrix must match it by fingerprint.
     """
     r = np.asarray(r, dtype=np.float64)
     n = solver.metric.n
     if r.shape != (n,):
         raise DimensionMismatch(f"rhs shape {r.shape} vs order {n}")
-    if b.n != n or b.fingerprint() != solver.fingerprint:
+    if b is not solver.matrix and (b.n != n or b.fingerprint() != solver.matrix.fingerprint()):
         raise StaleFactor("solver was built for a different matrix")
     if counters is not None:
         counters.solves += 1

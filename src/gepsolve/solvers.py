@@ -309,6 +309,7 @@ class _Lanczos(_Runner):
         super().__init__(pair, config)
         self.solver = config.linear_solver
         self.cycle = config.lanczos_cycle
+        self.seed = config.seed
         if self.cycle < 2:
             raise InputError(f"cycle length must be at least 2, got {self.cycle}")
         self.diagnostics.update(solver_mode=self.solver.mode, basis_drift=[])
@@ -378,12 +379,18 @@ class _Lanczos(_Runner):
                     ratio = float("inf")
             if rec.add(builds, -theta / 4.0, theta, ritz, ratio):
                 return "converged", ritz
-            if broke:
+            if broke and m == n:
                 raise Breakdown(
-                    f"continuation norm vanished at build {builds} with the Ritz pair unconverged")
+                    f"basis spans the whole space at build {builds} with the Ritz pair unconverged")
             if builds >= cap:
                 return "max-iterations", ritz
             x = ritz
+            if broke:  # the basis spans an invariant subspace: step outside it
+                z = np.random.default_rng((self.seed, builds)).standard_normal(n)
+                for _ in range(2):
+                    z -= basis[:, :m] @ (bimages[:, :m].T @ z)
+                ritz_b2 = ddot(ritz, bimages[:, :m] @ vecs[:, 0])  # B ritz from the B-images
+                x = ritz + math.sqrt(ritz_b2 / ddot(z, b.matvec(z, counters))) * z
 
 
 RUNNERS = {
@@ -615,7 +622,9 @@ def run_lanczos(pair: MatrixPair, config: SolverConfig, x0: np.ndarray) -> Solve
     stored B-images, then restarts from the top Ritz vector.
     One trace record per cycle at k = cumulative basis builds; the max
     off-diagonal of V'BV - I per cycle lands in diagnostics["basis_drift"].
-    A vanishing continuation norm with the Ritz pair unconverged raises
-    Breakdown.
+    A cycle whose continuation norm vanishes short of convergence restarts
+    from its Ritz vector plus a random vector B-orthogonal to its basis
+    (drawn with config.seed); Breakdown is raised only when that basis spans
+    the whole space.
     """
     return _run("lanczos", pair, config, x0)

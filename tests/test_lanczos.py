@@ -5,7 +5,16 @@ import numpy.testing as npt
 import pytest
 import scipy.linalg
 
-from gepsolve import MatrixPair, SolverConfig, SymmetricMatrix, run_lanczos
+from gepsolve import (
+    LinearSolver,
+    MatrixPair,
+    SolverConfig,
+    SymmetricMatrix,
+    SyntheticSpec,
+    gen_synthetic,
+    reference_solution,
+    run_lanczos,
+)
 from gepsolve.errors import Breakdown, InputError
 
 
@@ -67,13 +76,28 @@ def test_start_at_top_eigenvector_converges_in_one_build():
 
 
 def test_breakdown_on_non_top_eigenvector_start():
+    # The start spans an invariant subspace without the top eigenvector: the
+    # continuation norm vanishes at build 1, and the restart from the Ritz
+    # vector plus a random direction outside that subspace finds the top.
+    pair = MatrixPair(SymmetricMatrix.from_dense(np.diag([3.0, 2.0, 1.0])),
+                      SymmetricMatrix.from_dense(np.eye(3)))
+    trace = run_lanczos(pair, SolverConfig(method="lanczos", tol=1e-5,
+                                           reference=np.array([1.0, 0.0, 0.0]),
+                                           max_iterations=100),
+                        np.array([0.0, 1.0, 0.0]))
+    assert trace.status == "converged"
+    assert trace.records[0].k == 1 and trace.records[0].lam == 2.0
+    assert trace.final().lam == pytest.approx(3.0, rel=1e-12, abs=0)
+
+
+def test_breakdown_when_the_basis_spans_the_space():
+    # Three builds span R^3, so the Ritz pair is exact yet misses tol 1e-300:
+    # no direction is left to restart along.
     pair = MatrixPair(SymmetricMatrix.from_dense(np.diag([3.0, 2.0, 1.0])),
                       SymmetricMatrix.from_dense(np.eye(3)))
     with pytest.raises(Breakdown):
-        run_lanczos(pair, SolverConfig(method="lanczos", tol=1e-5,
-                                       reference=np.array([1.0, 0.0, 0.0]),
-                                       max_iterations=100),
-                    np.array([0.0, 1.0, 0.0]))
+        run_lanczos(pair, SolverConfig(method="lanczos", tol=1e-300, max_iterations=100),
+                    np.ones(3))
 
 
 def test_vanishing_continuation_with_converged_ritz_is_success():
@@ -164,3 +188,37 @@ def test_deterministic():
     assert [r.lam for r in first.records] == [r.lam for r in second.records]
     assert first.diagnostics["basis_drift"] == second.diagnostics["basis_drift"]
     npt.assert_array_equal(first.x, second.x)
+
+
+def test_vanished_continuation_restarts_on_the_clustered_pencil():
+    # The first cycle ends on a Ritz vector that is an eigenvector to
+    # rounding, so the cycle started from it vanishes after one build (21)
+    # with tol 1e-300 unmet; the run restarts each time instead of raising.
+    pair = clustered_pair()
+    x0 = np.random.default_rng(0).standard_normal(pair.n)
+    trace = run_lanczos(pair, SolverConfig(method="lanczos", tol=1e-300,
+                                           max_iterations=45), x0)
+    assert trace.status == "max-iterations"
+    assert [r.k for r in trace.records] == [20, 21, 41, 42, 45]
+    lam = trace.records[0].lam
+    assert [r.lam for r in trace.records[:4]] == pytest.approx([lam] * 4, rel=1e-14, abs=0)
+    assert max(trace.diagnostics["basis_drift"]) < 1e-12
+
+
+@pytest.mark.parametrize("start", [0, 1, 2])
+def test_pcg_lanczos_restarts_past_a_vanished_continuation(start):
+    # PCG capped at 40 steps leaves relative residuals near 1e-4, which hold
+    # the Ritz vector at a sine of about 2.75e-6 from the exact eigenvector;
+    # at that floor the fourth cycle's continuation vanishes (build 61), and
+    # the run restarts and stays near the floor until its cap.
+    pair = gen_synthetic(SyntheticSpec(n=128, kappa_b=100.0, seed=1))
+    ref = reference_solution(pair)
+    config = SolverConfig(method="lanczos", tol=1e-6, reference=ref.u, max_iterations=130,
+                          linear_solver=LinearSolver.pcg(pair.b, cap=40))
+    trace = run_lanczos(pair, config, np.random.default_rng(start).standard_normal(128))
+    assert trace.status == "max-iterations"
+    assert [r.k for r in trace.records][:4] == [20, 40, 60, 61]
+    assert trace.iterations == 130
+    assert trace.counters.pcg_capped > 0
+    assert all(r.sin_theta < 3e-6 for r in trace.records[2:])
+    assert trace.final().lam == pytest.approx(ref.lam, rel=1e-7, abs=0)

@@ -336,8 +336,8 @@ def test_pcg_and_gd_call_level1_blas(monkeypatch):
 
 
 def test_dense_matrix_market_files_are_wrapped_once(tmp_path, monkeypatch):
-    """A file stored dense is checked once, on its CSR form, then wrapped
-    dense: same bytes and fingerprint as densifying the CSR matrix."""
+    """A file stored dense is wrapped once, dense: same bytes and
+    fingerprint as densifying the CSR matrix."""
     pair = gen_synthetic(SyntheticSpec(n=24, kappa_b=10.0, seed=0))
     write_matrix_market(pair.b, tmp_path / "b.mtx")
     built = []

@@ -1,6 +1,7 @@
 """Matrix storage, Cholesky and IC(0) factorizations, PCG, and matrix I/O."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -44,6 +45,7 @@ from gepsolve.errors import (
     StaleFactor,
     ZeroDiagonal,
 )
+from gepsolve import linalg
 from gepsolve.linalg import dominant_eigenvalue
 from gepsolve.solvers import METHODS
 
@@ -320,6 +322,55 @@ def test_solve_counts_and_stale_factor():
     assert counters.solves == 2
     with pytest.raises(StaleFactor):
         solve_spd(solver, other, np.ones(9))
+
+
+@pytest.fixture
+def fingerprints(monkeypatch):
+    """Orders of the matrices fingerprinted while the test runs."""
+    orders = []
+    real = linalg._entry_fingerprint
+
+    def counted(n, rows, cols, vals):
+        orders.append(n)
+        return real(n, rows, cols, vals)
+
+    monkeypatch.setattr(linalg, "_entry_fingerprint", counted)
+    return orders
+
+
+def test_solver_on_its_own_matrix_computes_no_fingerprint(fingerprints):
+    mat = SymmetricMatrix.from_dense(rand_spd(9, 8))
+    exact, pcg = LinearSolver.exact(mat), LinearSolver.pcg(mat)
+    solve_spd(exact, mat, np.ones(9))
+    solve_spd(pcg, mat, np.ones(9))
+    assert fingerprints == []
+
+
+@pytest.mark.parametrize("built_on", ["dense", "csr"])
+def test_solver_accepts_the_same_entries_in_the_other_storage(fingerprints, built_on):
+    a = rand_spd(9, 8)
+    d = SymmetricMatrix.from_dense(a)
+    s = SymmetricMatrix.from_sparse(scipy.sparse.csr_array(d.dense()))
+    own, other = (d, s) if built_on == "dense" else (s, d)
+    solver = LinearSolver.exact(own)
+    rhs = np.random.default_rng(2).standard_normal(9)
+    x = solve_spd(solver, own, rhs)
+    assert fingerprints == []
+    assert solve_spd(solver, other, rhs).tobytes() == x.tobytes()
+    assert fingerprints == [9, 9]
+    solve_spd(solver, other, rhs)
+    assert fingerprints == [9, 9]  # both digests are kept with their matrices
+
+
+@pytest.mark.parametrize("mode", ["exact", "pcg"])
+def test_solver_refuses_a_different_matrix(mode):
+    mat = SymmetricMatrix.from_dense(rand_spd(9, 8))
+    solver = getattr(LinearSolver, mode)(mat)
+    nudged = mat.dense()
+    nudged[0, 0] *= 1.0 + 1e-9
+    for other in (SymmetricMatrix.from_dense(nudged), SymmetricMatrix.from_dense(np.eye(4))):
+        with pytest.raises(StaleFactor):
+            solve_spd(solver, other, np.ones(9))
 
 
 def test_solve_dimension_mismatch():
@@ -863,6 +914,115 @@ def test_matrix_market_storage_follows_byte_rule(tmp_path_factory, n, density, s
                         atol=1e-13 * max(np.abs(full).sum() * np.abs(x).max(), 1e-300))
     dense_bytes = n * n * np.dtype(np.float64).itemsize
     assert back.kind == ("dense" if dense_bytes <= _csr_bytes(m) else "csr")
+
+
+def _csr_route(n, rows, cols, vals, symmetric):
+    """The matrix the reader built by way of CSR for a file's (0-based)
+    entries: ``from_lower_entries`` (symmetric) or ``from_sparse`` on the
+    summed entries (general), densified where n^2 doubles take no more bytes
+    than its arrays."""
+    rows, cols = np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64)
+    if symmetric:
+        m = SymmetricMatrix.from_lower_entries(n, np.maximum(rows, cols),
+                                               np.minimum(rows, cols), vals)
+    else:
+        coo = scipy.sparse.coo_array((np.asarray(vals, dtype=np.float64), (rows, cols)),
+                                     shape=(n, n))
+        coo.sum_duplicates()
+        m = SymmetricMatrix.from_sparse(coo.tocsr())
+    if n * n * 8 <= _csr_bytes(m):
+        return SymmetricMatrix.from_dense(m.dense())
+    return m
+
+
+def _write_entries(path, n, rows, cols, vals, symmetric):
+    lines = "".join(f"{i + 1} {j + 1} {float(v)!r}\n" for i, j, v in zip(rows, cols, vals))
+    path.write_text(f"%%MatrixMarket matrix coordinate real "
+                    f"{'symmetric' if symmetric else 'general'}\n{n} {n} {len(vals)}\n{lines}")
+
+
+def _assert_same_matrix(got, want):
+    assert got.kind == want.kind
+    assert got.dense().tobytes() == want.dense().tobytes()
+    if want.kind == "csr":
+        for name in ("data", "indices", "indptr"):
+            assert getattr(got._m, name).tobytes() == getattr(want._m, name).tobytes()
+    assert got.fingerprint() == want.fingerprint()
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(1, 24), density=st.floats(0.0, 1.0),
+       seed=st.integers(0, 2**32 - 1), symmetric=st.booleans())
+def test_reader_matches_the_csr_route_bytewise(tmp_path_factory, n, density, seed, symmetric):
+    """Whichever storage the reader picks, it holds the bytes, kind and
+    fingerprint of the CSR route's matrix for the same entries."""
+    rng = np.random.default_rng(seed)
+    low = np.tril(rng.standard_normal((n, n)) * (rng.random((n, n)) < density))
+    r, c = np.nonzero(low)
+    v = low[r, c]
+    scale = np.abs(v).max(initial=0.0)
+    if symmetric:
+        # either triangle may hold an entry
+        flip = rng.random(len(v)) < 0.5
+        r, c = np.where(flip, c, r), np.where(flip, r, c)
+    else:
+        # both triangles, the upper one off by up to 1e-13 of the largest entry,
+        # and one entry without its mirror: small enough to pass as symmetric
+        # (the least subnormal halves to a zero) or, at 1e-11, too large
+        off = r != c
+        r, c = np.concatenate([r, c[off]]), np.concatenate([c, r[off]])
+        v = np.concatenate([v, v[off] + scale * 1e-13 * rng.uniform(-1.0, 1.0, off.sum())])
+        if n > 1 and scale > 0.0:
+            i, j = rng.choice(n, 2, replace=False)
+            lone = rng.choice([scale * 1e-13, -scale * 1e-13, -5e-324, 5e-324, scale * 1e-11])
+            r, c, v = np.append(r, i), np.append(c, j), np.append(v, lone)
+    # a few entries split into a duplicate pair, and explicit 0.0 and -0.0
+    pick = rng.choice(len(v), min(len(v), int(rng.integers(0, 4))), replace=False)
+    part = v[pick] * rng.uniform(0.0, 1.0, len(pick))
+    v = v.copy()
+    v[pick] -= part
+    k = int(rng.integers(0, 4))
+    r = np.concatenate([r, r[pick], rng.integers(0, n, k)])
+    c = np.concatenate([c, c[pick], rng.integers(0, n, k)])
+    v = np.concatenate([v, part, rng.choice([0.0, -0.0], k)])
+    order = rng.permutation(len(v))
+    r, c, v = r[order], c[order], v[order]
+
+    path = tmp_path_factory.mktemp("mm") / "m.mtx"
+    _write_entries(path, n, r, c, v, symmetric)
+    try:
+        want = _csr_route(n, r, c, v, symmetric)
+    except AsymmetricEntries as exc:
+        with pytest.raises(AsymmetricEntries, match=re.escape(str(exc))):
+            read_matrix_market(path)
+        return
+    _assert_same_matrix(read_matrix_market(path), want)
+
+
+@pytest.mark.parametrize("symmetric", [True, False])
+def test_reader_sums_a_coordinate_stored_three_times_as_csr_does(tmp_path, symmetric):
+    """scipy's sum_duplicates adds 1.0, 1e-16, 1e-16 as 1.0 + (1e-16 + 1e-16)
+    = 1.0000000000000002; a bincount would add (1.0 + 1e-16) + 1e-16 = 1.0."""
+    r, c = [0, 0, 0, 1, 1], [0, 0, 0, 0, 1]
+    v = [1.0, 1e-16, 1e-16, 0.5, 2.0]
+    if not symmetric:
+        r, c, v = r + [0], c + [1], v + [0.5]
+    path = tmp_path / "m.mtx"
+    _write_entries(path, 2, r, c, v, symmetric)
+    got = read_matrix_market(path)
+    assert got.kind == "dense" and got.dense()[0, 0] == 1.0000000000000002
+    _assert_same_matrix(got, _csr_route(2, r, c, v, symmetric))
+
+
+def test_reader_stores_a_halved_subnormal_as_csr_does(tmp_path):
+    """A general file's lone -5e-324 symmetrizes to -0.0, which CSR drops:
+    the dense matrix holds +0.0 there too."""
+    r, c, v = [0, 1, 1], [0, 1, 0], [1.0, 1.0, -5e-324]
+    path = tmp_path / "m.mtx"
+    _write_entries(path, 2, r, c, v, False)
+    got = read_matrix_market(path)
+    assert got.kind == "dense" and math.copysign(1.0, got.dense()[1, 0]) == 1.0
+    _assert_same_matrix(got, _csr_route(2, r, c, v, False))
 
 
 @settings(max_examples=60, deadline=None)
