@@ -3,7 +3,8 @@
 Subcommands: gen (write a synthetic pair), solve (one run on a pair from
 disk), topk (staged deflation), bench (suite over a grid). Exit codes: 0
 converged or completed, 2 iteration cap hit, 3 input error or invalid
-argument, 4 numerical failure, 5 degenerate run.
+argument, 4 numerical failure, 5 degenerate run, 6 diverged run (the
+objective became non-finite).
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ EXIT_CAP = 2
 EXIT_INPUT = 3
 EXIT_NUMERICAL = 4
 EXIT_DEGENERATE = 5
+EXIT_DIVERGED = 6
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -156,7 +158,8 @@ def _cmd_solve(args) -> int:
     print(f"matvecs     {trace.counters.matvecs}")
     print(f"solves      {trace.counters.solves}")
     print(f"elapsed_ms  {final.elapsed_ns / 1e6:.3f}")
-    return {"converged": EXIT_OK, "degenerate": EXIT_DEGENERATE}.get(trace.status, EXIT_CAP)
+    return {"converged": EXIT_OK, "degenerate": EXIT_DEGENERATE,
+            "diverged": EXIT_DIVERGED}.get(trace.status, EXIT_CAP)
 
 
 def _cmd_topk(args) -> int:

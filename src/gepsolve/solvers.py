@@ -85,7 +85,7 @@ class SolveTrace:
     method's diagnostics (stepsize, bounds, setup, escalations, drift)."""
 
     method: str
-    status: str  # converged | max-iterations | degenerate
+    status: str  # converged | max-iterations | degenerate | diverged
     records: list[TraceRecord]
     x: np.ndarray
     counters: Counters
@@ -171,7 +171,7 @@ class _Recorder:
 
 
 class _Degenerate(Exception):
-    """The iterate carries no A-energy; args[0] is the f the last record shows."""
+    """No A-energy left, or f overflowed; args[0] is the f the last record shows."""
 
 
 class _Runner:
@@ -198,7 +198,7 @@ class _Runner:
                     x = self.advance(x, counters)
         except _Degenerate as exc:
             rec.add(len(rec.records), exc.args[0], 0.0, x, math.inf)
-            return "degenerate", x
+            return "degenerate" if math.isfinite(exc.args[0]) else "diverged", x
         return "max-iterations", x
 
 
@@ -423,6 +423,17 @@ def prepare(pair: MatrixPair, config: SolverConfig) -> SolverConfig:
     return replace(config, **fill) if fill else config
 
 
+def _observed_rate(rec: _Recorder) -> float | None:
+    """Geometric mean of the criterion's per-record ratio over the second
+    half of the records, per unit of k (per build for Lanczos): the product
+    telescopes to its endpoints. None below 4 records or at an endpoint that
+    is not positive and finite."""
+    mid, values = len(rec.values) // 2, rec.values
+    if mid < 2 or not (0.0 < values[mid] < math.inf and 0.0 < values[-1] < math.inf):
+        return None
+    return (values[-1] / values[mid]) ** (1.0 / (rec.records[-1].k - rec.records[mid].k))
+
+
 def _run(method: str, pair: MatrixPair, config: SolverConfig, x0) -> SolveTrace:
     """The driver: checks, set-up, the method's loop, the trace."""
     n = pair.n
@@ -449,6 +460,7 @@ def _run(method: str, pair: MatrixPair, config: SolverConfig, x0) -> SolveTrace:
     x = runner.start(x)
     rec = _Recorder(Counters(), config.reference, config.tol)
     status, x = runner.iterate(x, rec, config.max_iterations)
+    runner.diagnostics["observed_rate"] = _observed_rate(rec)
     criterion = "sin-theta" if config.reference is not None else "gradient"
     return SolveTrace(method, status, rec.records, x, rec.counters, criterion,
                       rec.values, runner.diagnostics)
@@ -525,8 +537,8 @@ class SplitMergeState:
     pd_margin the positivity margin of the corrected surrogate at rho_used,
     the rho after ``doublings`` escalations; w_second weights t in the step.
     b_next is B x_next from solve byproducts (exact for exact solves).
-    fallback marks a step that took the power update because its second
-    direction carried no new energy.
+    fallback marks a step whose second direction carried no new energy,
+    which returns the double power step t / (2 sqrt(a) r) with w_second = 0.
     """
 
     resid_energy: float
@@ -554,9 +566,9 @@ def split_merge_step(pair: MatrixPair, x: np.ndarray, rho: float, solver: Linear
     b = g'w, c = g't, and z'B^{-1}z with B^{-1}z formed from the vectors
     already solved (t - (b/a) w). When the second direction carries no new
     energy (resid_energy <= 1e-14 b^2/a, which also absorbs roundoff
-    negatives) the step degrades to the power update w / (2 sqrt(a)). A
-    nonpositive margin doubles rho until positive, up to RHO_DOUBLING_CAP
-    times.
+    negatives) the step returns the double power step t / (2 sqrt(a) r),
+    r = b/a, from the two solves already paid for. A nonpositive margin
+    doubles rho until positive, up to RHO_DOUBLING_CAP times.
 
     ``ax`` may carry a precomputed A x (the run loop shares it with its
     bookkeeping).
@@ -577,8 +589,8 @@ def split_merge_step(pair: MatrixPair, x: np.ndarray, rho: float, solver: Linear
     ratio = quad_ab / quad_a
     resid_energy = quad_aba - quad_ab * ratio
     if resid_energy <= DEGENERATE_STEP_RTOL * quad_ab * ratio:
-        return w / (2.0 * root_a), SplitMergeState(resid_energy, 1.0, 0.0, rho, 0, True,
-                                                   g, w, h, t, g / (2.0 * root_a))
+        s = 1.0 / (2.0 * root_a * ratio)  # t s: the double power step, B t = h
+        return t * s, SplitMergeState(resid_energy, 1.0, 0.0, rho, 0, True, g, w, h, t, h * s)
 
     resid_gram = ddot(daxpy(h, g * -ratio), daxpy(t, w * -ratio))
 
@@ -608,8 +620,9 @@ def run_split_merge(pair: MatrixPair, config: SolverConfig, x0: np.ndarray) -> S
     Each step is taken from the ray minimiser of the current direction, so
     the recorded objective -q/4 never increases outside rho-escalation
     steps and the eigenvalue estimate is the Rayleigh quotient. rho resets
-    to the configured value every iteration; escalations and power
-    fallbacks are tallied in diagnostics.
+    to the configured value every iteration; escalations and fallbacks
+    (double power steps t / (2 sqrt(a) r), from about sin theta = 1e-7 on)
+    are tallied in diagnostics.
     """
     return _run("split-merge", pair, config, x0)
 

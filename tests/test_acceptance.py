@@ -88,8 +88,9 @@ def dense_step(a, b, x, rho):
 
 
 def ep_step(atil, y, rho):
-    """Identity-metric form of the step, mirroring the fallback threshold
-    and the rho-doubling policy so whole trajectories stay comparable."""
+    """Identity-metric form of the step, mirroring the fallback (threshold
+    and double power step) and the rho-doubling policy so whole
+    trajectories stay comparable."""
     ay = atil @ y
     a2y = atil @ ay
     qa = float(y @ ay)
@@ -98,7 +99,7 @@ def ep_step(atil, y, rho):
     ratio = q2 / qa
     delta = q3 - q2 * ratio
     if delta <= 1e-14 * q2 * ratio:
-        return ay / (2.0 * math.sqrt(qa))
+        return a2y / (2.0 * math.sqrt(qa) * ratio)
     resid = a2y - ratio * ay
     gram = float(resid @ resid)
     rho_k = rho

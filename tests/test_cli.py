@@ -102,6 +102,24 @@ def test_solve_degenerate_exit_five(tmp_path, capsys, method):
     assert rc == 5
 
 
+@pytest.mark.parametrize("method_args", [["--method", "gd"],
+                                         ["--method", "pmd", "--precond", "diag"]])
+def test_solve_diverged_exit_six(tmp_path, capsys, method_args):
+    # with PCG B-solves nothing factors the indefinite B for these methods:
+    # x'Bx runs to -inf, the objective stops being finite and the run has
+    # diverged
+    a_path, _ = gen_files(tmp_path, n=6, kappa_b=5.0, seed=6, fmt="dense")
+    b = np.eye(6)
+    b[0, 1] = b[1, 0] = 2.0
+    bad_b = tmp_path / "indefinite_B.txt"
+    write_dense_text(SymmetricMatrix.from_dense(b), bad_b)
+    with np.errstate(over="ignore", invalid="ignore"):
+        rc = main(["solve", "--a", a_path, "--b", str(bad_b), "--format", "dense",
+                   "--ref", "none", "--linsolve", "pcg", *method_args])
+    assert "status      diverged" in capsys.readouterr().out
+    assert rc == 6
+
+
 def test_solve_missing_file_exit_three(tmp_path, capsys):
     rc = main(["solve", "--a", str(tmp_path / "no_A.mtx"),
                "--b", str(tmp_path / "no_B.mtx")])

@@ -358,6 +358,21 @@ def test_gd_degenerate_status():
     assert trace.records[-1].lam == 0.0
 
 
+def test_gd_divergence_status():
+    # about a quarter of the curvature bound of B: the iterates grow until
+    # x'Ax overflows, and a run whose objective is no longer finite has
+    # diverged, not degenerated
+    pair = gen_synthetic(SyntheticSpec(n=64, kappa_b=10.0))
+    config = SolverConfig(method="gd", tol=1e-6, curvature_bound=CurvatureBound(0.5, "dominant"))
+    with np.errstate(over="ignore", invalid="ignore"):
+        trace = solve(pair, config, np.ones(64))
+    assert trace.status == "diverged"
+    assert not trace.converged
+    assert trace.final().k == 188
+    assert trace.final().f == math.inf
+    assert trace.diagnostics["observed_rate"] is None
+
+
 def test_gd_matvec_count():
     """Two matvecs per recorded iteration, nothing else."""
     pair = rand_pair(9, 76)
@@ -621,3 +636,48 @@ def test_trace_csv_nan_without_reference(tmp_path):
     trace.to_csv(path)
     row = path.read_text().splitlines()[1].split(",")
     assert row[3] == "nan"
+
+
+# ---------------------------------------------------------------------------
+# Observed rate
+
+
+@pytest.mark.parametrize("n, seed", [(128, 1), (256, 0)])
+def test_observed_rate_matches_the_gap(n, seed):
+    # power contracts at lambda_2/lambda_1 per step; split-merge's tail is
+    # all double power steps, so it contracts at the square
+    pair = gen_synthetic(SyntheticSpec(n=n, kappa_b=10.0, seed=seed))
+    vals = scipy.linalg.eigh(pair.a.dense(), pair.b.dense(), eigvals_only=True)
+    gap = vals[-2] / vals[-1]
+    ref = reference_solution(pair).u
+    x0 = np.random.default_rng(0).standard_normal(n)
+    for method, want in (("power", gap), ("split-merge", gap * gap)):
+        trace = solve(pair, SolverConfig(method=method, tol=1e-10, reference=ref), x0)
+        assert trace.converged
+        assert abs(trace.diagnostics["observed_rate"] - want) <= 1e-3, method
+
+
+def test_observed_rate_needs_four_records():
+    pair = diag_pair([4.0, 1.0], [1.0, 2.0])
+    ref = np.array([1.0, 0.0])
+    for method in METHODS:
+        at_top = solve(pair, SolverConfig(method=method, tol=1e-5, reference=ref), ref)
+        assert at_top.diagnostics["observed_rate"] is None, method
+    capped = run_power(pair, SolverConfig(method="power", tol=1e-300, max_iterations=2),
+                       np.array([1.0, 1.0]))
+    assert len(capped.records) == 3
+    assert capped.diagnostics["observed_rate"] is None
+    longer = run_power(pair, SolverConfig(method="power", tol=1e-300, max_iterations=3),
+                       np.array([1.0, 1.0]))
+    assert 0.0 < longer.diagnostics["observed_rate"] < 1.0
+
+
+def test_observed_rate_is_per_build_for_lanczos():
+    pair = rand_pair(40, 5)
+    trace = solve(pair, SolverConfig(method="lanczos", tol=1e-12, lanczos_cycle=3),
+                  np.ones(40))
+    ks = [r.k for r in trace.records]
+    mid = len(ks) // 2
+    assert len(ks) >= 4
+    want = (trace.criterion_values[-1] / trace.criterion_values[mid]) ** (1.0 / (ks[-1] - ks[mid]))
+    assert trace.diagnostics["observed_rate"] == want

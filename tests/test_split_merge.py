@@ -10,6 +10,8 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 import scipy.linalg
+from hypothesis import assume, given, settings, strategies
+from scipy.linalg.blas import ddot
 
 from gepsolve import (
     Counters,
@@ -17,9 +19,13 @@ from gepsolve import (
     MatrixPair,
     SolverConfig,
     SymmetricMatrix,
+    SyntheticSpec,
     build_preconditioner,
+    gen_synthetic,
+    reference_solution,
     run_power,
     run_split_merge,
+    solve,
     split_merge_step,
 )
 from gepsolve.errors import DegenerateDirection, NumericalError
@@ -75,8 +81,9 @@ def dense_step(a, b, x, rho):
 def ep_step(atil, y, rho):
     """Identity-metric form of the step, driven by powers of one matrix.
 
-    Mirrors the degenerate-direction fallback and the rho-doubling policy
-    so whole trajectories stay comparable, not just single clean steps.
+    Mirrors the degenerate-direction fallback (the double power step
+    A^2 y / (2 sqrt(qa) ratio)) and the rho-doubling policy so whole
+    trajectories stay comparable, not just single clean steps.
     """
     ay = atil @ y
     a2y = atil @ ay
@@ -86,7 +93,7 @@ def ep_step(atil, y, rho):
     ratio = q2 / qa
     delta = q3 - q2 * ratio
     if delta <= 1e-14 * q2 * ratio:
-        return ay / (2.0 * math.sqrt(qa))
+        return a2y / (2.0 * math.sqrt(qa) * ratio)
     resid = a2y - ratio * ay
     gram = float(resid @ resid)
     rho_k = rho
@@ -221,6 +228,23 @@ def test_step_near_eigenvector_threshold():
     _, st_real = split_merge_step(pair, np.array([1.0, 1e-4]), 1.0, solver)
     assert not st_real.fallback
     assert st_real.pd_margin > 0.0
+
+
+def test_fallback_step_is_the_scaled_double_power_step():
+    # Near the top eigenvector the second direction carries no new energy;
+    # the step returns the t = B^{-1}AB^{-1}Ax it solved for, scaled by
+    # 1 / (2 sqrt(a) r) with r = b/a, and B x+ from h = B t.
+    pair = make_pair(8, 21)
+    x = top_vector(pair) + 1e-9 * np.random.default_rng(4).standard_normal(8)
+    x_next, st = split_merge_step(pair, x, 1.0, LinearSolver.exact(pair.b))
+    assert st.fallback
+    assert st.w_second == 0.0
+    quad_a = ddot(x, st.ax)
+    scale = 1.0 / (2.0 * math.sqrt(quad_a) * (ddot(st.ax, st.w) / quad_a))
+    npt.assert_array_equal(x_next, st.t * scale)
+    npt.assert_array_equal(st.b_next, st.h * scale)
+    binv_a = np.linalg.solve(pair.b.dense(), pair.a.dense())
+    assert direction_gap(x_next, binv_a @ (binv_a @ x)) <= 1e-12
 
 
 def test_step_identity_metric_reduction():
@@ -381,8 +405,8 @@ def test_run_rho_escalation_recovers():
 
 def test_run_fallback_tally_near_convergence():
     # An unreachable tolerance parks the iterate on the eigenvector, where
-    # every further step degenerates to the power update; the tally must
-    # count those steps and the direction must stay put.
+    # every further step falls back to the double power step; the tally
+    # must count those steps and the direction must stay put.
     pair = diag_pair([4.0, 1.0, 0.5], [1.0, 1.0, 1.0])
     trace = run_split_merge(pair, SolverConfig(method="split-merge",
                                                tol=1e-300, rho=1.0,
@@ -391,6 +415,56 @@ def test_run_fallback_tally_near_convergence():
     assert trace.status == "max-iterations"
     assert trace.diagnostics["fallback_steps"] >= 1
     assert direction_gap(trace.x, np.array([1.0, 0.0, 0.0])) <= 1e-12
+
+
+def test_run_fallback_steps_cost_no_more_than_power():
+    # The tail of a tight run is all fallback steps; each one is a double
+    # power step, so split-merge needs fewer B-solves than power. With a
+    # single power step per fallback this run took 220 solves to power's 225.
+    pair = gen_synthetic(SyntheticSpec(n=128, kappa_b=10.0, seed=1))
+    ref = reference_solution(pair)
+    x0 = np.random.default_rng(0).standard_normal(128)
+    sm = solve(pair, SolverConfig(method="split-merge", tol=1e-10, reference=ref.u), x0)
+    pw = solve(pair, SolverConfig(method="power", tol=1e-10, reference=ref.u), x0)
+    assert sm.converged and pw.converged
+    assert sm.diagnostics["fallback_steps"] >= 1
+    assert sm.counters.solves <= 150
+    assert sm.counters.solves < pw.counters.solves
+    assert abs(sm.final().lam - ref.lam) <= 1e-12 * ref.lam
+
+
+def spectral_pair(n, seed, spread):
+    """Pencil whose B^{-1}A has eigenvalue 1 on top and the rest drawn from
+    [0.01, spread]: A = L Q diag(lam) Q' L' for B = L L'."""
+    rng = np.random.default_rng(seed)
+    b = rand_spd(n, int(rng.integers(0, 2 ** 31)), cond=float(rng.uniform(1.0, 10.0)))
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    lam = np.append(rng.uniform(0.01, spread, n - 1), 1.0)
+    low = np.linalg.cholesky(b)
+    a = low @ ((q * lam) @ q.T) @ low.T
+    pair = MatrixPair(SymmetricMatrix.from_dense(0.5 * (a + a.T)), SymmetricMatrix.from_dense(b))
+    return pair, rng.standard_normal(n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=strategies.integers(2, 12), seed=strategies.integers(0, 2 ** 31 - 1),
+       spread=strategies.floats(0.05, 0.7))
+def test_objective_never_rises_along_power_and_split_merge(n, seed, spread):
+    # f = -q/4 is nonincreasing along both runs, fallback steps included;
+    # the tol 1e-300 run is capped at 60 steps and must reach the fallback.
+    # The runner promises monotone f only outside rho escalations, which
+    # assume() rules out; rho = 4 keeps them rare, where at rho = 1 most
+    # random pencils escalate on an early step.
+    pair, x0 = spectral_pair(n, seed, spread)
+    runs = (("power", 1e-10, 1000), ("split-merge", 1e-10, 1000), ("split-merge", 1e-300, 60))
+    for method, tol, cap in runs:
+        trace = solve(pair, SolverConfig(method=method, tol=tol, max_iterations=cap, rho=4.0), x0)
+        assume(trace.diagnostics.get("rho_escalations", 0) == 0)
+        fs = [r.f for r in trace.records]
+        for prev, nxt in zip(fs, fs[1:]):
+            assert nxt <= prev + 1e-12 * abs(prev), (method, tol)
+        if tol == 1e-300:
+            assert trace.diagnostics["fallback_steps"] >= 1
 
 
 def test_run_pcg_backend():
