@@ -82,6 +82,7 @@ class SuiteConfig:
                 ("tol", self.tol > 0, "positive"),
                 ("max_iterations", self.max_iterations >= 1, "at least 1"),
                 ("rho", self.rho >= 1, "at least 1"),
+                ("pcg_cap", self.pcg_cap >= 1, "at least 1"),
                 ("kappa_a", self.kappa_a >= 1, "at least 1"),
                 ("seed", self.seed >= 0, "non-negative")):
             if not ok:

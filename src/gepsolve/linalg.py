@@ -553,6 +553,8 @@ def read_matrix_market(path) -> SymmetricMatrix:
             except ValueError as exc:
                 raise ParseError(f"line {lineno}: {exc}") from exc
         nrows, ncols, nnz = sizes
+        if min(nrows, ncols) < 1:
+            raise ParseError(f"line {lineno}: bad order {nrows} x {ncols}")
         if nrows != ncols:
             raise NotSquare(f"{nrows} x {ncols} matrix is not square")
 

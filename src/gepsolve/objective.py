@@ -26,7 +26,6 @@ from .linalg import Counters, SymmetricMatrix, add_scaled, dominant_eigenvalue
 
 DEGENERATE_RTOL = 1e-30
 PSD_RTOL = 1e-10
-DENSE_VALIDATE_LIMIT = 2048
 
 
 @dataclass
@@ -58,46 +57,29 @@ class PairDiagnosis:
     route: str
 
 
-def _dense_of(a) -> np.ndarray | None:
-    return a.dense() if hasattr(a, "dense") else None
-
-
-def validate_pair(pair: MatrixPair, dense_limit: int = DENSE_VALIDATE_LIMIT) -> PairDiagnosis:
-    """Check definiteness of the pair.
+def validate_pair(pair: MatrixPair) -> PairDiagnosis:
+    """Check definiteness of the pair with one dense eigensolve at any order.
 
     B is declared positive definite iff its Cholesky factorization succeeds.
-    Up to ``dense_limit`` LAPACK's generalized symmetric-definite eigensolver
-    (``scipy.linalg.eigh``) gives the spectrum of (A, B), and A is tested
-    positive semidefinite within PSD_RTOL of its largest magnitude; beyond the
-    limit a Gershgorin lower bound on A stands in, which is conservative:
-    it can report False for semidefinite matrices with strong off-diagonal
-    coupling.
+    LAPACK's symmetric eigensolver (``scipy.linalg.eigh``) then gives the
+    spectrum of the pencil (A, B) when B is definite, and A's own spectrum
+    when it is not; the pencil's eigenvalues have the signs of A's
+    (Sylvester's law of inertia). A is positive semidefinite when the
+    smallest eigenvalue is at least -PSD_RTOL times the largest magnitude.
+    ``min_generalized_eigenvalue`` is None when B is not definite.
     """
     try:
         pair.b.cholesky()
         b_pd = True
     except NotPositiveDefinite:
         b_pd = False
-
-    a_dense = _dense_of(pair.a)
-    if a_dense is None:
+    if not hasattr(pair.a, "dense"):
         raise InputError("validate_pair needs a materializable A operand")
-
-    if b_pd and pair.n <= dense_limit:
-        evals = scipy.linalg.eigh(a_dense, pair.b.dense(), eigvals_only=True,
-                                  check_finite=False)
-        scale = float(np.max(np.abs(evals))) if evals.size else 0.0
-        a_psd = bool(evals[0] >= -PSD_RTOL * max(scale, 1e-300))
-        return PairDiagnosis(True, a_psd, float(evals[0]), "dense-eigensolver")
-
-    # Gershgorin: row sums certify a spectrum lower bound for A alone,
-    # which transfers to the pair when B is positive definite
-    diag = np.diagonal(a_dense)
-    absrow = np.sum(np.abs(a_dense), axis=1) - np.abs(diag)
-    bound = float(np.min(diag - absrow))
-    scale = float(np.max(np.abs(a_dense))) if a_dense.size else 0.0
-    a_psd = bool(bound >= -PSD_RTOL * max(scale, 1e-300))
-    return PairDiagnosis(b_pd, a_psd, None, "gershgorin")
+    evals = scipy.linalg.eigh(pair.a.dense(), pair.b.dense() if b_pd else None,
+                              eigvals_only=True, check_finite=False)
+    scale = float(np.max(np.abs(evals)))
+    a_psd = bool(evals[0] >= -PSD_RTOL * max(scale, 1e-300))
+    return PairDiagnosis(b_pd, a_psd, float(evals[0]) if b_pd else None, "dense-eigensolver")
 
 
 def shift_to_psd(pair: MatrixPair, margin: float = 0.0) -> MatrixPair:
@@ -106,24 +88,12 @@ def shift_to_psd(pair: MatrixPair, margin: float = 0.0) -> MatrixPair:
     When the computed eta is zero the input pair object itself is returned.
     Requires matrix-backed operands (the shifted A is materialized).
     """
-    if margin < 0.0:
-        raise InputError(f"margin must be nonnegative, got {margin}")
+    if not (0.0 <= margin < np.inf):
+        raise InputError(f"margin must be nonnegative and finite, got {margin}")
     diag = validate_pair(pair)
     if not diag.b_positive_definite:
         raise NotPositiveDefinite("B must be positive definite to shift against")
-    if diag.min_generalized_eigenvalue is not None:
-        lam_min = diag.min_generalized_eigenvalue
-    else:
-        # conservative: Gershgorin bound on A over the smallest B eigenvalue
-        a_dense = _dense_of(pair.a)
-        absrow = np.sum(np.abs(a_dense), axis=1) - np.abs(np.diagonal(a_dense))
-        gersh = float(np.min(np.diagonal(a_dense) - absrow))
-        if gersh >= 0.0:
-            lam_min = 0.0
-        else:
-            bmin = 1.0 / dominant_eigenvalue(pair.b.cholesky().solve, pair.n)
-            lam_min = gersh / max(bmin, 1e-300)
-    eta = max(0.0, -lam_min) + margin
+    eta = max(0.0, -diag.min_generalized_eigenvalue) + margin
     if eta == 0.0:
         return pair
     if not isinstance(pair.a, SymmetricMatrix):

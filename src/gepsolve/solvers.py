@@ -20,6 +20,7 @@ estimate 2 sqrt(x'Ax) equals q.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass, field, replace
 
@@ -310,8 +311,8 @@ class _Lanczos(_Runner):
         self.solver = config.linear_solver
         self.cycle = config.lanczos_cycle
         self.seed = config.seed
-        if self.cycle < 2:
-            raise InputError(f"cycle length must be at least 2, got {self.cycle}")
+        if not (isinstance(self.cycle, numbers.Integral) and self.cycle >= 2):
+            raise InputError(f"cycle length must be an integer of at least 2, got {self.cycle}")
         self.diagnostics.update(solver_mode=self.solver.mode, basis_drift=[])
 
     def iterate(self, x, rec, cap):
@@ -437,13 +438,14 @@ def _observed_rate(rec: _Recorder) -> float | None:
 def _run(method: str, pair: MatrixPair, config: SolverConfig, x0) -> SolveTrace:
     """The driver: checks, set-up, the method's loop, the trace."""
     n = pair.n
-    if config.method not in METHODS:
-        raise InputError(f"unknown method {config.method!r}")
+    if method not in METHODS:
+        raise InputError(f"unknown method {method!r}")
     if not (config.tol > 0.0):
         raise InputError(f"tolerance must be positive, got {config.tol}")
-    if config.max_iterations < 1:
-        raise InputError(f"iteration cap must be at least 1, got {config.max_iterations}")
-    if config.rho < 1.0:
+    cap = config.max_iterations
+    if not (isinstance(cap, numbers.Integral) and cap >= 1):
+        raise InputError(f"iteration cap must be an integer of at least 1, got {cap}")
+    if not (config.rho >= 1.0):
         raise InputError(f"rho must be at least 1, got {config.rho}")
     if config.reference is not None and np.shape(config.reference) != (n,):
         raise DimensionMismatch(
@@ -459,7 +461,7 @@ def _run(method: str, pair: MatrixPair, config: SolverConfig, x0) -> SolveTrace:
     runner = RUNNERS[method](pair, prepare(pair, config))
     x = runner.start(x)
     rec = _Recorder(Counters(), config.reference, config.tol)
-    status, x = runner.iterate(x, rec, config.max_iterations)
+    status, x = runner.iterate(x, rec, cap)
     runner.diagnostics["observed_rate"] = _observed_rate(rec)
     criterion = "sin-theta" if config.reference is not None else "gradient"
     return SolveTrace(method, status, rec.records, x, rec.counters, criterion,

@@ -136,6 +136,16 @@ def test_solve_corrupt_file_exit_three(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("sizes", ["0 0 0", "-1 -1 0"])
+def test_solve_order_below_one_exit_three(tmp_path, capsys, sizes):
+    bad = tmp_path / "bad.mtx"
+    bad.write_text(f"%%MatrixMarket matrix coordinate real symmetric\n{sizes}\n",
+                   encoding="ascii")
+    rc = main(["solve", "--a", str(bad), "--b", str(bad)])
+    assert rc == 3
+    assert "line 2: bad order" in capsys.readouterr().err
+
+
 def test_solve_indefinite_metric_exit_four(tmp_path, capsys):
     a_path, _ = gen_files(tmp_path, n=6, kappa_b=5.0, seed=6, fmt="dense")
     bad_b = tmp_path / "indefinite_B.txt"
@@ -271,7 +281,7 @@ def test_bench_malformed_suite_exit_three(tmp_path, capsys):
     ("cells", [{"n": "x", "kappa_b": 5.0}]), ("cells", {"n": 8}), ("trials", "2"),
     ("tol", "1e-5"), ("tol", -1), ("max_iterations", 0), ("rho", 0.5), ("methods", []),
     ("seed", -1), ("cells", [{"n": 1, "kappa_b": 5.0}]), ("cells", [{"n": 8, "kappa_b": 0.5}]),
-    ("kappa_a", 0.5)])
+    ("kappa_a", 0.5), ("pcg_cap", 0)])
 def test_bench_suite_bad_value_exit_three(tmp_path, capsys, key, value):
     # "diag" is the CLI's --precond spelling, not a metric kind; a suite's
     # type and range errors are caught before any run, not tallied as runs

@@ -125,9 +125,8 @@ def test_validate_pair_materializes_a_deflated_a_once(monkeypatch):
         return real(self)
 
     monkeypatch.setattr(DeflatedOperator, "dense", counted)
-    diag = validate_pair(MatrixPair(deflate(pair.a, pair.b, vecs[:, -1]), pair.b),
-                         dense_limit=0)
-    assert diag.route == "gershgorin"
+    diag = validate_pair(MatrixPair(deflate(pair.a, pair.b, vecs[:, -1]), pair.b))
+    assert diag.route == "dense-eigensolver"
     assert calls == [6]
 
 

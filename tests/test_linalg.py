@@ -832,6 +832,8 @@ def test_read_matrix_market_parse_errors(tmp_path):
         "%%MatrixMarket matrix coordinate real symmetric\n2 2 1\n1 1 1.0 7\n",
         "%%MatrixMarket matrix coordinate real symmetric\n2 2 1\n1.5 1 2.0\n",
         "%%MatrixMarket matrix coordinate real symmetric\n2 2 1\n0 1 1.0\n",
+        "%%MatrixMarket matrix coordinate real symmetric\n0 0 0\n",
+        "%%MatrixMarket matrix coordinate real symmetric\n-1 -1 0\n",
     ]
     for body in bodies:
         path = tmp_path / "bad.mtx"

@@ -1,9 +1,13 @@
 """Objective value, gradient, Hessian action, and curvature bounds."""
 
+import math
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 import scipy.linalg
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from gepsolve import (
     Counters,
@@ -20,7 +24,7 @@ from gepsolve import (
     shift_to_psd,
     validate_pair,
 )
-from gepsolve.errors import DegenerateDirection, DimensionMismatch
+from gepsolve.errors import DegenerateDirection, DimensionMismatch, InputError
 from gepsolve.solvers import SolverConfig
 
 
@@ -354,6 +358,51 @@ def test_validate_indefinite_b():
     assert not diag.b_positive_definite
 
 
+def test_validate_squared_laplacian_with_indefinite_b():
+    """A = K^2 for the 8x8 1-D Laplacian K is definite (smallest eigenvalue
+    0.0145) but its rows are far from diagonally dominant; with B indefinite
+    the check reads A's own spectrum."""
+    k = 2.0 * np.eye(8) - np.eye(8, k=1) - np.eye(8, k=-1)
+    b = np.ones(8)
+    b[1] = -1.0
+    diag = validate_pair(MatrixPair(SymmetricMatrix.from_dense(k @ k),
+                                    SymmetricMatrix.from_dense(np.diag(b))))
+    assert not diag.b_positive_definite
+    assert diag.a_positive_semidefinite
+    assert diag.min_generalized_eigenvalue is None
+    assert diag.route == "dense-eigensolver"
+
+
+@settings(max_examples=120, deadline=None)
+@given(n=st.integers(1, 10), seed=st.integers(0, 2**32 - 1),
+       shift=st.one_of(st.just(0.0), st.floats(0.1, 3.0)), b_definite=st.booleans())
+def test_validate_pair_signs_match_spectra(n, seed, shift, b_definite):
+    """A's sign test agrees with its own spectrum whatever B is (Sylvester's
+    law of inertia); with B definite the pencil's bottom eigenvalue is
+    LAPACK's."""
+    rng = np.random.default_rng(seed)
+    m = rng.standard_normal((n, n))
+    a_dense = m @ m.T - shift * np.eye(n)
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    b_vals = rng.uniform(0.1, 1.0, n)
+    if not b_definite:
+        b_vals[rng.integers(n)] *= -1.0
+    b_dense = (q * b_vals) @ q.T
+    a_vals = np.linalg.eigvalsh(a_dense)
+    assume(abs(a_vals[0]) > 1e-6 * np.max(np.abs(a_vals)))
+
+    diag = validate_pair(MatrixPair(SymmetricMatrix.from_dense(a_dense),
+                                    SymmetricMatrix.from_dense(b_dense)))
+    assert diag.b_positive_definite == bool(np.linalg.eigvalsh(b_dense)[0] > 0.0)
+    assert diag.a_positive_semidefinite == bool(a_vals[0] > 0.0)
+    if diag.b_positive_definite:
+        w = scipy.linalg.eigh(a_dense, b_dense, eigvals_only=True)
+        npt.assert_allclose(diag.min_generalized_eigenvalue, w[0], rtol=1e-8,
+                            atol=1e-12 * np.max(np.abs(w)))
+    else:
+        assert diag.min_generalized_eigenvalue is None
+
+
 def test_shift_noop_when_psd():
     pair = rand_pair(7, 51)
     shifted = shift_to_psd(pair, margin=0.0)
@@ -400,3 +449,9 @@ def test_shift_preserves_eigenvectors():
         dot = abs(float(v0[:, i] @ b_dense @ v1[:, i]))
         norm0 = float(v0[:, i] @ b_dense @ v0[:, i])
         assert dot >= (1.0 - 1e-8) * norm0
+
+
+@pytest.mark.parametrize("margin", [math.nan, math.inf])
+def test_shift_rejects_non_finite_margin(margin):
+    with pytest.raises(InputError, match="margin"):
+        shift_to_psd(rand_pair(4, 60), margin=margin)

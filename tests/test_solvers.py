@@ -197,7 +197,7 @@ def test_bad_configs_rejected():
     pair = diag_pair([2.0, 1.0], [1.0, 1.0])
     x0 = np.array([1.0, 1.0])
     with pytest.raises(InputError):
-        run_gd(pair, SolverConfig(method="newton"), x0)
+        solve(pair, SolverConfig(method="newton"), x0)
     with pytest.raises(InputError):
         run_gd(pair, SolverConfig(method="gd", tol=0.0), x0)
     with pytest.raises(InputError):
@@ -210,6 +210,23 @@ def test_bad_configs_rejected():
         run_gd(pair, SolverConfig(method="gd"), np.zeros(2))
     with pytest.raises(DimensionMismatch):
         run_gd(pair, SolverConfig(method="gd"), np.ones(3))
+
+
+def test_runner_ignores_the_method_named_in_config():
+    pair = diag_pair([2.0, 1.0], [1.0, 1.0])
+    trace = run_power(pair, SolverConfig(method="nope"), np.array([1.0, 1.0]))
+    assert trace.method == "power"
+
+
+@pytest.mark.parametrize("method, field, value", [
+    ("split-merge", "rho", math.nan), ("power", "max_iterations", 2.5),
+    ("power", "max_iterations", math.nan), ("lanczos", "lanczos_cycle", 2.5),
+    ("lanczos", "lanczos_cycle", math.nan)])
+def test_non_finite_or_fractional_knobs_rejected_up_front(method, field, value):
+    pair = diag_pair([2.0, 1.0], [1.0, 1.0])
+    config = SolverConfig(method=method, **{field: value})
+    with pytest.raises(InputError, match="rho|cap|cycle"):
+        solve(pair, config, np.array([1.0, 1.0]))
 
 
 def test_invalid_stepsizes_rejected():
