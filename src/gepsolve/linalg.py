@@ -329,6 +329,8 @@ class CholeskyFactor:
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """Solve (L L') x = b."""
+        if self._lu is None:
+            return self._trtrs(self._trtrs(b, 1), 0)
         return self.solve_upper(self.solve_lower(b))
 
 
@@ -381,6 +383,7 @@ def _ic0(low, diag_shift, floor):
     stays BLAS ``ddot``, whose fused multiply-adds a Python sum would not match."""
     n = low.shape[0]
     indptr, indices, data = low.indptr.tolist(), low.indices.tolist(), low.data.tolist()
+    shifts, floor = diag_shift.tolist(), max(floor, 0.0)
     lvals = [0.0] * len(data)
     # row i is data[indptr[i]:indptr[i + 1]], its diagonal entry last
     for i in range(n):
@@ -404,9 +407,9 @@ def _ic0(low, diag_shift, floor):
                 else:
                     pj += 1
             lvals[idx] = (data[idx] - s) / lvals[hij]
-        row = np.array(lvals[lo:hi - 1])
-        d = data[hi - 1] + diag_shift[i] - row.dot(row)
-        if d <= max(floor, 0.0):
+        row = lvals[lo:hi - 1]
+        d = data[hi - 1] + shifts[i] - (ddot(row, row) if row else 0.0)
+        if d <= floor:
             raise NotPositiveDefinite(f"pivot {d:.3e} in row {i}")
         lvals[hi - 1] = math.sqrt(d)
     l = scipy.sparse.csr_array((lvals, indices, indptr), shape=(n, n))

@@ -170,8 +170,8 @@ def solve_spd(solver: LinearSolver, b: SymmetricMatrix, r: np.ndarray,
         raise StaleFactor("solver was built for a different matrix")
     if counters is not None:
         counters.solves += 1
-    if solver.mode == "cholesky":
-        return apply_gram_inverse(solver.metric, r)
+    if solver.mode == "cholesky":  # r's shape is checked above
+        return solver.metric.factor.solve(r)
     return _pcg(solver, b, r, counters)
 
 

@@ -25,8 +25,8 @@ import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-import scipy.linalg
 from scipy.linalg.blas import daxpy, ddot, dscal
+from scipy.linalg.lapack import dstebz, dstein
 
 from .errors import (
     Breakdown,
@@ -34,6 +34,7 @@ from .errors import (
     DimensionMismatch,
     InputError,
     InvalidStepsize,
+    NonFiniteEntries,
     NumericalError,
     ZeroVector,
 )
@@ -356,17 +357,16 @@ class _Lanczos(_Runner):
                 if beta <= 1e-13 * top:
                     broke = True
                     break
-                if m < cycle:
-                    v = w / beta
-                    bv = bw / beta
+                if m < cycle:  # w and bw are fresh arrays
+                    v = np.divide(w, beta, out=w)
+                    bv = np.divide(bw, beta, out=bw)
 
-            evals, vecs = scipy.linalg.eigh_tridiagonal(
-                alphas, betas[: m - 1], select="i", select_range=(m - 1, m - 1))
-            theta = float(evals[0])
-            ritz = basis[:, :m] @ vecs[:, 0]
+            theta, vec = _top_ritz(alphas, betas[: m - 1])
+            ritz = basis[:, :m] @ vec
 
             gram = bimages[:, :m].T @ basis[:, :m]
-            drift.append(float(np.max(np.abs(gram - np.eye(m)))))
+            gram.flat[:: m + 1] -= 1.0  # x - 0.0 == x: the bytes of gram - I
+            drift.append(float(np.max(np.abs(gram))))
 
             ratio = None
             if self.gradient_stop:
@@ -390,8 +390,24 @@ class _Lanczos(_Runner):
                 z = np.random.default_rng((self.seed, builds)).standard_normal(n)
                 for _ in range(2):
                     z -= basis[:, :m] @ (bimages[:, :m].T @ z)
-                ritz_b2 = ddot(ritz, bimages[:, :m] @ vecs[:, 0])  # B ritz from the B-images
+                ritz_b2 = ddot(ritz, bimages[:, :m] @ vec)  # B ritz from the B-images
                 x = ritz + math.sqrt(ritz_b2 / ddot(z, b.matvec(z, counters))) * z
+
+
+def _top_ritz(alphas: list, betas: list) -> tuple[float, np.ndarray]:
+    """Top eigenpair of the tridiagonal (diagonal ``alphas``, off-diagonal
+    ``betas``) by the two LAPACK calls of ``eigh_tridiagonal(select="i")``, with
+    its bytes: ``dstebz`` by index (abstol 0, block order), then ``dstein``."""
+    m = len(alphas)
+    if m == 1:
+        return alphas[0], np.ones(1)
+    d, e = np.array(alphas), np.array(betas)
+    _, w, iblock, isplit, info = dstebz(d, e, 2, 0.0, 1.0, m, m, 0.0, "B")
+    if info == 0:
+        vecs, info = dstein(d, e, w[:1], iblock, isplit)
+    if info != 0:
+        raise NumericalError(f"tridiagonal eigensolve failed (LAPACK dstebz/dstein info {info})")
+    return float(w[0]), vecs[:, 0]
 
 
 RUNNERS = {
@@ -447,12 +463,14 @@ def _run(method: str, pair: MatrixPair, config: SolverConfig, x0) -> SolveTrace:
         raise InputError(f"iteration cap must be an integer of at least 1, got {cap}")
     if not (config.rho >= 1.0):
         raise InputError(f"rho must be at least 1, got {config.rho}")
-    if config.reference is not None and np.shape(config.reference) != (n,):
-        raise DimensionMismatch(
-            f"reference shape {np.shape(config.reference)} vs order {n}")
+    ref = config.reference
+    if ref is not None and np.shape(ref) != (n,):
+        raise DimensionMismatch(f"reference shape {np.shape(ref)} vs order {n}")
     x = np.array(x0, dtype=np.float64)
     if x.shape != (n,):
         raise DimensionMismatch(f"start vector shape {x.shape} vs order {n}")
+    if not (np.isfinite(x).all() and (ref is None or np.isfinite(ref).all())):
+        raise NonFiniteEntries("start vector or reference holds a NaN or infinite entry")
     if float(np.linalg.norm(x)) == 0.0:
         raise ZeroVector("start vector has zero norm")
 
@@ -573,8 +591,10 @@ def split_merge_step(pair: MatrixPair, x: np.ndarray, rho: float, solver: Linear
     doubles rho until positive, up to RHO_DOUBLING_CAP times.
 
     ``ax`` may carry a precomputed A x (the run loop shares it with its
-    bookkeeping).
+    bookkeeping). A ``rho`` below 1 (or NaN) raises InputError.
     """
+    if not (rho >= 1.0):
+        raise InputError(f"rho must be at least 1, got {rho}")
     x = np.asarray(x, dtype=np.float64)
     g = ax if ax is not None else pair.a.matvec(x, counters)
     quad_a = ddot(x, g)

@@ -4,7 +4,10 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import gepsolve.solvers
 from gepsolve import (
     LinearSolver,
     MatrixPair,
@@ -15,7 +18,8 @@ from gepsolve import (
     reference_solution,
     run_lanczos,
 )
-from gepsolve.errors import Breakdown, InputError
+from gepsolve.errors import Breakdown, InputError, NumericalError
+from gepsolve.solvers import _top_ritz
 
 
 def rot_diag(vals, seed):
@@ -222,3 +226,27 @@ def test_pcg_lanczos_restarts_past_a_vanished_continuation(start):
     assert trace.counters.pcg_capped > 0
     assert all(r.sin_theta < 3e-6 for r in trace.records[2:])
     assert trace.final().lam == pytest.approx(ref.lam, rel=1e-7, abs=0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), m=st.integers(1, 30))
+def test_ritz_step_is_eigh_tridiagonal_bitwise(data, m):
+    """The direct dstebz/dstein pair gives eigh_tridiagonal's bytes, for
+    the value and the vector, zero off-diagonals (split blocks) included."""
+    alphas = data.draw(st.lists(st.floats(-1e3, 1e3), min_size=m, max_size=m))
+    betas = data.draw(st.lists(st.floats(0.0, 1e3), min_size=m - 1, max_size=m - 1))
+    theta, vec = _top_ritz(alphas, betas)
+    evals, vecs = scipy.linalg.eigh_tridiagonal(
+        alphas, betas, select="i", select_range=(m - 1, m - 1))
+    assert type(theta) is float
+    assert np.float64(theta).tobytes() == evals.tobytes()
+    assert vec.tobytes() == vecs[:, 0].tobytes()
+
+
+@pytest.mark.parametrize("routine", ["dstebz", "dstein"])
+def test_ritz_step_lapack_failure_raises(monkeypatch, routine):
+    real = getattr(gepsolve.solvers, routine)
+    monkeypatch.setattr(gepsolve.solvers, routine, lambda *args: (*real(*args)[:-1], 3))
+    pair = rand_pair(16, 0)
+    with pytest.raises(NumericalError, match="info 3"):
+        run_lanczos(pair, SolverConfig(method="lanczos"), np.ones(pair.n))

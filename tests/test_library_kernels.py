@@ -6,9 +6,11 @@ Lanczos Ritz step use LAPACK; it is about a thousand times slower at the
 orders the benchmark grid uses. Every module attribute bound to it is made
 to raise, then each of those paths runs. Dense triangular solves call
 LAPACK's `trtrs` directly; the wrapper's Python overhead cost more than the
-substitution itself at the grid's orders. CSR products call scipy's
-compiled `dia_matvec` when the nonzeros lie on few diagonals and
-`csr_matvec` otherwise; both live in a private module, and their contract
+substitution itself at the grid's orders. For the same reason the Lanczos
+Ritz step calls LAPACK's `dstebz` and `dstein` directly, not the
+`eigh_tridiagonal` wrapper around them. CSR products call scipy's compiled
+`dia_matvec` when the nonzeros lie on few diagonals and `csr_matvec`
+otherwise; both live in a private module, and their contract
 with `csr_array @ x` is pinned here. The iteration loops' inner products,
 scalings and unit-coefficient updates call BLAS level 1 (`ddot`, `dscal`,
 `daxpy`) through scipy's wrappers; each form used equals its numpy form bit
@@ -333,6 +335,26 @@ def test_pcg_and_gd_call_level1_blas(monkeypatch):
     solve(pair, SolverConfig(method="gd", max_iterations=1), np.ones(pair.n))
     assert {name for module, name in calls if module == "gepsolve.solvers"} == \
         {"ddot", "dscal", "daxpy"}
+
+
+def test_lanczos_ritz_step_calls_lapack_directly(monkeypatch):
+    """One dstebz and one dstein call per cycle, never eigh_tridiagonal."""
+    calls = []
+    for name in ("dstebz", "dstein"):
+        def spy(*args, _real=getattr(gepsolve.solvers, name), _name=name):
+            calls.append(_name)
+            return _real(*args)
+        monkeypatch.setattr(gepsolve.solvers, name, spy)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("eigh_tridiagonal called from a library path")
+
+    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", forbidden)
+    pair = gen_synthetic(SyntheticSpec(n=64, kappa_b=10.0, seed=0))
+    x0 = np.random.default_rng(0).standard_normal(pair.n)
+    trace = run_lanczos(pair, SolverConfig(method="lanczos", lanczos_cycle=5), x0)
+    assert trace.converged and len(trace.records) >= 2
+    assert calls == ["dstebz", "dstein"] * len(trace.records)
 
 
 def test_dense_matrix_market_files_are_wrapped_once(tmp_path, monkeypatch):

@@ -29,6 +29,7 @@ from gepsolve.errors import (
     DimensionMismatch,
     InputError,
     InvalidStepsize,
+    NonFiniteEntries,
     ZeroVector,
 )
 from gepsolve.solvers import METHODS, TRACE_HEADER
@@ -227,6 +228,25 @@ def test_non_finite_or_fractional_knobs_rejected_up_front(method, field, value):
     config = SolverConfig(method=method, **{field: value})
     with pytest.raises(InputError, match="rho|cap|cycle"):
         solve(pair, config, np.array([1.0, 1.0]))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("method", METHODS)
+def test_non_finite_start_rejected_up_front(method, bad):
+    # unchecked, gd, pmd and power spend their cap on lambda = nan,
+    # split-merge doubles rho 30 times and lanczos meets a NaN Ritz value
+    pair = diag_pair([2.0, 1.0, 0.5], [1.0, 1.0, 1.0])
+    x0 = np.array([1.0, bad, 1.0])
+    with pytest.raises(NonFiniteEntries, match="start vector"):
+        solve(pair, SolverConfig(method=method, max_iterations=50), x0)
+
+
+def test_non_finite_reference_rejected_up_front():
+    pair = diag_pair([2.0, 1.0, 0.5], [1.0, 1.0, 1.0])
+    config = SolverConfig(method="power", max_iterations=50,
+                          reference=np.array([1.0, math.nan, 0.0]))
+    with pytest.raises(NonFiniteEntries, match="reference"):
+        run_power(pair, config, np.ones(3))
 
 
 def test_invalid_stepsizes_rejected():

@@ -28,7 +28,7 @@ from gepsolve import (
     solve,
     split_merge_step,
 )
-from gepsolve.errors import DegenerateDirection, NumericalError
+from gepsolve.errors import DegenerateDirection, InputError, NumericalError
 
 
 def rand_spd(n, seed, cond=10.0):
@@ -269,6 +269,16 @@ def test_step_tiny_scale_exhausts_doublings():
     x = 1e-20 * np.linspace(1.0, 2.0, 6)
     with pytest.raises(NumericalError):
         split_merge_step(pair, x, 1.0, LinearSolver.exact(pair.b))
+
+
+@pytest.mark.parametrize("rho", [math.nan, 0.5])
+def test_step_rejects_rho_below_one_before_any_product(rho):
+    # unchecked, a NaN rho surfaces only after 30 doublings, as NumericalError
+    pair = gen_synthetic(SyntheticSpec(n=8, kappa_b=5.0, seed=0))
+    counters = Counters()
+    with pytest.raises(InputError, match="rho must be at least 1"):
+        split_merge_step(pair, np.ones(pair.n), rho, LinearSolver.exact(pair.b), counters)
+    assert (counters.matvecs, counters.solves) == (0, 0)
 
 
 def test_step_degenerate_direction_raises():
