@@ -64,33 +64,13 @@ class Counters:
     pcg_residual: float = 0.0
 
 
-def _round_significant(values: np.ndarray, digits: int = 12) -> np.ndarray:
-    """Round to a fixed number of significant digits, mapping -0.0 to 0.0."""
-    v = np.asarray(values, dtype=np.float64)
-    out = np.zeros_like(v)
-    nz = v != 0.0
-    mag = np.floor(np.log10(np.abs(v[nz])))
-    scale = np.power(10.0, digits - 1 - mag)
-    out[nz] = np.round(v[nz] * scale) / scale
-    out[out == 0.0] = 0.0
-    return out
-
-
 def _entry_fingerprint(n: int, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray) -> int:
-    """64-bit digest of (n, sorted nonzero lower-triangle entry set).
-
-    Values are rounded to 12 significant digits first so that two routes to
-    the same matrix (within roundoff) fingerprint identically, and dense and
-    CSR storage of the same entries agree.
-    """
-    keep = vals != 0.0
-    rows, cols, vals = rows[keep], cols[keep], vals[keep]
-    order = np.lexsort((cols, rows))
-    h = hashlib.blake2b(digest_size=8)
-    h.update(int(n).to_bytes(8, "little"))
-    h.update(np.ascontiguousarray(rows[order], dtype=np.int64).tobytes())
-    h.update(np.ascontiguousarray(cols[order], dtype=np.int64).tobytes())
-    h.update(np.ascontiguousarray(_round_significant(vals[order])).tobytes())
+    """64-bit digest of n and the exact (rows, cols, values) that ``lower_entries``
+    lists: equal for bit-equal stored entries in either storage kind, and
+    (but for a 2^-64 collision) different whenever one stored entry differs."""
+    h = hashlib.blake2b(int(n).to_bytes(8, "little"), digest_size=8)
+    for part, dtype in ((rows, np.int64), (cols, np.int64), (vals, np.float64)):
+        h.update(np.asarray(part, dtype=dtype).tobytes())
     return int.from_bytes(h.digest(), "little")
 
 
@@ -203,14 +183,11 @@ class SymmetricMatrix:
         return y
 
     def lower_entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Nonzero lower-triangle entries as (rows, cols, values)."""
-        if self.kind == "dense":
-            tri = np.tril(self._m)
-            r, c = np.nonzero(tri)
-            return r, c, tri[r, c]
+        """Nonzero lower-triangle entries as (rows, cols, values), in row-major
+        order for either storage kind: a dense operand's COO form keeps its
+        nonzeros (-0.0 is not one), and CSR storage holds no explicit zeros."""
         coo = scipy.sparse.tril(self._m, format="coo")
-        keep = coo.data != 0.0
-        return coo.row[keep].astype(np.int64), coo.col[keep].astype(np.int64), coo.data[keep]
+        return coo.row.astype(np.int64), coo.col.astype(np.int64), coo.data
 
     def fingerprint(self) -> int:
         if self._fp is None:
@@ -597,7 +574,8 @@ def read_matrix_market(path) -> SymmetricMatrix:
 def _scattered(n, rows, cols, vals, symmetric) -> SymmetricMatrix:
     """Entries summed into dense storage by one bincount, to the bytes of the
     CSR route's ``toarray()`` (a sum starts at +0.0, as CSR drops zeros): a
-    symmetric file's lower triangle mirrored, a general file by ``from_dense``."""
+    symmetric file's (or a packed file's) lower triangle mirrored, a general
+    file by ``from_dense``."""
     idx = rows * n + cols
     if np.bincount(idx).max(initial=0) > 2:  # sum_duplicates adds a0 + (a1 + a2)
         coo = scipy.sparse.coo_array((vals, (rows, cols)), shape=(n, n))
@@ -624,7 +602,9 @@ def write_matrix_market(m: SymmetricMatrix, path) -> None:
 
 def read_dense_text(path) -> SymmetricMatrix:
     """Read the packed dense format: order n, then n(n+1)/2 lower-triangle
-    values in row-major order, whitespace separated."""
+    values in row-major order, whitespace separated. The values are checked
+    finite and mirrored once, by ``_scattered``'s symmetric branch, into
+    dense storage."""
     with open(path, "r", encoding="ascii") as fh:
         tokens = fh.read().split()
     if not tokens:
@@ -643,10 +623,9 @@ def read_dense_text(path) -> SymmetricMatrix:
         flat = np.array([float(t) for t in values], dtype=np.float64)
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
-    a = np.zeros((n, n))
-    a[np.tril_indices(n)] = flat
-    a = a + np.tril(a, -1).T
-    return SymmetricMatrix.from_dense(a)
+    _check_finite(flat)
+    rows, cols = np.tril_indices(n)
+    return _scattered(n, rows, cols, flat, True)
 
 
 def write_dense_text(m: SymmetricMatrix, path) -> None:

@@ -126,22 +126,24 @@ def transformed_dominant_eigenvalue(b: SymmetricMatrix, p: Preconditioner) -> fl
 class LinearSolver:
     """Solver handle for systems B x = r with B symmetric positive definite.
 
-    mode 'cholesky' solves exactly in the Cholesky metric; mode 'pcg' runs
-    preconditioned conjugate gradients capped at ``cap`` inner iterations
-    with ``metric`` as the inner preconditioner. Both modes keep the B they
-    were built for and refuse a matrix whose entries differ from it later.
+    A cholesky ``metric`` solves exactly (mode 'cholesky'); any other kind is
+    the inner preconditioner of conjugate gradients capped at ``cap`` inner
+    iterations (mode 'pcg'). Both modes keep the B they were built for and
+    refuse a matrix whose stored entries differ from it later.
     """
 
-    mode: str
     matrix: SymmetricMatrix
     metric: Preconditioner
     cap: int = 30
     tol: float = 1e-10
 
+    @property
+    def mode(self) -> str:
+        return "cholesky" if self.metric.kind == "cholesky" else "pcg"
+
     @classmethod
     def exact(cls, b: SymmetricMatrix) -> "LinearSolver":
-        return cls("cholesky", b,
-                   Preconditioner("cholesky", b.n, factor=b.cholesky()))
+        return cls(b, Preconditioner("cholesky", b.n, factor=b.cholesky()))
 
     @classmethod
     def pcg(cls, b: SymmetricMatrix, cap: int = 30, tol: float = 1e-10,
@@ -150,8 +152,7 @@ class LinearSolver:
             raise ValueError(f"unknown inner preconditioner {inner!r}")
         if cap < 1:
             raise InputError(f"PCG cap must be at least 1, got {cap}")
-        return cls("pcg", b, build_preconditioner(b, INNER_KINDS[inner]),
-                   cap=cap, tol=tol)
+        return cls(b, build_preconditioner(b, INNER_KINDS[inner]), cap=cap, tol=tol)
 
 
 def solve_spd(solver: LinearSolver, b: SymmetricMatrix, r: np.ndarray,
@@ -160,7 +161,7 @@ def solve_spd(solver: LinearSolver, b: SymmetricMatrix, r: np.ndarray,
 
     Counts one solve per call; PCG mode adds its inner B-matvecs (matvecs),
     inner steps (pcg_inner) and, if the cap stops it, pcg_capped/pcg_residual.
-    A ``b`` other than the handle's own matrix must match it by fingerprint.
+    A ``b`` other than the handle's own matrix must match its stored entries bit for bit.
     """
     r = np.asarray(r, dtype=np.float64)
     n = solver.metric.n
@@ -170,7 +171,7 @@ def solve_spd(solver: LinearSolver, b: SymmetricMatrix, r: np.ndarray,
         raise StaleFactor("solver was built for a different matrix")
     if counters is not None:
         counters.solves += 1
-    if solver.mode == "cholesky":  # r's shape is checked above
+    if solver.metric.kind == "cholesky":  # exact; r's shape is checked above
         return solver.metric.factor.solve(r)
     return _pcg(solver, b, r, counters)
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 import time
 from dataclasses import dataclass, field, replace
 
@@ -186,7 +187,13 @@ class _Runner:
         self.diagnostics: dict = {}
 
     def start(self, x: np.ndarray) -> np.ndarray:
-        return x
+        """The start the method runs from: x itself, or, where x'x underflows
+        or overflows, x times the exact power of two that puts its largest
+        entry in [0.5, 1). Power, split-merge and lanczos use only the
+        direction of x, so they then give that multiple's bytes."""
+        if sys.float_info.min <= ddot(x, x) < math.inf:
+            return x
+        return np.ldexp(x, -np.frexp(np.max(np.abs(x)))[1])
 
     def iterate(self, x: np.ndarray, rec: _Recorder, cap: int) -> tuple[str, np.ndarray]:
         """The driver loop; returns (status, final iterate)."""
@@ -230,6 +237,9 @@ class _FirstOrder(_Runner):
         self.alpha = alpha
         self.diagnostics["stepsize"] = alpha
 
+    def start(self, x):
+        return x  # f depends on the scale of x
+
     def measure(self, x, counters):
         ax = self.pair.a.matvec(x, counters)
         bx = self.pair.b.matvec(x, counters)
@@ -258,6 +268,7 @@ class _Ray(_Runner):
         self.diagnostics.update(setup_matvecs=1, solver_mode=self.solver.mode)
 
     def start(self, x):
+        x = super().start(x)
         x /= math.sqrt(ddot(x, x))
         self.bq = ddot(x, self.pair.b.matvec(x))  # setup matvec, uncounted
         return x
@@ -471,8 +482,8 @@ def _run(method: str, pair: MatrixPair, config: SolverConfig, x0) -> SolveTrace:
         raise DimensionMismatch(f"start vector shape {x.shape} vs order {n}")
     if not (np.isfinite(x).all() and (ref is None or np.isfinite(ref).all())):
         raise NonFiniteEntries("start vector or reference holds a NaN or infinite entry")
-    if float(np.linalg.norm(x)) == 0.0:
-        raise ZeroVector("start vector has zero norm")
+    if not x.any():
+        raise ZeroVector("start vector is zero")
 
     if config.method != method:
         config = replace(config, method=method)

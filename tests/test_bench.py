@@ -150,6 +150,20 @@ def test_all_failures_yield_nan_statistics():
     assert len(m.failures) == 5
 
 
+def test_numerical_error_is_tallied_and_the_suite_goes_on():
+    # at n = 2 a Lanczos basis spans the space before tol 1e-300 is met
+    cfg = SuiteConfig(cells=[SuiteCell(2, 10.0)], methods=["lanczos", "power"],
+                      trials=2, tol=1e-300, max_iterations=50)
+    lanczos, power = run_suite(cfg).cells[0].methods
+    assert (lanczos.method, lanczos.trials, lanczos.successes) == ("lanczos", 2, 0)
+    assert lanczos.failures == [{"trial": 0, "status": "error:Breakdown"},
+                                {"trial": 1, "status": "error:Breakdown"}]
+    assert np.isnan(lanczos.iterations_median)
+    assert (power.method, power.trials, power.successes) == ("power", 2, 0)
+    assert power.failures == [{"trial": 0, "status": "max-iterations"},
+                              {"trial": 1, "status": "max-iterations"}]
+
+
 NAN = float("nan")
 MAX_IT = "max-iterations"
 PINNED = ("trials", "successes", "success_rate", "iterations_median", "iterations_mean",

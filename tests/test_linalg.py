@@ -184,12 +184,47 @@ def test_fingerprint_storage_independent():
     assert a.fingerprint() == b.fingerprint()
 
 
-def test_fingerprint_ignores_last_digit_noise():
+def test_fingerprint_sees_a_last_digit_change():
+    """A fingerprint digests exact entries: a one-ulp change in one stored
+    entry makes a different fingerprint in either storage kind, and a solver
+    built for the old matrix refuses the new one."""
     base = rand_spd(10, 4)
-    noisy = base * (1.0 + 1e-15)
-    a = SymmetricMatrix.from_dense(base)
-    b = SymmetricMatrix.from_dense(noisy)
-    assert a.fingerprint() == b.fingerprint()
+    changed = base.copy()
+    changed[2, 3] = changed[3, 2] = np.nextafter(base[2, 3], np.inf)
+    for build in (SymmetricMatrix.from_dense,
+                  lambda d: SymmetricMatrix.from_sparse(scipy.sparse.csr_array(d))):
+        a, b = build(base), build(changed)
+        assert a.fingerprint() != b.fingerprint()
+        assert build(base.copy()).fingerprint() == a.fingerprint()
+        for solver in (LinearSolver.exact(a), LinearSolver.pcg(a)):
+            solve_spd(solver, build(base.copy()), np.ones(10))
+            with pytest.raises(StaleFactor):
+                solve_spd(solver, b, np.ones(10))
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(1, 12), density=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1),
+       how=st.sampled_from(["ulp", "negate", "zero"]))
+def test_fingerprint_follows_the_stored_entries(n, density, seed, how):
+    """Dense and CSR storage of bit-equal entries share a fingerprint; a
+    change to any one stored entry gives another one."""
+    rng = np.random.default_rng(seed)
+    low = np.tril(rng.standard_normal((n, n)) * (rng.random((n, n)) < density))
+    full = low + np.tril(low, -1).T
+    i = int(rng.integers(n))
+    j = int(rng.integers(i + 1))
+    changed = full.copy()
+    old = full[i, j]
+    new = (1.0 if old == 0.0 else np.nextafter(old, np.inf) if how == "ulp"
+           else -old if how == "negate" else 0.0)
+    changed[i, j] = changed[j, i] = new
+    prints = []
+    for m in (full, changed):
+        d = SymmetricMatrix.from_dense(m)
+        s = SymmetricMatrix.from_sparse(scipy.sparse.csr_array(m))
+        assert d.fingerprint() == s.fingerprint()
+        prints.append(d.fingerprint())
+    assert prints[0] != prints[1]
 
 
 def test_fingerprint_sees_real_changes():
@@ -414,6 +449,21 @@ def test_pcg_cap_limits_inner_iterations():
     counters = Counters()
     solve_spd(pcg, mat, np.ones(40), counters)
     assert counters.pcg_inner == 3
+
+
+def test_solver_mode_follows_its_metric():
+    """The mode is derived: 'cholesky' exactly for the Cholesky metric, which
+    only ``exact`` builds; every PCG inner kind gives 'pcg'."""
+    mat = SymmetricMatrix.from_dense(rand_spd(8, 2))
+    assert LinearSolver.exact(mat).mode == "cholesky"
+    for inner in ("jacobi", "ichol", None):
+        assert LinearSolver.pcg(mat, inner=inner).mode == "pcg"
+    pair = MatrixPair(SymmetricMatrix.from_dense(rand_spd(8, 3)), mat)
+    x0 = np.ones(8)
+    for method in ("power", "split-merge", "lanczos"):
+        for solver, mode in ((None, "cholesky"), (LinearSolver.pcg(mat), "pcg")):
+            config = SolverConfig(method=method, max_iterations=3, linear_solver=solver)
+            assert solve(pair, config, x0).diagnostics["solver_mode"] == mode
 
 
 @pytest.mark.parametrize("cap", [0, -3])
@@ -1103,3 +1153,26 @@ def test_read_dense_text_rejects_non_finite(tmp_path):
     path.write_text("2\n1.0\nnan 3.0\n")
     with pytest.raises(NonFiniteEntries):
         read_dense_text(path)
+
+
+@pytest.mark.parametrize("values", [
+    [2.0, -0.0, 3.0],
+    [1.7e308, -1.7e308, 1.7e308, 5e-324, -0.0, 1.0],
+    [-5e-324, 0.0, 2.2250738585072014e-308, -0.0, 1e-310, 4.0],
+    list(np.random.default_rng(7).standard_normal(45)),
+])
+def test_dense_text_reads_the_mirrored_values(tmp_path, values):
+    """The packed reader stores the mirrored lower triangle bit for bit:
+    dense, on a 64-byte boundary, with -0.0 read as the +0.0 a CSR route
+    would leave, and huge and subnormal values kept exactly."""
+    n = int(round((math.sqrt(8 * len(values) + 1) - 1) / 2))
+    path = tmp_path / "m.txt"
+    path.write_text(f"{n}\n" + " ".join(repr(float(v)) for v in values) + "\n")
+    want = np.zeros((n, n))
+    want[np.tril_indices(n)] = values
+    want = want + np.tril(want, -1).T
+    got = read_dense_text(path)
+    assert got.kind == "dense" and got._m.ctypes.data % 64 == 0
+    assert got.dense().tobytes() == want.tobytes()
+    assert got.fingerprint() == SymmetricMatrix.from_dense(want).fingerprint()
+    assert not np.signbit(got.dense()[want == 0.0]).any()

@@ -6,6 +6,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 import scipy.linalg
+import scipy.sparse
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -449,6 +450,15 @@ def test_shift_preserves_eigenvectors():
         dot = abs(float(v0[:, i] @ b_dense @ v1[:, i]))
         norm0 = float(v0[:, i] @ b_dense @ v0[:, i])
         assert dot >= (1.0 - 1e-8) * norm0
+
+
+def test_shift_keeps_a_csr_pair_sparse():
+    a = SymmetricMatrix.from_sparse(scipy.sparse.diags_array([1.0, -2.0, 0.5, 0.3]).tocsr())
+    b = SymmetricMatrix.from_sparse(scipy.sparse.eye_array(4, format="csr"))
+    shifted = shift_to_psd(MatrixPair(a, b), margin=0.1)
+    assert shifted.a.kind == "csr" and shifted.b is b
+    npt.assert_allclose(shifted.a.diagonal(), [3.1, 0.1, 2.6, 2.4], rtol=0, atol=1e-12)
+    npt.assert_array_equal(shifted.a.dense(), np.diag(shifted.a.diagonal()))
 
 
 @pytest.mark.parametrize("margin", [math.nan, math.inf])

@@ -249,6 +249,39 @@ def test_non_finite_reference_rejected_up_front():
         run_power(pair, config, np.ones(3))
 
 
+def _outcome(trace):
+    """What a run returns, but its wall clock, in exact form."""
+    c = trace.counters
+    records = [(r.k, r.f.hex(), r.lam.hex(), r.sin_theta.hex(), r.matvecs, r.solves)
+               for r in trace.records]
+    return (trace.status, records, [v.hex() for v in trace.criterion_values],
+            (c.matvecs, c.solves, c.pcg_inner, c.pcg_capped, c.pcg_residual.hex()),
+            trace.x.tobytes(), repr(trace.diagnostics))
+
+
+@pytest.mark.parametrize("scale", [2.0**-600, 2.0**600], ids=["tiny", "huge"])
+@pytest.mark.parametrize("with_reference", [False, True])
+@pytest.mark.parametrize("method", ["power", "split-merge", "lanczos"])
+def test_direction_methods_ignore_the_start_scale(method, with_reference, scale):
+    # x'x of the scaled start underflows or overflows; the run brings it back
+    # by a power of two, which is exact, so it matches the ordinary start's
+    pair = gen_synthetic(SyntheticSpec(n=16, kappa_b=10.0))
+    x0 = np.random.default_rng(5).standard_normal(16)
+    reference = reference_solution(pair).u if with_reference else None
+    config = SolverConfig(method=method, tol=1e-10, max_iterations=500, reference=reference)
+    assert _outcome(solve(pair, config, scale * x0)) == _outcome(solve(pair, config, x0))
+
+
+@pytest.mark.parametrize("method", ["gd", "pmd"])
+def test_first_order_methods_keep_the_start_scale(method):
+    # f depends on the scale: x'Ax of this start underflows, a degenerate start
+    pair = gen_synthetic(SyntheticSpec(n=16, kappa_b=10.0))
+    x0 = 2.0**-600 * np.ones(16)
+    trace = solve(pair, SolverConfig(method=method, max_iterations=50), x0)
+    assert trace.status == "degenerate" and trace.iterations == 0
+    assert trace.x.tobytes() == x0.tobytes()
+
+
 def test_invalid_stepsizes_rejected():
     pair = diag_pair([4.0, 1.0], [1.0, 1.0])
     x0 = np.array([1.0, 1.0])
