@@ -244,7 +244,7 @@ class _FirstOrder(_Runner):
         ax = self.pair.a.matvec(x, counters)
         bx = self.pair.b.matvec(x, counters)
         xax, xbx, xx = ddot(x, ax), ddot(x, bx), ddot(x, x)
-        if xax <= DEGENERATE_RTOL * xx:
+        if not xax > DEGENERATE_RTOL * xx:  # a NaN x'Ax (overflowed start) ends the run too
             raise _Degenerate(xbx)
         root = math.sqrt(xax)
         lam = 2.0 * root

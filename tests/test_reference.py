@@ -1,13 +1,18 @@
-"""Certified reference eigenpair: dense route, iterative route, examples."""
+"""Certified reference eigenpair: dense-lapack route, arpack route, examples."""
+
+import math
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 import scipy.linalg
+import scipy.sparse
+import scipy.sparse.linalg
 
+import gepsolve.reference
 from gepsolve import (MatrixPair, SymmetricMatrix, SyntheticSpec, gen_synthetic,
                       reference_solution, validate_pair)
-from gepsolve.errors import NotPositiveDefinite
+from gepsolve.errors import NotPositiveDefinite, NumericalError
 
 
 def rot_diag(vals, seed):
@@ -22,6 +27,19 @@ def rand_pair(n, seed, cond_a=50.0, cond_b=10.0):
     a = SymmetricMatrix.from_dense(rot_diag(np.linspace(1.0 / cond_a, 1.0, n), seed))
     b = SymmetricMatrix.from_dense(rot_diag(np.linspace(1.0 / cond_b, 1.0, n), seed + 1))
     return MatrixPair(a, b)
+
+
+def csr_copy(pair):
+    """The same pair with both operands in CSR storage."""
+    return MatrixPair(SymmetricMatrix.from_sparse(scipy.sparse.csr_array(pair.a.dense())),
+                      SymmetricMatrix.from_sparse(scipy.sparse.csr_array(pair.b.dense())))
+
+
+class MatvecOnly:
+    """An A operand exposing only ``n`` and ``matvec``, as MatrixPair allows."""
+
+    def __init__(self, a):
+        self.n, self.matvec = a.n, a.matvec
 
 
 def test_diagonal_example():
@@ -61,24 +79,54 @@ def test_result_is_b_normalized():
     assert abs(gram - 1.0) <= 1e-12
 
 
-def test_iterative_route_agrees_with_dense():
+def test_arpack_route_agrees_with_dense():
     pair = rand_pair(32, 35, cond_a=20.0, cond_b=6.0)
-    dense = reference_solution(pair)
-    iterative = reference_solution(pair, dense_limit=16)
-    assert dense.route == "dense-lapack"
-    assert iterative.route == "iterative"
-    assert iterative.residual <= 1e-8 * iterative.lam
-    assert abs(iterative.lam - dense.lam) <= 1e-8 * dense.lam
-    cos = abs(float(iterative.u @ pair.b.dense() @ dense.u))
-    assert np.sqrt(max(0.0, 1.0 - cos * cos)) <= 1e-7
+    dense, sparse = reference_solution(pair), reference_solution(csr_copy(pair))
+    assert (dense.route, sparse.route) == ("dense-lapack", "arpack")
+    assert sparse.residual <= 1e-8 * sparse.lam
+    assert abs(sparse.lam - dense.lam) <= 1e-12 * dense.lam
+    # sin theta in the B inner product, from the B-normal part: 1 - cos^2
+    # cancels to about 1e-8 where the angle is smaller
+    b = pair.b.dense()
+    normal = sparse.u - float(dense.u @ b @ sparse.u) * dense.u
+    assert math.sqrt(float(normal @ b @ normal)) <= 1e-10
+
+
+def test_matvec_only_a_gets_a_certified_arpack_reference():
+    pair = rand_pair(24, 37)
+    ref = reference_solution(MatrixPair(MatvecOnly(pair.a), pair.b))
+    assert ref.route == "arpack"
+    assert ref.residual <= 1e-8 * ref.lam
+    assert ref.lam == pytest.approx(reference_solution(pair).lam, rel=1e-12, abs=0)
+
+
+def test_arpack_failure_raises_numerical_error(monkeypatch):
+    def no_convergence(*args, **kwargs):
+        raise scipy.sparse.linalg.ArpackNoConvergence("no convergence", [], [])
+
+    monkeypatch.setattr(gepsolve.reference, "eigsh", no_convergence)
+    with pytest.raises(NumericalError, match="ARPACK"):
+        reference_solution(csr_copy(rand_pair(8, 39)))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_small_csr_pairs_get_certified_references(n):
+    # eigsh itself needs k < n, so order 1 has its own exit
+    pair = csr_copy(rand_pair(n, 40 + n))
+    ref = reference_solution(pair)
+    assert ref.route == "arpack"
+    assert ref.residual <= 1e-8 * ref.lam
+    top = scipy.linalg.eigh(pair.a.dense(), pair.b.dense(), eigvals_only=True)[-1]
+    assert ref.lam == pytest.approx(top, rel=1e-12, abs=0)
+    assert float(ref.u @ pair.b.matvec(ref.u)) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_deterministic():
-    pair = rand_pair(10, 36)
-    first = reference_solution(pair)
-    second = reference_solution(pair)
-    assert first.lam == second.lam
-    npt.assert_array_equal(first.u, second.u)
+    for pair in (rand_pair(10, 36), csr_copy(rand_pair(10, 36))):
+        first = reference_solution(pair)
+        second = reference_solution(pair)
+        assert first.lam == second.lam
+        npt.assert_array_equal(first.u, second.u)
 
 
 # The four cells of the ci benchmark grid as `run_suite` builds them at suite
@@ -103,8 +151,9 @@ def test_grid_ci_reference_eigenvalues_are_pinned(n, kappa_b, seed, lam):
 def test_indefinite_b_raises_not_positive_definite():
     pair = MatrixPair(SymmetricMatrix.from_dense(np.eye(3)),
                       SymmetricMatrix.from_dense(np.diag([1.0, -1.0, 2.0])))
-    with pytest.raises(NotPositiveDefinite):
-        reference_solution(pair)
+    for storage in (pair, csr_copy(pair)):
+        with pytest.raises(NotPositiveDefinite):
+            reference_solution(storage)
 
 
 def test_numerically_singular_b_raises_not_positive_definite():

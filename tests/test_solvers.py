@@ -282,6 +282,16 @@ def test_first_order_methods_keep_the_start_scale(method):
     assert trace.x.tobytes() == x0.tobytes()
 
 
+@pytest.mark.parametrize("method", ["gd", "pmd"])
+def test_first_order_methods_end_an_overflowed_start_at_once(method):
+    # x'x overflows and x'Ax's mixed-sign products give inf - inf = NaN: the
+    # run ends diverged at k = 0 instead of spending its cap on NaN
+    pair = gen_synthetic(SyntheticSpec(n=16, kappa_b=10.0))
+    x0 = 2.0**600 * np.random.default_rng(3).standard_normal(16)
+    trace = solve(pair, SolverConfig(method=method, max_iterations=200), x0)
+    assert trace.status == "diverged" and trace.iterations == 0
+
+
 def test_invalid_stepsizes_rejected():
     pair = diag_pair([4.0, 1.0], [1.0, 1.0])
     x0 = np.array([1.0, 1.0])

@@ -3,9 +3,11 @@
     python3 tools/seeded_digest.py
 
 Run from anywhere in a source checkout; the package is imported from that
-checkout's ``src`` directory, with one BLAS thread. Run it on two trees and
-compare the printed lines: equal digests mean every outcome below has the
-same bytes.
+checkout's ``src`` directory, with one BLAS thread. It prints one ``name
+sha256`` line per outcome and then the total over all of them as the last
+line. Run it on two trees and compare: equal last lines mean every outcome
+below has the same bytes, and a diff of the listings names the outcomes
+that moved.
 
 Outcomes covered:
   - all five methods, with and without a reference, on ``gen_synthetic``
@@ -142,7 +144,9 @@ def main() -> int:
     total = hashlib.sha256()
     with tempfile.TemporaryDirectory() as tmp:
         for name, text in outcomes(Path(tmp)):
-            total.update(f"{name}\n{text}\n".encode())
+            entry = f"{name}\n{text}\n".encode()
+            total.update(entry)
+            print(name, hashlib.sha256(entry).hexdigest())
     print(total.hexdigest())
     return 0
 
