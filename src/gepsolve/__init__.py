@@ -51,7 +51,6 @@ from .precond import (
     Preconditioner,
     apply_gram_inverse,
     build_preconditioner,
-    frobenius_gap,
     solve_spd,
     transformed_dominant_eigenvalue,
 )

@@ -110,12 +110,8 @@ def _load_pair(args) -> MatrixPair:
 
 
 def _build_config(args, pair, reference) -> SolverConfig:
-    if args.linsolve == "pcg":
-        solver = LinearSolver.pcg(pair.b, cap=args.pcg_cap)
-    else:
-        # also the only check that B is positive definite for gd and for pmd
-        # with a non-Cholesky metric, whose runs never factor B
-        solver = LinearSolver.exact(pair.b)
+    pair.b.cholesky()  # B must be definite for every method, also where no run factors it
+    solver = LinearSolver.pcg(pair.b, cap=args.pcg_cap) if args.linsolve == "pcg" else None
     precond = (build_preconditioner(pair.b, PRECOND_KINDS[args.precond])
                if args.method == "pmd" else None)
     return SolverConfig(

@@ -40,7 +40,7 @@ class ParseError(InputError):
 
 
 class NotPositiveDefinite(NumericalError):
-    """A Cholesky pivot is nonpositive or below the relative threshold."""
+    """A Cholesky pivot is nonpositive, below the relative threshold, or off the diagonal."""
 
 
 class StaleFactor(InputError):

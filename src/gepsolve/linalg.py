@@ -196,7 +196,7 @@ class SymmetricMatrix:
         return self._fp
 
     def cholesky(self) -> "CholeskyFactor":
-        """B = L L' by cholesky_factorize, run once; a NotPositiveDefinite is kept and re-raised."""
+        """Pi' B Pi = L^ L^' (cholesky_factorize), run once; a NotPositiveDefinite is re-raised."""
         if self._chol is None:
             try:
                 self._chol = cholesky_factorize(self)
@@ -256,20 +256,23 @@ def add_scaled(a: SymmetricMatrix, b: SymmetricMatrix, eta: float) -> SymmetricM
 
 
 class CholeskyFactor:
-    """Lower-triangular factor L with B = L L', held as one array ``l``.
+    """Lower-triangular factor L^ with Pi' B Pi = L^ L^' (B[perm][:, perm]), held as
+    one array ``l``; ``perm`` is ``slice(None)`` but for a CSR B, and the methods
+    act with L = Pi L^, so B = L L'.
 
-    A dense L (ndarray) solves each triangle with one positional LAPACK
-    ``dtrtrs`` call on L', kept F-ordered on a 64-byte boundary (a pair took
+    A dense L^ (ndarray) solves each triangle with one positional LAPACK
+    ``dtrtrs`` call on L^', kept F-ordered on a 64-byte boundary (a pair took
     12.4 µs at n = 256 against 14.1-15.6 at +16 to +48 bytes): the call
-    ``solve_triangular`` makes minus its wrapper. A sparse L (CSR, diagonal
+    ``solve_triangular`` makes minus its wrapper. A sparse L^ (CSR, diagonal
     stored in place) solves through a SuperLU handle built once in natural
-    order with diagonal pivoting: L is already triangular with positive
-    pivots, so the handle's L U is L itself and both substitutions run
+    order with diagonal pivoting: L^ is already triangular with positive
+    pivots, so the handle's L U is L^ itself and both substitutions run
     compiled, the backward one transposed.
     """
 
-    def __init__(self, n, l):
+    def __init__(self, n, l, perm=slice(None)):
         self.n = n
+        self._perm = perm
         self._lt = _aligned(l.T, "F") if isinstance(l, np.ndarray) else None
         self._l = l if self._lt is None else self._lt.T
         self._lu = None if self._lt is not None else scipy.sparse.linalg.splu(
@@ -280,11 +283,15 @@ class CholeskyFactor:
         return "dense" if self._lu is None else "sparse"
 
     def lower(self) -> np.ndarray:
-        return self._l.copy() if self._lu is None else self._l.toarray()
+        if self._lu is None:
+            return self._l.copy()
+        l = np.empty((self.n, self.n))
+        l[self._perm] = self._l.toarray()
+        return l
 
     def apply_upper(self, x: np.ndarray) -> np.ndarray:
         """L' x."""
-        return self._l.T @ x
+        return self._l.T @ np.asarray(x, dtype=np.float64)[self._perm]
 
     def _trtrs(self, b: np.ndarray, trans: int) -> np.ndarray:
         x, info = dtrtrs(self._lt, b, 0, trans)
@@ -296,13 +303,15 @@ class CholeskyFactor:
         """Solve L y = b."""
         if self._lu is None:
             return self._trtrs(b, 1)
-        return self._lu.solve(np.asarray(b, dtype=np.float64))
+        return self._lu.solve(np.asarray(b, dtype=np.float64)[self._perm])
 
     def solve_upper(self, b: np.ndarray) -> np.ndarray:
         """Solve L' x = b."""
         if self._lu is None:
             return self._trtrs(b, 0)
-        return self._lu.solve(np.asarray(b, dtype=np.float64), trans="T")
+        x = np.empty(self.n)
+        x[self._perm] = self._lu.solve(np.asarray(b, dtype=np.float64), trans="T")
+        return x
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """Solve (L L') x = b."""
@@ -312,23 +321,32 @@ class CholeskyFactor:
 
 
 def cholesky_factorize(b: SymmetricMatrix) -> CholeskyFactor:
-    """Dense Cholesky factorization B = L L', run once per matrix by ``b.cholesky()``.
+    """Cholesky factorization Pi' B Pi = L^ L^', run once per matrix by ``b.cholesky()``.
 
-    Raises NotPositiveDefinite when a pivot is nonpositive or falls below
-    ``PIVOT_RTOL`` times the largest diagonal entry of B. Sparse input is
-    densified; use :func:`incomplete_cholesky` to stay sparse.
+    LAPACK factors a dense B in its own order; SuperLU factors a CSR B in
+    symmetric mode, in the minimum-degree order Pi of B + B', as L D L' with
+    L^ = L D^1/2. Raises NotPositiveDefinite when SuperLU finds B singular or
+    pivots off the diagonal, or a pivot is below ``PIVOT_RTOL`` * max diag(B).
     """
-    dense = b._m if b.kind == "dense" else b._m.toarray()  # cholesky only reads it
     try:
-        l = np.linalg.cholesky(dense)
-    except np.linalg.LinAlgError as exc:
+        if b.kind == "dense":
+            l = np.linalg.cholesky(b._m)
+            pivots, perm = np.diagonal(l) ** 2, slice(None)
+        else:
+            lu = scipy.sparse.linalg.splu(
+                scipy.sparse.csc_array(b._m), permc_spec="MMD_AT_PLUS_A",
+                diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+            pivots, perm = lu.U.diagonal(), np.argsort(lu.perm_c)
+    except (np.linalg.LinAlgError, RuntimeError) as exc:  # SuperLU: "exactly singular"
         raise NotPositiveDefinite(str(exc)) from exc
-    pivots = np.diagonal(l) ** 2
-    floor = PIVOT_RTOL * float(np.max(np.diagonal(dense)))
-    if np.min(pivots) <= max(floor, 0.0):
-        raise NotPositiveDefinite(
-            f"pivot {np.min(pivots):.3e} below threshold {floor:.3e}")
-    return CholeskyFactor(b.n, l)
+    if b.kind == "csr" and not np.array_equal(lu.perm_r, lu.perm_c):
+        raise NotPositiveDefinite("SuperLU pivoted off the diagonal")
+    floor = PIVOT_RTOL * float(np.max(b.diagonal()))
+    if not np.min(pivots) > max(floor, 0.0):
+        raise NotPositiveDefinite(f"pivot {np.min(pivots):.3e} below threshold {floor:.3e}")
+    if b.kind == "csr":
+        l = (lu.L @ scipy.sparse.diags_array(np.sqrt(pivots))).tocsr()
+    return CholeskyFactor(b.n, l, perm)
 
 
 def incomplete_cholesky(b: SymmetricMatrix,

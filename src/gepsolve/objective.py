@@ -111,14 +111,14 @@ def eval_f(pair: MatrixPair, x: np.ndarray, counters: Counters | None = None) ->
 def grad_f(pair: MatrixPair, x: np.ndarray, counters: Counters | None = None) -> np.ndarray:
     """Gradient 2Bx - Ax / sqrt(x'Ax), two matvecs exactly.
 
-    Raises DegenerateDirection when x'Ax <= 1e-30 ||x||^2: the gradient is
-    undefined on the null space of A.
+    Raises DegenerateDirection unless x'Ax > 1e-30 ||x||^2 (so also for a NaN
+    x'Ax): the gradient is undefined on the null space of A.
     """
     x = np.asarray(x, dtype=np.float64)
     ax = pair.a.matvec(x, counters)
     bx = pair.b.matvec(x, counters)
     xax = float(x @ ax)
-    if xax <= DEGENERATE_RTOL * float(x @ x):
+    if not xax > DEGENERATE_RTOL * float(x @ x):
         raise DegenerateDirection(f"x'Ax = {xax:.3e} is degenerate at ||x||^2 = {float(x @ x):.3e}")
     return 2.0 * bx - ax / np.sqrt(xax)
 
@@ -130,7 +130,7 @@ def hess_vec(pair: MatrixPair, x: np.ndarray, v: np.ndarray,
     v = np.asarray(v, dtype=np.float64)
     ax = pair.a.matvec(x, counters)
     xax = float(x @ ax)
-    if xax <= DEGENERATE_RTOL * float(x @ x):
+    if not xax > DEGENERATE_RTOL * float(x @ x):
         raise DegenerateDirection(f"x'Ax = {xax:.3e} is degenerate")
     av = pair.a.matvec(v, counters)
     bv = pair.b.matvec(v, counters)

@@ -100,13 +100,6 @@ def apply_gram_inverse(p: Preconditioner, g: np.ndarray,
     return p.factor.solve(g)
 
 
-def frobenius_gap(b: SymmetricMatrix, p: Preconditioner) -> float:
-    """||B - P'P||_F, the metric mismatch of the preconditioner."""
-    l = None if p.factor is None else p.factor.lower()
-    gram = np.diag(p.diag) if l is None else l @ l.T
-    return float(np.linalg.norm(b.dense() - gram))
-
-
 def transformed_dominant_eigenvalue(b: SymmetricMatrix, p: Preconditioner) -> float:
     """Largest eigenvalue of P^{-T} B P^{-1}, bounding the stepsizes that
     keep the preconditioned iteration stable.

@@ -102,20 +102,19 @@ def test_solve_degenerate_exit_five(tmp_path, capsys, method):
     assert rc == 5
 
 
-@pytest.mark.parametrize("method_args", [["--method", "gd"],
+@pytest.mark.parametrize("method_args", [["--method", "pmd"],
                                          ["--method", "pmd", "--precond", "diag"]])
 def test_solve_diverged_exit_six(tmp_path, capsys, method_args):
-    # with PCG B-solves nothing factors the indefinite B for these methods:
-    # x'Bx runs to -inf, the objective stops being finite and the run has
-    # diverged
-    a_path, _ = gen_files(tmp_path, n=6, kappa_b=5.0, seed=6, fmt="dense")
-    b = np.eye(6)
-    b[0, 1] = b[1, 0] = 2.0
-    bad_b = tmp_path / "indefinite_B.txt"
-    write_dense_text(SymmetricMatrix.from_dense(b), bad_b)
+    # a definite pair at the edge of the float range: from the CLI's start
+    # x'Bx overflows and x'Ax's mixed-sign products give inf - inf, so the
+    # objective is not finite and the run has diverged at k = 0
+    n = 32
+    a_path, b_path = tmp_path / "huge_A.txt", tmp_path / "huge_B.txt"
+    write_dense_text(SymmetricMatrix.from_dense(1e308 * np.ones((n, n))), a_path)
+    write_dense_text(SymmetricMatrix.from_dense(1e307 * np.eye(n)), b_path)
     with np.errstate(over="ignore", invalid="ignore"):
-        rc = main(["solve", "--a", a_path, "--b", str(bad_b), "--format", "dense",
-                   "--ref", "none", "--linsolve", "pcg", *method_args])
+        rc = main(["solve", "--a", str(a_path), "--b", str(b_path), "--format", "dense",
+                   "--ref", "none", *method_args])
     assert "status      diverged" in capsys.readouterr().out
     assert rc == 6
 
@@ -160,11 +159,14 @@ def test_solve_indefinite_metric_exit_four(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("method_args", [["--method", "gd"],
-                                         ["--method", "pmd", "--precond", "diag"]])
+@pytest.mark.parametrize("method_args", [
+    ["--method", "gd"], ["--method", "pmd", "--precond", "diag"],
+    ["--method", "gd", "--linsolve", "pcg", "--max-iters", "200"],
+    ["--method", "pmd", "--precond", "diag", "--linsolve", "pcg", "--max-iters", "200"]])
 def test_solve_indefinite_b_exit_four_without_a_b_solve(tmp_path, capsys, method_args):
-    # gd and a diagonal-metric pmd never factor B in their runs; B's
-    # positive diagonal passes the diagonal metric, yet B is indefinite
+    # gd and a diagonal-metric pmd never factor B in their runs, with either
+    # --linsolve; B's positive diagonal passes the diagonal metric, yet B is
+    # indefinite
     a_path, _ = gen_files(tmp_path, n=6, kappa_b=5.0, seed=6, fmt="dense")
     b = np.eye(6)
     b[0, 1] = b[1, 0] = 2.0

@@ -286,6 +286,100 @@ def test_cholesky_failure_is_kept_and_raised_again(factorizations):
     assert factorizations == [2]
 
 
+def dirichlet_grid(side, shift):
+    """The 5-point Dirichlet Laplacian on a side x side grid plus shift * I, as CSR."""
+    t = scipy.sparse.diags_array([-1.0, 2.0, -1.0], offsets=[-1, 0, 1], shape=(side, side))
+    eye = scipy.sparse.eye_array(side)
+    return (scipy.sparse.kron(eye, t) + scipy.sparse.kron(t, eye)
+            + shift * scipy.sparse.eye_array(side * side)).tocsr()
+
+
+@st.composite
+def sparse_spd(draw):
+    """A random sparse SPD matrix of order 1-40 (diagonally dominant), or a
+    randomly renumbered shifted grid Laplacian, as a dense array."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    if draw(st.booleans()):
+        side = draw(st.integers(1, 6))
+        m = dirichlet_grid(side, draw(st.floats(1e-3, 2.0))).toarray()
+        order = rng.permutation(side * side)
+        return m[order][:, order]
+    n = draw(st.integers(1, 40))
+    density = draw(st.floats(0.0, 0.5))
+    low = np.tril(rng.standard_normal((n, n)) * (rng.random((n, n)) < density), -1)
+    sym = low + low.T
+    return sym + np.diag(np.abs(sym).sum(axis=1) + rng.uniform(0.1, 2.0, n))
+
+
+@settings(max_examples=80, deadline=None)
+@given(dense=sparse_spd())
+def test_permuted_sparse_factor_reproduces_b_and_inverts_its_triangles(dense):
+    """For a CSR B, lower() = Pi L^ with P = lower()': P'P = B, P^-1 P = I and
+    P^-T P' = I, and solve() agrees with the dense factor of the same entries."""
+    n = dense.shape[0]
+    b = SymmetricMatrix.from_sparse(scipy.sparse.csr_array(dense))
+    f = cholesky_factorize(b)
+    assert f.kind == "sparse"
+    l = f.lower()
+    eye = np.eye(n)
+    assert np.linalg.norm(l @ l.T - dense) <= 1e-12 * np.linalg.norm(dense)
+    p_inv_p = np.column_stack([f.solve_upper(col) for col in l])  # P's columns: L's rows
+    p_inv_t_pt = np.column_stack([f.solve_lower(col) for col in l.T])
+    for got in (p_inv_p, p_inv_t_pt):
+        assert np.linalg.norm(got - eye) <= 1e-12 * np.sqrt(n)
+    x = np.random.default_rng(n).standard_normal(n)
+    npt.assert_allclose(f.apply_upper(x), l.T @ x, rtol=0,
+                        atol=1e-12 * np.abs(l).max() * np.abs(x).sum())
+    want = cholesky_factorize(SymmetricMatrix.from_dense(dense)).solve(x)
+    assert np.linalg.norm(f.solve(x) - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def _neumann_grid(side):
+    """The graph Laplacian of a side x side grid: singular, null vector ones."""
+    path = scipy.sparse.diags_array([1.0, 1.0], offsets=[-1, 1], shape=(side, side))
+    eye = scipy.sparse.eye_array(side)
+    adj = scipy.sparse.kron(eye, path) + scipy.sparse.kron(path, eye)
+    return (scipy.sparse.diags_array(adj.sum(axis=1)) - adj).tocsr()
+
+
+def _zero_diagonal_grid():
+    m = dirichlet_grid(16, 0.5).tolil()
+    m[37, 37] = 0.0
+    return m.tocsr()
+
+
+@pytest.mark.parametrize("make", [
+    lambda: dirichlet_grid(16, -0.5), _zero_diagonal_grid,
+    lambda: scipy.sparse.csr_array(np.array([[0.0, 2.0], [2.0, 0.0]])),
+    lambda: _neumann_grid(16), lambda: scipy.sparse.csr_array(np.diag([1.0, 0.0, 2.0]))],
+    ids=["indefinite", "zero-diagonal", "zero-diagonal-swap", "singular", "empty-column"])
+def test_sparse_and_dense_factors_reject_the_same_b(make):
+    """An indefinite B, a B with a zero diagonal entry and a singular B are
+    not positive definite for the CSR factor, as for the dense factor of the
+    same entries. On [[0, 2], [2, 0]] SuperLU pivots off the diagonal, to
+    positive pivots of a factor that is not B's Cholesky factor."""
+    m = make()
+    for b in (SymmetricMatrix.from_sparse(m), SymmetricMatrix.from_dense(m.toarray())):
+        with pytest.raises(NotPositiveDefinite):
+            cholesky_factorize(b)
+
+
+def test_sparse_cholesky_never_densifies_b(monkeypatch):
+    b = SymmetricMatrix.from_sparse(dirichlet_grid(12, 0.5))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a CSR B was densified")
+
+    for cls in (scipy.sparse.csr_array, scipy.sparse.csc_array, scipy.sparse.coo_array):
+        monkeypatch.setattr(cls, "toarray", refuse)
+    monkeypatch.setattr(SymmetricMatrix, "dense", refuse)
+    f = b.cholesky()
+    assert f.kind == "sparse"
+    r = np.random.default_rng(5).standard_normal(b.n)
+    assert np.linalg.norm(b.matvec(f.solve(r)) - r) <= 1e-13 * np.linalg.norm(r)
+
+
 @pytest.mark.parametrize("n", [1, 2, 64, 256])
 def test_dense_triangular_solves_match_solve_triangular_bitwise(n):
     """Each dense substitution gives solve_triangular's bits for contiguous,
@@ -1102,7 +1196,8 @@ def test_storage_kinds_and_factor_kinds_agree(n, density, seed):
     spd = sym + np.diag(np.abs(sym).sum(axis=1) + 1.0)
     for b in (SymmetricMatrix.from_dense(spd),
               SymmetricMatrix.from_sparse(scipy.sparse.csr_array(spd))):
-        for f, kind in ((cholesky_factorize(b), "dense"), (incomplete_cholesky(b), "sparse")):
+        exact_kind = "dense" if b.kind == "dense" else "sparse"
+        for f, kind in ((cholesky_factorize(b), exact_kind), (incomplete_cholesky(b), "sparse")):
             assert f.kind == kind
             l = f.lower()
             tol = 1e-12 * np.abs(l).max() * np.abs(x).max()

@@ -159,6 +159,19 @@ def test_grad_degenerate_direction():
         grad_f(pair, np.array([0.0, 1.0]))
 
 
+def test_overflowed_xax_is_degenerate_for_grad_and_hess():
+    """An x'Ax that overflows to NaN is degenerate: grad_f and hess_vec raise
+    instead of returning NaN vectors."""
+    pair = gen_synthetic(SyntheticSpec(n=16, kappa_b=10.0))
+    x = 2.0**600 * np.random.default_rng(3).standard_normal(16)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert math.isnan(float(x @ pair.a.matvec(x)))
+        with pytest.raises(DegenerateDirection):
+            grad_f(pair, x)
+        with pytest.raises(DegenerateDirection):
+            hess_vec(pair, x, np.ones(16))
+
+
 # ---------------------------------------------------------------------------
 # Hessian action
 
