@@ -485,7 +485,9 @@ def dominant_eigenvalue(apply_op, n: int, rtol: float = 1e-6) -> float:
     positive semidefinite operator, inflated by 1% as the safety margin for
     poorly separated spectra, which stall the iteration. It stops once two
     successive estimates agree to ``rtol``, or after 20000 steps, and starts
-    from a fixed seed, so repeated calls are bitwise identical."""
+    from a fixed seed, so repeated calls are bitwise identical. Where w'w
+    under- or overflows for a nonzero finite w, the norm of w is taken after
+    scaling by its largest entry."""
     rng = np.random.default_rng(180)
     v = rng.standard_normal(n)
     v /= np.linalg.norm(v)
@@ -494,6 +496,11 @@ def dominant_eigenvalue(apply_op, n: int, rtol: float = 1e-6) -> float:
         w = apply_op(v)
         lam_next = ddot(v, w)
         norm_w = math.sqrt(ddot(w, w))  # np.linalg.norm's own sum, without numpy's dispatch
+        if norm_w in (0.0, math.inf):  # w'w under- or overflowed unless w is 0 or not finite
+            scale = float(np.max(np.abs(w)))
+            if 0.0 < scale < math.inf:
+                w_scaled = w / scale
+                norm_w = scale * math.sqrt(ddot(w_scaled, w_scaled))
         if norm_w == 0.0:
             return 0.0
         v = w / norm_w

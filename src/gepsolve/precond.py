@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.blas import daxpy, ddot, dscal
+from scipy.linalg.blas import daxpy, ddot
 
 from .errors import DimensionMismatch, InputError, PcgBreakdown, StaleFactor, ZeroDiagonal
 from .linalg import CholeskyFactor, Counters, SymmetricMatrix, dominant_eigenvalue, \
@@ -171,14 +171,15 @@ def solve_spd(solver: LinearSolver, b: SymmetricMatrix, r: np.ndarray,
 
 def _pcg(solver: LinearSolver, b: SymmetricMatrix, rhs: np.ndarray,
          counters: Counters | None) -> np.ndarray:
-    # ddot, dscal and unit-coefficient daxpy give numpy's bytes; a general daxpy fuses
-    x, step, r = np.zeros_like(rhs), np.empty_like(rhs), rhs.copy()
+    # Saad, Alg. 9.1, with each vector update one in-place daxpy, which rounds
+    # once where numpy's multiply-then-add rounds twice. p = z + beta p lands
+    # in z's buffer, so a factor-free metric writes the next z into p's old one.
+    x, spare, r = np.zeros_like(rhs), np.empty_like(rhs), rhs.copy()
     norm_rhs = norm_r = math.sqrt(ddot(r, r))
     if norm_rhs == 0.0:
         return x
     metric, stop = solver.metric, solver.tol * norm_rhs
-    z = apply_gram_inverse(metric, r)
-    p = z.copy()
+    p = z = apply_gram_inverse(metric, r)
     rz = ddot(r, z)
     if rz < 0.0:
         raise PcgBreakdown(f"indefinite inner preconditioner: r'z = {rz:.3e}")
@@ -190,16 +191,19 @@ def _pcg(solver: LinearSolver, b: SymmetricMatrix, rhs: np.ndarray,
         if pbp <= 0.0:
             raise PcgBreakdown(f"nonpositive curvature p'Bp = {pbp:.3e}")
         alpha = rz / pbp
-        x += np.multiply(p, alpha, out=step)
-        r = daxpy(dscal(alpha, bp), r, a=-1.0)
+        x = daxpy(p, x, a=alpha)
+        r = daxpy(bp, r, a=-alpha)
         norm_r = math.sqrt(ddot(r, r))
         if norm_r <= stop or k == solver.cap:  # no direction after the last step
             break
-        z = np.divide(r, metric.diag, out=z) if metric.factor is None else metric.factor.solve(r)
+        if metric.factor is None:
+            z = np.divide(r, metric.diag, out=spare)
+        else:
+            z = metric.factor.solve(r)
         rz_next = ddot(r, z)
         if rz_next < 0.0:
             raise PcgBreakdown(f"indefinite inner preconditioner: r'z = {rz_next:.3e}")
-        p = daxpy(z, dscal(rz_next / rz, p))
+        spare, p = p, daxpy(p, z, a=rz_next / rz)
         rz = rz_next
     if norm_r > stop and counters is not None:
         counters.pcg_capped += 1

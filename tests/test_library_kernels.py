@@ -274,9 +274,10 @@ COEFFICIENTS = st.floats(1e-8, 1e8).flatmap(lambda a: st.sampled_from([a, -a]))
 @given(n=LENGTHS, seed=st.integers(0, 2**32 - 1), a=COEFFICIENTS)
 def test_level1_blas_forms_equal_their_numpy_forms_bitwise(n, seed, a):
     """Every BLAS form the loops use against the numpy expression it
-    replaced. ``daxpy`` only ever adds with coefficient 1, -1 or 2: those
-    products are exact, so its fused multiply-add rounds once, as numpy's
-    add does."""
+    replaced. Outside PCG ``daxpy`` only adds with coefficient 1, -1 or 2:
+    those products are exact, so its fused multiply-add rounds once, as
+    numpy's add does. PCG's updates take a general coefficient and round
+    once where numpy rounds twice, so they stay within both roundings."""
     x, y, z = vectors(n, seed, 3)
 
     def same(got, want):
@@ -289,8 +290,10 @@ def test_level1_blas_forms_equal_their_numpy_forms_bitwise(n, seed, a):
             assert ddot(u, v) == u.dot(v)
     same(dscal(a, x.copy()), a * x)
     same(x - dscal(a, y.copy()), x - a * y)                      # gd/pmd step
-    same(daxpy(dscal(a, y.copy()), x.copy(), a=-1.0), x - a * y)  # PCG residual
-    same(daxpy(z, dscal(a, y.copy())), z + a * y)                 # PCG direction
+    fused, product = daxpy(y, x.copy(), a=a), a * y              # PCG updates
+    twice = x + product
+    ulps = np.spacing(np.abs(fused)) + np.spacing(np.abs(product)) + np.spacing(np.abs(twice))
+    assert np.all(np.abs(fused - twice) <= ulps / 2)
     same(daxpy(x, dscal(-a, y.copy())), x - a * y)                # Rayleigh residuals
     same(daxpy(dscal(-a, y.copy()), x.copy()), x - a * y)         # Lanczos w
     same(daxpy(x, y * -a), x - y * a)                             # deflation, sin, split-merge
@@ -321,15 +324,16 @@ def test_pcg_and_gd_call_level1_blas(monkeypatch):
             return real(*args, **kwargs)
         monkeypatch.setattr(module, name, spy)
 
-    for module in (gepsolve.precond, gepsolve.solvers):
-        for name in ("ddot", "dscal", "daxpy"):
-            spying(module, name)
+    for name in ("ddot", "daxpy"):  # PCG fuses every scaling into a daxpy
+        spying(gepsolve.precond, name)
+    for name in ("ddot", "dscal", "daxpy"):
+        spying(gepsolve.solvers, name)
     b = SymmetricMatrix.from_sparse(scipy.sparse.diags_array(
         [-1.0, 2.5, -1.0], offsets=[-1, 0, 1], shape=(40, 40)))
     rhs = np.random.default_rng(0).standard_normal(b.n)
     solve_spd(LinearSolver.pcg(b, cap=5), b, rhs, Counters())
     assert {name for module, name in calls if module == "gepsolve.precond"} == \
-        {"ddot", "dscal", "daxpy"}
+        {"ddot", "daxpy"}
     calls.clear()
     pair = gen_synthetic(SyntheticSpec(n=16, kappa_b=10.0, seed=0))
     solve(pair, SolverConfig(method="gd", max_iterations=1), np.ones(pair.n))

@@ -3,6 +3,7 @@
 import math
 import re
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import numpy.testing as npt
@@ -11,6 +12,7 @@ import scipy.linalg
 import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg.blas import daxpy
 
 from gepsolve import (
     CholeskyFactor,
@@ -611,10 +613,20 @@ def test_pcg_inner_kinds_pinned_on_grid_pencil(cap, inner):
     assert got == pytest.approx((norm_x, xr, xw), rel=1e-13, abs=0)
 
 
-def textbook_solve_spd(solver, b, rhs, counters):
-    """PCG as written before its loop stored results in place (Saad, Alg.
-    9.1), less the breakdown checks: the reference the in-place loop must
-    match bit for bit. It also counts a solve that stops at its cap."""
+def fused_update(y, v, a):
+    """y + a v as one daxpy into a fresh array: a single rounding."""
+    return daxpy(v, y.copy(), a=a)
+
+
+def numpy_update(y, v, a):
+    """y + a v as numpy rounds it: the product, then the sum."""
+    return y + a * v
+
+
+def textbook_solve_spd(solver, b, rhs, counters, update=fused_update):
+    """PCG as Saad writes it (Alg. 9.1), less the breakdown checks, with
+    every vector update y + a v made by ``update`` on fresh arrays, never in
+    place. It also counts a solve that stops at its cap."""
     counters.solves += 1
     x = np.zeros_like(rhs)
     r = rhs.copy()
@@ -628,13 +640,13 @@ def textbook_solve_spd(solver, b, rhs, counters):
         counters.pcg_inner += 1
         bp = b.matvec(p, counters)
         alpha = rz / float(p.dot(bp))
-        x += alpha * p
-        r -= alpha * bp
+        x = update(x, p, alpha)
+        r = update(r, bp, -alpha)
         if math.sqrt(r.dot(r)) <= solver.tol * norm_rhs:
             break
         z = apply_gram_inverse(solver.metric, r)
         rz_next = float(r.dot(z))
-        p = z + (rz_next / rz) * p
+        p = update(z, p, rz_next / rz)
         rz = rz_next
     else:
         counters.pcg_capped += 1
@@ -670,20 +682,27 @@ def test_pcg_is_independent_of_the_rhs_layout(inner, cap):
 @pytest.mark.parametrize("cap", [4, 500])
 @pytest.mark.parametrize("storage", ["csr", "dense"])
 def test_pcg_matches_textbook_loop_bitwise(inner, cap, storage):
-    """The in-place PCG loop returns the textbook loop's bytes and counters,
-    for runs stopped by the cap (4) and by the tolerance (500), and for a
-    zero right-hand side."""
+    """The in-place PCG loop returns the bytes and counters of the textbook
+    loop making the same fused daxpy updates on fresh arrays (so a buffer
+    that p, z and the spare share wrongly shows here), for runs stopped by
+    the cap (4) and by the tolerance (500), and for a zero right-hand side.
+    Against the loop with numpy's twice-rounded updates the counters are
+    equal, and x and the residual agree to 1e-13, ``PCG_GRID_PINS``'s tolerance."""
     mat = grid_pencil_b()
     if storage == "dense":
         mat = SymmetricMatrix.from_dense(mat.dense())
     solver = LinearSolver.pcg(mat, cap=cap, tol=1e-10, inner=inner)
     rng = np.random.default_rng(31)
-    got_counters, want_counters = Counters(), Counters()
+    got_counters, want_counters, numpy_counters = Counters(), Counters(), Counters()
     for rhs in (rng.standard_normal(mat.n), rng.standard_normal(mat.n), np.zeros(mat.n)):
         got = solve_spd(solver, mat, rhs, got_counters)
         want = textbook_solve_spd(solver, mat, rhs, want_counters)
         assert got.tobytes() == want.tobytes()
         assert got_counters == want_counters
+        rounded_twice = textbook_solve_spd(solver, mat, rhs, numpy_counters, numpy_update)
+        assert replace(numpy_counters, pcg_residual=0.0) == replace(got_counters, pcg_residual=0.0)
+        assert numpy_counters.pcg_residual == pytest.approx(got_counters.pcg_residual, rel=1e-13)
+        assert np.linalg.norm(got - rounded_twice) <= 1e-13 * np.linalg.norm(rounded_twice)
     assert got_counters.pcg_capped == (2 if cap == 4 else 0)
 
 
@@ -706,6 +725,42 @@ def test_pcg_reports_capped_solves_and_their_residual(inner):
     assert (generous.pcg_capped, generous.pcg_residual) == (0, 0.0)
 
 
+def stored_arrays(*objects):
+    """Every array the objects hold as attributes, a sparse one's parts included."""
+    for obj in objects:
+        for value in vars(obj).values():
+            if isinstance(value, np.ndarray):
+                yield value
+            elif scipy.sparse.issparse(value):
+                yield from (getattr(value, name) for name in ("data", "indices", "indptr",
+                                                              "offsets") if hasattr(value, name))
+
+
+@pytest.mark.parametrize("inner", ["jacobi", "ichol", None, "exact"])
+@pytest.mark.parametrize("storage", ["csr", "dense"])
+def test_solve_spd_never_writes_the_rhs(inner, storage):
+    """The caller's rhs keeps its bytes, and the solution is a new array that
+    shares memory with neither the rhs nor the solver's or B's storage: power
+    passes its own A x as the rhs and reads it again after the solve."""
+    mat = grid_pencil_b()
+    if storage == "dense":
+        mat = SymmetricMatrix.from_dense(mat.dense())
+    if inner == "exact":
+        solver = LinearSolver.exact(mat)
+    else:
+        solver = LinearSolver.pcg(mat, cap=30, tol=1e-10, inner=inner)
+    rhs = np.random.default_rng(31).standard_normal(mat.n)
+    before = rhs.copy()
+    x = solve_spd(solver, mat, rhs, Counters())
+    again = solve_spd(solver, mat, rhs, Counters())
+    assert rhs.tobytes() == before.tobytes()
+    assert again.tobytes() == x.tobytes()
+    factor = solver.metric.factor
+    owners = [solver.metric, mat] + ([factor] if factor is not None else [])
+    for held in (rhs, again, *stored_arrays(*owners)):
+        assert not np.shares_memory(x, held)
+
+
 def test_capped_solves_reach_the_trace_counters():
     """Power with cap-3 PCG B-solves reports capped solves in its trace; with
     a generous cap and on the exact path the fields stay 0."""
@@ -726,6 +781,44 @@ def test_capped_solves_reach_the_trace_counters():
         c = counters(solver)
         assert c.solves > 0
         assert (c.pcg_capped, c.pcg_residual) == (0, 0.0)
+
+
+# method -> (status, iterations, matvecs, solves, pcg_inner, pcg_capped,
+# pcg_residual, final lambda) at tol 1e-6 from the seed-1 normal start on the
+# 16 x 16 grid pencil below, with every B-solve stopped at PCG's cap of 30
+CAPPED_PCG_PINS = {
+    "power": ("converged", 140, 4482, 140, 4200, 140, 6.928501735441708e-08,
+              0.9701682098975846),
+    "split-merge": ("converged", 27, 1703, 54, 1620, 54, 6.772738081707302e-08,
+                    0.9701682099111544),
+    "lanczos": ("converged", 20, 643, 20, 600, 20, 7.589114475782244e-08,
+                0.9701682116821926),
+}
+
+
+@pytest.mark.parametrize("method", list(CAPPED_PCG_PINS))
+def test_outer_runs_on_capped_pcg_are_pinned(method):
+    """The benchmark's sparse regime in small: B = 5-point Laplacian + 0.5 I,
+    A diagonal on [0.01, 1] with one planted entry of 2, and Jacobi PCG that
+    stops every solve at its cap. Counts exactly; residual and lambda to 1e-12."""
+    m = 16
+    n = m * m
+    t = scipy.sparse.diags_array([-1.0, 2.0, -1.0], offsets=[-1, 0, 1], shape=(m, m))
+    eye = scipy.sparse.eye_array(m)
+    b = SymmetricMatrix.from_sparse((scipy.sparse.kron(eye, t) + scipy.sparse.kron(t, eye)
+                                     + 0.5 * scipy.sparse.eye_array(n)).tocsr())
+    d = np.append(np.linspace(0.01, 1.0, n - 1), 2.0)[np.random.default_rng(0).permutation(n)]
+    pair = MatrixPair(SymmetricMatrix.from_sparse(scipy.sparse.diags_array(d).tocsr()), b)
+    config = SolverConfig(method=method, tol=1e-6, max_iterations=400,
+                          linear_solver=LinearSolver.pcg(b, cap=30))
+    trace = solve(pair, config, np.random.default_rng(1).standard_normal(n))
+    c = trace.counters
+    *counts, residual, lam = CAPPED_PCG_PINS[method]
+    assert [trace.status, trace.iterations, c.matvecs, c.solves, c.pcg_inner,
+            c.pcg_capped] == counts
+    assert c.pcg_capped == c.solves
+    assert c.pcg_residual == pytest.approx(residual, rel=1e-12, abs=0)
+    assert trace.final().lam == pytest.approx(lam, rel=1e-12, abs=0)
 
 
 def test_pcg_unknown_inner_rejected():

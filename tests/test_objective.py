@@ -305,6 +305,16 @@ def test_curvature_bound_dominates_hessian():
             assert vhv <= bound + 1e-8
 
 
+@pytest.mark.parametrize("scale", [1e307, 1e-300])
+def test_curvature_bound_survives_an_under_or_overflowing_norm(scale):
+    """w'w overflows for B = 1e307 I and underflows for 1e-300 I, yet the
+    bound is finite and at least twice B's largest eigenvalue."""
+    b = SymmetricMatrix.from_dense(scale * np.eye(32))
+    bound = estimate_curvature_bound(b, method="dominant").bound
+    assert math.isfinite(bound)
+    assert bound >= 2.0 * scale
+
+
 def test_curvature_bound_unknown_method():
     b = SymmetricMatrix.from_dense(np.eye(2))
     with pytest.raises(Exception):

@@ -4,10 +4,13 @@
 
 Run from anywhere in a source checkout; the package is imported from that
 checkout's ``src`` directory, with one BLAS thread. It prints one ``name
-sha256`` line per outcome and then the total over all of them as the last
-line. Run it on two trees and compare: equal last lines mean every outcome
-below has the same bytes, and a diff of the listings names the outcomes
-that moved.
+sha256 summary`` line per outcome and then the total over all of them as the
+last line. The summary is for reading: a run's status, iterations, counters
+and final lambda (floats as ``repr``), a ``top_k``'s lambdas, a reference's
+lambda and route. Only the canonical text behind each sha256 is hashed. Run
+it on two trees and compare: equal last lines mean every outcome below has
+the same bytes, and ``diff`` of the two listings is a before/after table of
+the outcomes that moved.
 
 Outcomes covered:
   - all five methods, with and without a reference, on ``gen_synthetic``
@@ -67,18 +70,22 @@ def canonical(value) -> str:
     raise TypeError(f"no canonical form for {type(value).__name__}")
 
 
-def outcome(run) -> str:
-    """``run()``'s trace, pairs or error in canonical form."""
+def outcome(run) -> tuple[str, str]:
+    """``run()``'s trace, pairs or error in canonical form, and a summary."""
     try:
         result = run()
     except GepSolveError as exc:
-        return f"error:{type(exc).__name__}:{exc}"
+        return f"error:{type(exc).__name__}:{exc}", f"error {type(exc).__name__}"
     if isinstance(result, list):  # top_k's (lambda, u) pairs
-        return canonical([[lam, u] for lam, u in result])
-    return canonical([
+        return (canonical([[lam, u] for lam, u in result]),
+                f"lams={[lam for lam, _ in result]!r}")
+    text = canonical([
         result.method, result.status, result.iterations, asdict(result.counters),
         [[r.k, r.f, r.lam, r.sin_theta, r.matvecs, r.solves] for r in result.records],
         result.criterion, result.criterion_values, result.x, result.diagnostics])
+    counters = " ".join(f"{k}={v!r}" for k, v in asdict(result.counters).items())
+    return text, (f"{result.status} iterations={result.iterations} {counters} "
+                  f"lam={result.final().lam!r}")
 
 
 def grid_pencil(m: int, folder: Path) -> MatrixPair:
@@ -98,37 +105,38 @@ def grid_pencil(m: int, folder: Path) -> MatrixPair:
 
 
 def outcomes(folder: Path):
-    """(name, canonical outcome) for every case, in a fixed order."""
+    """(name, canonical outcome, summary) for every case, in a fixed order."""
     pencils = [(f"synthetic{n}-{kb:g}-{seed}",
                 gen_synthetic(SyntheticSpec(n=n, kappa_b=kb, seed=seed)), seed)
                for n, kb, seed in SYNTHETIC]
     pencils.append(("grid16", grid_pencil(16, folder), 3))
     for name, pair, seed in pencils:
         ref = reference_solution(pair)
-        yield f"{name}/reference", canonical([ref.lam, ref.u, ref.route])
+        yield (f"{name}/reference", canonical([ref.lam, ref.u, ref.route]),
+               f"lam={ref.lam!r} route={ref.route}")
         x0 = np.random.default_rng(seed).standard_normal(pair.n)
         for method in METHODS:
             for reference in (None, ref.u):
                 config = SolverConfig(method=method, tol=TOL, max_iterations=CAP,
                                       seed=seed, reference=reference)
                 label = "ref" if reference is not None else "gradient"
-                yield f"{name}/{method}/{label}", outcome(lambda: solve(pair, config, x0))
+                yield f"{name}/{method}/{label}", *outcome(lambda: solve(pair, config, x0))
 
     name, pair, seed = pencils[-1]
     x0 = np.random.default_rng(seed).standard_normal(pair.n)
     pcg = LinearSolver.pcg(pair.b, cap=40)
     for method in ("power", "split-merge", "lanczos"):
         config = SolverConfig(method=method, tol=TOL, max_iterations=CAP, linear_solver=pcg)
-        yield f"{name}/{method}/pcg40", outcome(lambda: solve(pair, config, x0))
+        yield f"{name}/{method}/pcg40", *outcome(lambda: solve(pair, config, x0))
     ic0 = build_preconditioner(pair.b, "incomplete-cholesky")
     config = SolverConfig(method="pmd", tol=TOL, max_iterations=CAP, preconditioner=ic0)
-    yield f"{name}/pmd/ic0", outcome(lambda: solve(pair, config, x0))
+    yield f"{name}/pmd/ic0", *outcome(lambda: solve(pair, config, x0))
 
     name, pair, seed = pencils[0]
     x0 = np.random.default_rng(seed).standard_normal(pair.n)
     for method in METHODS:
         config = SolverConfig(method=method, tol=TOL, max_iterations=CAP, seed=seed)
-        yield f"{name}/top_k3/{method}", outcome(lambda: top_k(pair, 3, config, x0))
+        yield f"{name}/top_k3/{method}", *outcome(lambda: top_k(pair, 3, config, x0))
 
     suite = SuiteConfig(cells=[SuiteCell(16, 10.0), SuiteCell(24, 100.0)],
                         methods=list(METHODS), trials=2, tol=TOL, max_iterations=CAP, seed=7)
@@ -137,16 +145,16 @@ def outcomes(folder: Path):
         for stats in cell["methods"]:
             stats.pop("elapsed_ns_median")
             stats.pop("elapsed_ns_mean")
-    yield "run_suite", canonical(report)
+    yield "run_suite", canonical(report), f"cells={len(report['cells'])}"
 
 
 def main() -> int:
     total = hashlib.sha256()
     with tempfile.TemporaryDirectory() as tmp:
-        for name, text in outcomes(Path(tmp)):
+        for name, text, summary in outcomes(Path(tmp)):
             entry = f"{name}\n{text}\n".encode()
             total.update(entry)
-            print(name, hashlib.sha256(entry).hexdigest())
+            print(name, hashlib.sha256(entry).hexdigest(), summary)
     print(total.hexdigest())
     return 0
 
