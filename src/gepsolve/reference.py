@@ -59,13 +59,16 @@ def _dense_route(pair: MatrixPair):
 
 
 def _arpack_route(pair: MatrixPair):
-    n, solve = pair.n, pair.b.cholesky().solve
+    n, factor = pair.n, pair.b.cholesky()
     if n == 1:  # eigsh needs k < n, and the one direction is the eigenvector
         u = np.ones(1)
         return float(pair.a.matvec(u)[0] / pair.b.matvec(u)[0]), u, "arpack"
     a = LinearOperator((n, n), matvec=pair.a.matvec, dtype=np.float64)
     b = LinearOperator((n, n), matvec=pair.b.matvec, dtype=np.float64)
-    b_inv = LinearOperator((n, n), matvec=solve, dtype=np.float64)
+    # two substitutions, not factor.solve: one eigsh call does not repay the
+    # O(n^3) inverse and its n^2 doubles that a dense factor's solve forms
+    b_inv = LinearOperator((n, n), matvec=lambda r: factor.solve_upper(factor.solve_lower(r)),
+                           dtype=np.float64)
     try:
         evals, vecs = eigsh(a, k=1, M=b, Minv=b_inv, which="LA",
                             v0=np.random.default_rng(7).standard_normal(n))

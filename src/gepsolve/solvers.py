@@ -40,7 +40,7 @@ from .errors import (
     ZeroVector,
 )
 from .linalg import Counters
-from .objective import DEGENERATE_RTOL, CurvatureBound, MatrixPair, estimate_curvature_bound
+from .objective import CurvatureBound, MatrixPair, estimate_curvature_bound, is_degenerate
 from .precond import LinearSolver, Preconditioner, apply_gram_inverse, \
     build_preconditioner, solve_spd, transformed_dominant_eigenvalue
 
@@ -184,6 +184,11 @@ class _Runner:
     def __init__(self, pair: MatrixPair, config: SolverConfig):
         self.pair = pair
         self.gradient_stop = config.reference is None
+        # The gradient ratio ||grad f|| / lambda scales as t / sqrt(s) on a
+        # pencil (s A, t B), so on one small enough to fail the absolute
+        # degeneracy scale it reads far below any tol at the start: such a
+        # run ends degenerate rather than converged with a wrong lambda.
+        self.relative_degeneracy = not self.gradient_stop
         self.diagnostics: dict = {}
 
     def start(self, x: np.ndarray) -> np.ndarray:
@@ -244,7 +249,8 @@ class _FirstOrder(_Runner):
         ax = self.pair.a.matvec(x, counters)
         bx = self.pair.b.matvec(x, counters)
         xax, xbx, xx = ddot(x, ax), ddot(x, bx), ddot(x, x)
-        if not xax > DEGENERATE_RTOL * xx:  # a NaN x'Ax (overflowed start) ends the run too
+        # a NaN x'Ax (overflowed start) ends the run too
+        if is_degenerate(xax, xx, x, ax, self.relative_degeneracy):
             raise _Degenerate(xbx)
         root = math.sqrt(xax)
         lam = 2.0 * root
@@ -276,7 +282,7 @@ class _Ray(_Runner):
     def measure(self, x, counters):
         ax = self.pair.a.matvec(x, counters)
         xax = ddot(x, ax)
-        if xax <= DEGENERATE_RTOL:
+        if is_degenerate(xax, 1.0, x, ax, self.relative_degeneracy):  # x is a unit vector
             raise _Degenerate(0.0)
         q = xax / self.bq
         ratio = None
@@ -609,7 +615,7 @@ def split_merge_step(pair: MatrixPair, x: np.ndarray, rho: float, solver: Linear
     x = np.asarray(x, dtype=np.float64)
     g = ax if ax is not None else pair.a.matvec(x, counters)
     quad_a = ddot(x, g)
-    if quad_a <= DEGENERATE_RTOL * ddot(x, x):
+    if is_degenerate(quad_a, ddot(x, x), x, g):
         raise DegenerateDirection(f"x'Ax = {quad_a:.3e} is degenerate")
     root_a = math.sqrt(quad_a)
 

@@ -90,6 +90,24 @@ def test_solve_iteration_cap_exit_two(tmp_path, capsys):
     assert "status      max-iterations" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("method", ["power", "gd"])
+@pytest.mark.parametrize("ref, status, code", [("internal", "converged", 0),
+                                               ("none", "degenerate", 5)])
+def test_solve_tiny_definite_pencil(tmp_path, capsys, method, ref, status, code):
+    """A definite pencil with entries near 1e-300 converges against the
+    internal reference (it exited 5, degenerate, at iteration 0); without a
+    reference its gradient ratio is no guide at this scale, so it still ends
+    degenerate rather than converged with a wrong lambda."""
+    a_path, b_path = str(tmp_path / "A.txt"), str(tmp_path / "B.txt")
+    write_dense_text(SymmetricMatrix.from_dense(1e-300 * np.diag(np.linspace(1.0, 2.0, 32))),
+                     a_path)
+    write_dense_text(SymmetricMatrix.from_dense(1e-300 * np.eye(32)), b_path)
+    rc = main(["solve", "--a", a_path, "--b", b_path, "--format", "dense",
+               "--method", method, "--tol", "1e-8", "--ref", ref])
+    assert f"status      {status}" in capsys.readouterr().out
+    assert rc == code
+
+
 @pytest.mark.parametrize("method", ["power", "split-merge", "gd"])
 def test_solve_degenerate_exit_five(tmp_path, capsys, method):
     """These runs end degenerate on an indefinite A, and degenerate is not an

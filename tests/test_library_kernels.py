@@ -8,7 +8,8 @@ to raise, then each of those paths runs. Dense triangular solves call
 LAPACK's `trtrs` directly; the wrapper's Python overhead cost more than the
 substitution itself at the grid's orders. For the same reason the Lanczos
 Ritz step calls LAPACK's `dstebz` and `dstein` directly, not the
-`eigh_tridiagonal` wrapper around them. CSR products call scipy's compiled
+`eigh_tridiagonal` wrapper around them. A dense exact B-solve is one BLAS
+`dsymv` on the inverse that the factor's first solve formed. CSR products call scipy's compiled
 `dia_matvec` when the nonzeros lie on few diagonals and `csr_matvec`
 otherwise; both live in a private module, and their contract
 with `csr_array @ x` is pinned here. The iteration loops' inner products,
@@ -94,6 +95,30 @@ def test_dense_b_solves_avoid_solve_triangular(monkeypatch):
         assert solve(pair, SolverConfig(method=method, tol=1e-6), x0).converged
     for method in ("split-merge", "pmd"):
         assert len(top_k(pair, 2, SolverConfig(method=method, tol=1e-6))) == 2
+
+
+def test_dense_exact_b_solves_make_one_dsymv_call(monkeypatch):
+    """Each dense exact B-solve is one dsymv on the inverse its first solve
+    formed: no dtrtrs, and never solve_triangular."""
+    calls = []
+    for name in ("dsymv", "dtrtrs"):
+        def spy(*args, _real=getattr(gepsolve.linalg, name), _name=name):
+            calls.append(_name)
+            return _real(*args)
+        monkeypatch.setattr(gepsolve.linalg, name, spy)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("solve_triangular called from a library path")
+
+    monkeypatch.setattr(scipy.linalg, "solve_triangular", forbidden)
+    pair = gen_synthetic(SyntheticSpec(n=32, kappa_b=10.0, seed=0))
+    rhs = np.random.default_rng(0).standard_normal(pair.n)
+    counters = Counters()
+    for _ in range(3):
+        solve_spd(LinearSolver.exact(pair.b), pair.b, rhs, counters)
+    trace = solve(pair, SolverConfig(method="power", tol=1e-6), rhs)
+    assert trace.converged
+    assert calls == ["dsymv"] * (3 + trace.counters.solves)
 
 
 def csr_cases(tmp_path):

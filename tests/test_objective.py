@@ -159,6 +159,21 @@ def test_grad_degenerate_direction():
         grad_f(pair, np.array([0.0, 1.0]))
 
 
+def test_tiny_definite_pencil_has_a_gradient():
+    """A definite pencil with entries near 1e-300: x'Ax is below 1e-30 x'x
+    but not negligible against ||Ax|| ||x||, so grad_f and hess_vec return
+    their formulas where they raised DegenerateDirection."""
+    d = np.linspace(1.0, 2.0, 32)
+    pair = diag_pair(1e-300 * d, np.full(32, 1e-300))
+    x, v = np.ones(32), np.random.default_rng(0).standard_normal(32)
+    xax = 1e-300 * d.sum()
+    root = np.sqrt(xax)
+    npt.assert_allclose(grad_f(pair, x), 2e-300 * x - 1e-300 * d / root, rtol=1e-14)
+    ax = 1e-300 * d
+    want = 2e-300 * v - 1e-300 * d * v / root + ax * (ax @ v / xax / root)
+    npt.assert_allclose(hess_vec(pair, x, v), want, rtol=1e-12)
+
+
 def test_overflowed_xax_is_degenerate_for_grad_and_hess():
     """An x'Ax that overflows to NaN is degenerate: grad_f and hess_vec raise
     instead of returning NaN vectors."""

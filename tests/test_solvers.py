@@ -682,6 +682,25 @@ def test_power_degenerate_start():
     assert trace.status == "degenerate"
 
 
+@pytest.mark.parametrize("method", ["gd", "pmd", "power", "split-merge"])
+def test_tiny_definite_pencil_is_not_degenerate(method):
+    """On A = 1e-300 diag(linspace(1, 2, 32)) and B = 1e-300 I, x'Ax is below
+    1e-30 x'x but not negligible against ||Ax|| ||x||: the runs converge to
+    the top eigenvalue 2 against a reference (each ended degenerate at k = 0
+    with lambda 0 when the absolute scale alone decided). Without one they
+    still end degenerate at k = 0: the gradient ratio reads about 1e-151 at
+    the start on this pencil, so it would stop at once with a wrong lambda."""
+    pair = diag_pair(1e-300 * np.linspace(1.0, 2.0, 32), np.full(32, 1e-300))
+    reference = np.eye(pair.n)[-1]
+    trace = solve(pair, SolverConfig(method=method, tol=1e-8, reference=reference),
+                  np.ones(pair.n))
+    assert trace.status == "converged"
+    assert trace.final().lam == pytest.approx(2.0, rel=1e-8)
+    trace = solve(pair, SolverConfig(method=method, tol=1e-8), np.ones(pair.n))
+    assert trace.status == "degenerate"
+    assert len(trace.records) == 1
+
+
 # ---------------------------------------------------------------------------
 # Trace export
 
