@@ -232,19 +232,21 @@ def _aggregate(method, runs) -> MethodCellStats:
     """Statistics over (trial, status, trace or None) runs, from the converged traces."""
     good = [trace for _, status, trace in runs if status == "converged"]
 
-    def over(value, reduce=np.mean) -> float:
-        return float(reduce([value(t) for t in good])) if good else float("nan")
+    def over(values, reduce=np.mean) -> float:
+        return float(reduce(values)) if good else float("nan")
 
+    iterations = [t.iterations for t in good]
+    elapsed = [t.final().elapsed_ns for t in good]  # one record per run
     return MethodCellStats(
         method=method, success_rate=len(good) / len(runs), trials=len(runs), successes=len(good),
-        iterations_median=over(lambda t: t.iterations, np.median),
-        iterations_mean=over(lambda t: t.iterations),
-        iterations_std=over(lambda t: t.iterations, np.std),
-        matvecs_mean=over(lambda t: t.counters.matvecs),
-        solves_mean=over(lambda t: t.counters.solves),
-        pcg_inner_mean=over(lambda t: t.counters.pcg_inner),
-        elapsed_ns_median=over(lambda t: t.final().elapsed_ns, np.median),
-        elapsed_ns_mean=over(lambda t: t.final().elapsed_ns),
+        iterations_median=over(iterations, np.median),
+        iterations_mean=over(iterations),
+        iterations_std=over(iterations, np.std),
+        matvecs_mean=over([t.counters.matvecs for t in good]),
+        solves_mean=over([t.counters.solves for t in good]),
+        pcg_inner_mean=over([t.counters.pcg_inner for t in good]),
+        elapsed_ns_median=over(elapsed, np.median),
+        elapsed_ns_mean=over(elapsed),
         failures=[{"trial": t, "status": status} for t, status, _ in runs
                   if status != "converged"])
 

@@ -15,7 +15,7 @@ import numpy as np
 from scipy.linalg.blas import daxpy, ddot
 
 from .errors import DimensionMismatch, NotNormalized, StageFailure
-from .linalg import Counters
+from .linalg import Counters, as_vector
 from .objective import MatrixPair
 from .solvers import SolverConfig, prepare, solve
 
@@ -26,8 +26,7 @@ class DeflatedOperator:
     """A with one eigenpair projected out: P A P', P = I - (Bu) u'."""
 
     def __init__(self, base, b, u: np.ndarray):
-        if np.shape(u) != (b.n,):
-            raise DimensionMismatch(f"vector shape {np.shape(u)} vs order {b.n}")
+        u = as_vector(u, b.n)  # a list u would leave matvec multiplying a list
         bu = b.matvec(u)
         gram = float(u @ bu)
         if abs(gram - 1.0) > NORMALIZATION_ATOL:
@@ -39,6 +38,7 @@ class DeflatedOperator:
         self.n = b.n
 
     def matvec(self, x: np.ndarray, counters: Counters | None = None) -> np.ndarray:
+        x = as_vector(x, self.n)  # daxpy and ddot would raise f2py's error, not ours
         y = self.base.matvec(daxpy(x, self.u * -ddot(self.bu, x)), counters)
         return daxpy(y, self.bu * -ddot(self.u, y))
 

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.blas import daxpy, ddot
 
-from .errors import DimensionMismatch, InputError, PcgBreakdown, StaleFactor, ZeroDiagonal
-from .linalg import CholeskyFactor, Counters, SymmetricMatrix, dominant_eigenvalue, \
+from .errors import InputError, PcgBreakdown, StaleFactor, ZeroDiagonal
+from .linalg import CholeskyFactor, Counters, SymmetricMatrix, as_vector, dominant_eigenvalue, \
     incomplete_cholesky
 
 KINDS = ("cholesky", "diagonal", "incomplete-cholesky", "identity")
@@ -44,28 +44,24 @@ class Preconditioner:
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """P x."""
-        self._check(x)
+        x = as_vector(x, self.n)
         if self.factor is None:
             return self.scale * x
         return self.factor.apply_upper(x)
 
     def apply_inverse(self, x: np.ndarray) -> np.ndarray:
         """P^{-1} x."""
-        self._check(x)
+        x = as_vector(x, self.n)
         if self.factor is None:
             return x / self.scale
         return self.factor.solve_upper(x)
 
     def apply_inverse_t(self, x: np.ndarray) -> np.ndarray:
         """P^{-T} x."""
-        self._check(x)
+        x = as_vector(x, self.n)
         if self.factor is None:
             return x / self.scale
         return self.factor.solve_lower(x)
-
-    def _check(self, x):
-        if np.shape(x) != (self.n,):
-            raise DimensionMismatch(f"vector shape {np.shape(x)} vs order {self.n}")
 
 
 def build_preconditioner(b: SymmetricMatrix, kind: str) -> Preconditioner:
@@ -92,7 +88,7 @@ def apply_gram_inverse(p: Preconditioner, g: np.ndarray,
     and counts as one solve; the diagonal and identity kinds are O(n)
     scalings and count nothing.
     """
-    p._check(g)
+    g = as_vector(g, p.n)
     if p.factor is None:
         return g / p.diag
     if counters is not None:
@@ -156,10 +152,8 @@ def solve_spd(solver: LinearSolver, b: SymmetricMatrix, r: np.ndarray,
     inner steps (pcg_inner) and, if the cap stops it, pcg_capped/pcg_residual.
     A ``b`` other than the handle's own matrix must match its stored entries bit for bit.
     """
-    r = np.asarray(r, dtype=np.float64)
     n = solver.metric.n
-    if r.shape != (n,):
-        raise DimensionMismatch(f"rhs shape {r.shape} vs order {n}")
+    r = as_vector(r, n, "rhs")
     if b is not solver.matrix and (b.n != n or b.fingerprint() != solver.matrix.fingerprint()):
         raise StaleFactor("solver was built for a different matrix")
     if counters is not None:

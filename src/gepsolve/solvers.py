@@ -3,13 +3,13 @@
 Every method runs through ``solve(pair, config, x0)`` and the ``RUNNERS``
 registry: a runner supplies its set-up and one step, and one driver loop
 owns the checks, counters, recording, stopping and the trace. The trace
-holds one record per iteration with the objective value, the eigenvalue
-estimate, the stopping quantity, cumulative matvec/solve counts, and wall
-time. With a reference vector the stopping rule is the principal-angle
-sine; without one it is the scale-free gradient criterion
-||A d - q B d|| / (sqrt(d'Ad) q) for the unit direction d with Rayleigh
-quotient q, which coincides with ||grad f|| / lambda at the scale where the
-objective is stationary along the ray.
+holds one row per iteration (a TraceRecord once read) with the objective
+value, the eigenvalue estimate, the stopping quantity, cumulative
+matvec/solve counts, and wall time. With a reference vector the stopping
+rule is the principal-angle sine; without one it is the scale-free gradient
+criterion ||A d - q B d|| / (sqrt(d'Ad) q) for the unit direction d with
+Rayleigh quotient q, which coincides with ||grad f|| / lambda at the scale
+where the objective is stationary along the ray.
 
 Iterates of the power and surrogate methods are kept as unit directions and
 each step is taken from the ray minimiser c d with c = sqrt(d'Ad)/(2 d'Bd);
@@ -24,6 +24,7 @@ import numbers
 import sys
 import time
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg.blas import daxpy, ddot, dscal
@@ -39,7 +40,7 @@ from .errors import (
     NumericalError,
     ZeroVector,
 )
-from .linalg import Counters
+from .linalg import Counters, as_vector
 from .objective import CurvatureBound, MatrixPair, estimate_curvature_bound, is_degenerate
 from .precond import LinearSolver, Preconditioner, apply_gram_inverse, \
     build_preconditioner, solve_spd, transformed_dominant_eigenvalue
@@ -82,30 +83,47 @@ class TraceRecord:
     elapsed_ns: int
 
 
+def _record(row: tuple) -> TraceRecord:
+    k, f, lam, sin_theta, matvecs, solves, elapsed_ns = row
+    return TraceRecord(k, float(f), float(lam), sin_theta, matvecs, solves, elapsed_ns)
+
+
 @dataclass
 class SolveTrace:
-    """Result of one run: per-iteration records, terminal state, and the
-    method's diagnostics (stepsize, bounds, setup, escalations, drift)."""
+    """Result of one run: per-iteration rows, terminal state, and the
+    method's diagnostics (stepsize, bounds, setup, escalations, drift).
+
+    The loop stores each iteration as a plain tuple in ``rows``, in the
+    field order of :class:`TraceRecord`; ``records`` builds the
+    TraceRecord list at its first read and keeps it. ``final()`` and
+    ``iterations`` read the last row alone, so a caller that never reads
+    ``records`` (the suite, top-k, the CLI) builds at most one record."""
 
     method: str
     status: str  # converged | max-iterations | degenerate | diverged
-    records: list[TraceRecord]
+    rows: list[tuple]
     x: np.ndarray
     counters: Counters
     criterion: str  # sin-theta | gradient
     criterion_values: list[float] = field(default_factory=list)
     diagnostics: dict = field(default_factory=dict)
 
+    @cached_property
+    def records(self) -> list[TraceRecord]:
+        return [_record(row) for row in self.rows]
+
     @property
     def iterations(self) -> int:
-        return self.records[-1].k if self.records else 0
+        return self.rows[-1][0] if self.rows else 0
 
     @property
     def converged(self) -> bool:
         return self.status == "converged"
 
     def final(self) -> TraceRecord:
-        return self.records[-1]
+        if "records" in self.__dict__:  # already built
+            return self.records[-1]
+        return _record(self.rows[-1])
 
     def to_csv(self, path) -> None:
         with open(path, "w", encoding="ascii") as fh:
@@ -124,8 +142,14 @@ def check_stopping(x: np.ndarray, u_ref: np.ndarray, tol: float) -> tuple[float,
     and the value is at least 2 tol, so the decision is the exact sine's.
     Below, the sine is measured from the part of x normal to u, which keeps
     the digits sqrt(1 - c^2) loses (it reads 0 below about 1.5e-8)."""
-    sin = _sin_to_unit(x, _unit(u_ref), tol)
+    x = as_vector(x, np.size(u_ref))
+    sin = _sin_to_unit(x, _unit(as_vector(u_ref, x.size, "reference")), _sin_gate(tol, x.size))
     return sin, sin <= tol
+
+
+def _sin_gate(tol: float, n: int) -> float:
+    """sin^2 above which two inner products give the sine (see check_stopping)."""
+    return max(4.0 * tol * tol, 1e-9 * n)
 
 
 def _unit(v: np.ndarray) -> np.ndarray:
@@ -136,39 +160,41 @@ def _unit(v: np.ndarray) -> np.ndarray:
     return v / norm
 
 
-def _sin_to_unit(x: np.ndarray, unit: np.ndarray, tol: float, xx=None) -> float:
+def _sin_to_unit(x: np.ndarray, unit: np.ndarray, gate: float, xx=None) -> float:
     xx = ddot(x, x) if xx is None else xx  # x.x, when the caller has it
     if xx == 0.0:
         raise ZeroVector("stopping check on a zero vector")
     c = ddot(x, unit)
     sin2 = 1.0 - c * c / xx
-    if sin2 > max(4.0 * tol * tol, 1e-9 * x.size):
+    if sin2 > gate:
         return math.sqrt(sin2)
     normal = daxpy(x, unit * -c)
     return math.sqrt(ddot(normal, normal) / xx)
 
 
 class _Recorder:
-    """Collects trace records against a shared clock and counter set."""
+    """Collects trace rows against a shared clock and counter set."""
 
     def __init__(self, counters: Counters, reference, tol: float):
         self.counters = counters
-        # normalized once; every record measures its angle against it
+        # normalized once, with its gate; every row measures its angle against it
         self.unit = None if reference is None else _unit(reference)
+        self.gate = None if reference is None else _sin_gate(tol, self.unit.size)
         self.tol = tol
-        self.records: list[TraceRecord] = []
+        self.rows: list[tuple] = []
         self.values: list[float] = []
         self.start = time.perf_counter_ns()
 
     def add(self, k: int, f: float, lam: float, x: np.ndarray,
             grad_ratio: float | None, xx=None) -> bool:
-        """Append a record; returns True when the stopping rule fires."""
+        """Append a row; returns True when the stopping rule fires."""
         if self.unit is None:
             sin, crit = math.nan, float(grad_ratio)
         else:
-            sin = crit = _sin_to_unit(x, self.unit, self.tol, xx)
-        self.records.append(TraceRecord(k, float(f), float(lam), sin, self.counters.matvecs,
-                                        self.counters.solves, time.perf_counter_ns() - self.start))
+            sin = crit = _sin_to_unit(x, self.unit, self.gate, xx)
+        counters = self.counters
+        self.rows.append((k, f, lam, sin, counters.matvecs, counters.solves,
+                          time.perf_counter_ns() - self.start))
         self.values.append(crit)
         return crit <= self.tol
 
@@ -211,7 +237,7 @@ class _Runner:
                 if k < cap:
                     x = self.advance(x, counters)
         except _Degenerate as exc:
-            rec.add(len(rec.records), exc.args[0], 0.0, x, math.inf)
+            rec.add(len(rec.rows), exc.args[0], 0.0, x, math.inf)
             return "degenerate" if math.isfinite(exc.args[0]) else "diverged", x
         return "max-iterations", x
 
@@ -465,7 +491,7 @@ def _observed_rate(rec: _Recorder) -> float | None:
     mid, values = len(rec.values) // 2, rec.values
     if mid < 2 or not (0.0 < values[mid] < math.inf and 0.0 < values[-1] < math.inf):
         return None
-    return (values[-1] / values[mid]) ** (1.0 / (rec.records[-1].k - rec.records[mid].k))
+    return (values[-1] / values[mid]) ** (1.0 / (rec.rows[-1][0] - rec.rows[mid][0]))
 
 
 def _run(method: str, pair: MatrixPair, config: SolverConfig, x0) -> SolveTrace:
@@ -499,7 +525,7 @@ def _run(method: str, pair: MatrixPair, config: SolverConfig, x0) -> SolveTrace:
     status, x = runner.iterate(x, rec, cap)
     runner.diagnostics["observed_rate"] = _observed_rate(rec)
     criterion = "sin-theta" if config.reference is not None else "gradient"
-    return SolveTrace(method, status, rec.records, x, rec.counters, criterion,
+    return SolveTrace(method, status, rec.rows, x, rec.counters, criterion,
                       rec.values, runner.diagnostics)
 
 

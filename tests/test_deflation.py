@@ -114,6 +114,22 @@ def test_deflate_matvec_matches_dense():
     npt.assert_allclose(op.diagonal(), np.diagonal(dense), rtol=1e-12)
 
 
+def test_deflated_matvec_rejects_a_vector_of_another_shape():
+    """A wrong-shaped vector raises DimensionMismatch, a GepSolveError, where
+    the rank-one corrections would raise f2py's own error; a list still
+    gives the array's bytes."""
+    pair = rand_pair(8, 13)
+    _, vecs = gen_spectrum(pair)
+    op = deflate(pair.a, pair.b, vecs[:, -1])
+    for x in (np.ones(9), np.ones(7), np.ones((8, 2))):
+        with pytest.raises(DimensionMismatch):
+            op.matvec(x)
+    x = np.random.default_rng(1).standard_normal(8)
+    assert op.matvec(x.tolist()).tobytes() == op.matvec(x).tobytes()
+    from_list = deflate(pair.a, pair.b, vecs[:, -1].tolist())
+    assert from_list.matvec(x).tobytes() == op.matvec(x).tobytes()
+
+
 def test_validate_pair_materializes_a_deflated_a_once(monkeypatch):
     pair = rand_pair(6, 15)
     _, vecs = gen_spectrum(pair)

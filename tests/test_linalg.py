@@ -24,7 +24,10 @@ from gepsolve import (
     SymmetricMatrix,
     SyntheticSpec,
     apply_gram_inverse,
+    build_preconditioner,
+    check_stopping,
     cholesky_factorize,
+    deflate,
     gen_synthetic,
     incomplete_cholesky,
     jacobi_eigh,
@@ -63,6 +66,11 @@ def rand_spd(n, seed, cond=10.0):
     vals = np.linspace(1.0 / cond, 1.0, n)
     m = (q * vals) @ q.T
     return 0.5 * (m + m.T)
+
+
+def wrong_shapes(n):
+    """Arguments that are not one vector of order n: longer, shorter, 2-d, 0-d."""
+    return (np.ones(n + 1), np.ones(n - 1), np.ones((1, n)), np.ones((n, 1)), np.float64(1.0))
 
 
 def grid_laplacian(side):
@@ -177,9 +185,13 @@ def test_matvec_counts():
 
 
 def test_matvec_dimension_mismatch():
-    m = SymmetricMatrix.from_dense(np.eye(3))
-    with pytest.raises(DimensionMismatch):
-        m.matvec(np.ones(4))
+    """Both storage kinds take one vector of their order: a longer, shorter,
+    two-dimensional or zero-dimensional argument raises DimensionMismatch."""
+    for m in (SymmetricMatrix.from_dense(np.eye(3)),
+              SymmetricMatrix.from_sparse(scipy.sparse.eye_array(3, format="csr"))):
+        for x in wrong_shapes(3):
+            with pytest.raises(DimensionMismatch):
+                m.matvec(x)
 
 
 def test_fingerprint_storage_independent():
@@ -449,9 +461,72 @@ def test_dense_solve_rejects_a_rhs_of_another_shape():
     """A dense solve takes one vector of the factor's order: dsymv would read
     the first n entries of a longer or two-dimensional right-hand side."""
     f = cholesky_factorize(SymmetricMatrix.from_dense(rand_spd(8, 5)))
-    for rhs in (np.ones(9), np.ones(7), np.ones((8, 2))):
+    for rhs in (np.ones((8, 2)), *wrong_shapes(8)):
         with pytest.raises(DimensionMismatch):
             f.solve(rhs)
+
+
+def _vector_callers():
+    """Every entry point that checks a vector argument, as name -> (n, call)."""
+    n = 8
+    dense = SymmetricMatrix.from_dense(rand_spd(n, 5))
+    csr = SymmetricMatrix.from_sparse(scipy.sparse.csr_array(rand_spd(n, 6)))
+    pair = MatrixPair(SymmetricMatrix.from_dense(rand_spd(n, 7, cond=50.0)), dense)
+    u = scipy.linalg.eigh(pair.a.dense(), dense.dense())[1][:, -1]  # B-normalized
+    deflated = deflate(pair.a, dense, u)
+    callers = {
+        "matvec-dense": dense.matvec,
+        "matvec-csr": csr.matvec,
+        "solve_spd-exact": lambda x: solve_spd(LinearSolver.exact(dense), dense, x),
+        "solve_spd-pcg": lambda x: solve_spd(LinearSolver.pcg(csr), csr, x),
+        "factor-dense": dense.cholesky().solve,
+        "factor-sparse": csr.cholesky().solve,
+        "DeflatedOperator.matvec": deflated.matvec,
+        "check_stopping": lambda x: check_stopping(x, u, 1e-5),
+    }
+    for kind in ("cholesky", "diagonal"):
+        p = build_preconditioner(csr, kind)
+        callers.update({f"apply-{kind}": p.apply, f"apply_inverse-{kind}": p.apply_inverse,
+                        f"apply_inverse_t-{kind}": p.apply_inverse_t,
+                        f"apply_gram_inverse-{kind}": lambda x, p=p: apply_gram_inverse(p, x)})
+    return n, callers
+
+
+def _as_bytes(out):
+    if isinstance(out, tuple):
+        return tuple(map(_as_bytes, out))
+    if isinstance(out, np.ndarray):
+        return out.dtype.str, out.shape, out.tobytes()
+    return type(out), repr(out)
+
+
+VECTOR_CALLERS = sorted(_vector_callers()[1])
+
+
+@pytest.mark.parametrize("name", VECTOR_CALLERS)
+@pytest.mark.parametrize("form", ["list", "int", "big-endian", "strided"])
+def test_vector_arguments_give_the_float64_bytes(name, form):
+    """A list, an integer array, a big-endian array or a strided view gives
+    the bytes of the same values as a contiguous native float64 vector."""
+    n, callers = _vector_callers()
+    call = callers[name]
+    values = np.random.default_rng(11).standard_normal(n)
+    if form == "int":
+        values = np.arange(1.0, n + 1.0) * np.where(np.arange(n) % 3, 1.0, -2.0)
+    arg = {"list": values.tolist(), "int": values.astype(np.int64),
+           "big-endian": values.astype(">f8"), "strided": np.repeat(values, 3)[::3]}[form]
+    assert _as_bytes(call(arg)) == _as_bytes(call(values.copy()))
+
+
+@pytest.mark.parametrize("name", [c for c in VECTOR_CALLERS
+                                  if c not in ("matvec-dense", "matvec-csr", "factor-dense")])
+def test_vector_arguments_of_another_shape_raise_dimension_mismatch(name):
+    """A wrong length, a 2-d and a 0-d argument raise DimensionMismatch
+    (the two matvecs and the dense factor: the tests above)."""
+    n, callers = _vector_callers()
+    for x in wrong_shapes(n):
+        with pytest.raises(DimensionMismatch):
+            callers[name](x)
 
 
 def test_dense_solve_with_zero_pivot_raises_numerical_error():

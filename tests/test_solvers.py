@@ -24,6 +24,7 @@ from gepsolve import (
     run_pmd,
     run_power,
     solve,
+    top_k,
 )
 from gepsolve.errors import (
     DimensionMismatch,
@@ -32,7 +33,9 @@ from gepsolve.errors import (
     NonFiniteEntries,
     ZeroVector,
 )
-from gepsolve.solvers import METHODS, TRACE_HEADER
+import gepsolve.solvers
+from gepsolve.bench import SuiteCell, SuiteConfig, run_suite
+from gepsolve.solvers import METHODS, TRACE_HEADER, TraceRecord
 
 
 def rand_spd(n, seed, cond=10.0):
@@ -118,6 +121,18 @@ def test_check_stopping_zero_vector():
         check_stopping(np.ones(2), np.zeros(2), 1e-5)
 
 
+def test_check_stopping_validates_its_vectors():
+    """A list gives the array's result; a vector of another length or a 2-d
+    one raises DimensionMismatch rather than f2py's error or a flattened read."""
+    x, u_ref = np.array([3.0, 4.0]), np.array([1.0, 0.0])
+    assert check_stopping(x.tolist(), u_ref, 1e-5) == check_stopping(x, u_ref, 1e-5)
+    assert check_stopping(x, u_ref.tolist(), 1e-5) == check_stopping(x, u_ref, 1e-5)
+    for bad_x, bad_ref in ((np.ones(3), u_ref), (np.ones((1, 2)), u_ref),
+                           (x, np.ones((1, 2))), (x, np.ones(3))):
+        with pytest.raises(DimensionMismatch):
+            check_stopping(bad_x, bad_ref, 1e-5)
+
+
 def normal_component_sine(x, u_ref):
     """The sine read from the part of x normal to the unit reference alone."""
     unit = u_ref / float(np.linalg.norm(u_ref))
@@ -177,6 +192,60 @@ def test_trace_records_hold_python_scalars(method, with_reference):
         assert [r.sin_theta for r in trace.records] == trace.criterion_values
     else:
         assert all(math.isnan(r.sin_theta) for r in trace.records)
+
+
+@pytest.fixture
+def built_records(monkeypatch):
+    """Counts the TraceRecords the package builds."""
+    built = []
+
+    class Counted(TraceRecord):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(gepsolve.solvers, "TraceRecord", Counted)
+    return built
+
+
+def test_paths_that_never_read_records_build_none(built_records):
+    """The loop keeps plain rows: a suite run, whose statistics read
+    ``final()`` once, builds one record; a top-k stage, which reads the
+    status and the iterate, builds none; ``final()`` and ``iterations``
+    after a solve build one between them."""
+    config = SuiteConfig(cells=[SuiteCell(24, 10.0)], methods=list(METHODS), trials=2)
+    report = run_suite(config)
+    runs = sum(m.successes for cell in report.cells for m in cell.methods)
+    assert runs == len(METHODS) * 2 and len(built_records) <= runs
+
+    del built_records[:]
+    pair = gen_synthetic(SyntheticSpec(n=24, kappa_b=10.0, seed=2))
+    assert len(top_k(pair, 3, SolverConfig(method="power", tol=1e-8))) == 3
+    assert len(built_records) <= 3
+
+    del built_records[:]
+    trace = solve(pair, SolverConfig(method="gd", tol=1e-6),
+                  np.random.default_rng(5).standard_normal(pair.n))
+    assert trace.final().k == trace.iterations > 1
+    assert len(built_records) == 1
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_records_built_on_read_match_the_rows(method):
+    """``records`` is one TraceRecord per row, field by field and type by type,
+    built once: a second read returns the same list."""
+    pair = gen_synthetic(SyntheticSpec(n=24, kappa_b=10.0, seed=2))
+    trace = solve(pair, SolverConfig(method=method, tol=1e-6, reference=reference_solution(pair).u),
+                  np.random.default_rng(5).standard_normal(pair.n))
+    records = trace.records
+    assert trace.records is records and len(records) == len(trace.rows) >= 1
+    for r, row in zip(records, trace.rows):
+        fields = (r.k, r.f, r.lam, r.sin_theta, r.matvecs, r.solves, r.elapsed_ns)
+        assert [type(v) for v in fields] == [int, float, float, float, int, int, int]
+        assert [v.hex() if type(v) is float else v for v in fields] == \
+            [float(v).hex() if type(v) is not int else v for v in row]
+    assert trace.final() is records[-1] and trace.iterations == records[-1].k
+    assert_python_scalars(trace)
 
 
 @pytest.mark.parametrize("with_reference", [False, True])
