@@ -269,6 +269,18 @@ def add_scaled(a: SymmetricMatrix, b: SymmetricMatrix, eta: float) -> SymmetricM
     return SymmetricMatrix.from_dense(a.dense() + eta * b.dense())
 
 
+def diagonal_congruence(b: SymmetricMatrix, s: np.ndarray) -> SymmetricMatrix:
+    """S B S for S = diag(s), in B's storage kind: entry (i, j) is b_ij * (s_i * s_j),
+    exactly symmetric because s_i * s_j and s_j * s_i round alike. A CSR result
+    keeps B's pattern, so the constructor picks its product kernel by the same rule."""
+    s, m = as_vector(s, b.n, "scale"), b._m
+    if b.kind == "dense":
+        return SymmetricMatrix(np.multiply(m, np.multiply.outer(s, s), out=_empty_aligned(m.shape)))
+    rows = np.repeat(np.arange(b.n), np.diff(m.indptr))
+    data = m.data * (s[rows] * s[m.indices])
+    return SymmetricMatrix(scipy.sparse.csr_array((data, m.indices, m.indptr), shape=m.shape))
+
+
 class CholeskyFactor:
     """Lower-triangular factor L^ with Pi' B Pi = L^ L^' (B[perm][:, perm]), held as
     one array ``l``; ``perm`` is ``slice(None)`` but for a CSR B, and the methods

@@ -6,20 +6,22 @@ Supported kinds: 'cholesky' (P = L' from B = LL', the exact metric),
 IC(0)), and 'identity'. The solvers only ever need P through the inverse
 Gram application (P'P)^{-1} g, provided here. A :class:`LinearSolver`
 solves B x = r either exactly in the cholesky kind or by capped PCG whose
-inner preconditioner is one of the other kinds (see ``INNER_KINDS``).
+inner preconditioner is one of the other kinds (see ``INNER_KINDS``). PCG is
+that change of variables too: with the diagonal kind it is plain CG on
+P^{-T} B P^{-1} = S B S, S = D^{-1/2}, in y = S^{-1} x, so no step divides.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg.blas import daxpy, ddot
 
 from .errors import InputError, PcgBreakdown, StaleFactor, ZeroDiagonal
-from .linalg import CholeskyFactor, Counters, SymmetricMatrix, as_vector, dominant_eigenvalue, \
-    incomplete_cholesky
+from .linalg import CholeskyFactor, Counters, SymmetricMatrix, as_vector, diagonal_congruence, \
+    dominant_eigenvalue, incomplete_cholesky
 
 KINDS = ("cholesky", "diagonal", "incomplete-cholesky", "identity")
 
@@ -118,17 +120,36 @@ class LinearSolver:
     A cholesky ``metric`` solves exactly (mode 'cholesky'); any other kind is
     the inner preconditioner of conjugate gradients capped at ``cap`` inner
     iterations (mode 'pcg'). Both modes keep the B they were built for and
-    refuse a matrix whose stored entries differ from it later.
+    refuse a matrix whose stored entries differ from it later. A diagonal
+    (Jacobi) handle forms S B S at its first solve and keeps it, in B's
+    storage kind (a dense B's n^2 doubles once more), for every later solve.
     """
 
     matrix: SymmetricMatrix
     metric: Preconditioner
     cap: int = 30
     tol: float = 1e-10
+    # (S B S, s, floor) for the diagonal kind, formed by the first solve
+    _scaled: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def mode(self) -> str:
         return "cholesky" if self.metric.kind == "cholesky" else "pcg"
+
+    def _cg_operands(self, b: SymmetricMatrix) -> tuple:
+        """(operator, s, floor) for PCG on B: the diagonal kind's S B S with
+        S = diag(s) = D^{-1/2}, built from the handle's own B once, and floor,
+        for which floor * ||r^|| is below ||D^{1/2} r^||; else ``b``, None and 1."""
+        if self.metric.kind != "diagonal":
+            return b, None, 1.0
+        if self._scaled is None:
+            s = 1.0 / self.metric.scale
+            # ||D^{1/2} r^|| >= ||r^|| / max(s), and each computed norm is within
+            # about (n/2 + 3) u of its value (Higham §3.1): the margin keeps the
+            # computed floor * ||r^|| at or below the computed ||D^{1/2} r^||
+            floor = (1.0 - (self.metric.n + 4) * np.finfo(np.float64).eps) / float(np.max(s))
+            self._scaled = (diagonal_congruence(self.matrix, s), s, floor)
+        return self._scaled
 
     @classmethod
     def exact(cls, b: SymmetricMatrix) -> "LinearSolver":
@@ -150,7 +171,9 @@ def solve_spd(solver: LinearSolver, b: SymmetricMatrix, r: np.ndarray,
 
     Counts one solve per call; PCG mode adds its inner B-matvecs (matvecs),
     inner steps (pcg_inner) and, if the cap stops it, pcg_capped/pcg_residual.
-    A ``b`` other than the handle's own matrix must match its stored entries bit for bit.
+    PCG stops once ||r|| <= tol ||r_0|| for the residual r of B x = r_0 itself,
+    whatever the inner kind. A ``b`` other than the handle's own matrix must
+    match its stored entries bit for bit.
     """
     n = solver.metric.n
     r = as_vector(r, n, "rhs")
@@ -166,40 +189,52 @@ def solve_spd(solver: LinearSolver, b: SymmetricMatrix, r: np.ndarray,
 def _pcg(solver: LinearSolver, b: SymmetricMatrix, rhs: np.ndarray,
          counters: Counters | None) -> np.ndarray:
     # Saad, Alg. 9.1, with each vector update one in-place daxpy, which rounds
-    # once where numpy's multiply-then-add rounds twice. p = z + beta p lands
-    # in z's buffer, so a factor-free metric writes the next z into p's old one.
-    x, spare, r = np.zeros_like(rhs), np.empty_like(rhs), rhs.copy()
-    norm_rhs = norm_r = math.sqrt(ddot(r, r))
+    # once where numpy's multiply-then-add rounds twice. Jacobi runs plain CG on
+    # S B S for x^ = S^{-1} x (split preconditioning, Saad §9.2.1): r^ = S r,
+    # r^'r^ is r'z, and no step divides. p = z + beta p lands in z's buffer, a
+    # copy of r^ or the factor's solve, so the spare takes p's old one.
+    x, spare = np.zeros_like(rhs), np.empty_like(rhs)
+    norm_rhs = norm_r = math.sqrt(ddot(rhs, rhs))
     if norm_rhs == 0.0:
         return x
-    metric, stop = solver.metric, solver.tol * norm_rhs
-    p = z = apply_gram_inverse(metric, r)
-    rz = ddot(r, z)
-    if rz < 0.0:
-        raise PcgBreakdown(f"indefinite inner preconditioner: r'z = {rz:.3e}")
+    (op, s, floor), factor = solver._cg_operands(b), solver.metric.factor
+    stop = solver.tol * norm_rhs
+    r = rhs.copy() if s is None else rhs * s
+    if factor is None:
+        p, rz = r.copy(), ddot(r, r)
+    else:
+        p = z = factor.solve(r)
+        rz = ddot(r, z)
+        if rz < 0.0:
+            raise PcgBreakdown(f"indefinite inner preconditioner: r'z = {rz:.3e}")
     for k in range(1, solver.cap + 1):
         if counters is not None:
             counters.pcg_inner += 1
-        bp = b.matvec(p, counters)
+        bp = op.matvec(p, counters)
         pbp = ddot(p, bp)
         if pbp <= 0.0:
             raise PcgBreakdown(f"nonpositive curvature p'Bp = {pbp:.3e}")
         alpha = rz / pbp
         x = daxpy(p, x, a=alpha)
         r = daxpy(bp, r, a=-alpha)
-        norm_r = math.sqrt(ddot(r, r))
+        rr = ddot(r, r)
+        norm_r = math.sqrt(rr) * floor  # ||r||, or below it while r is scaled
+        if s is not None and (norm_r <= stop or k == solver.cap):
+            u = np.divide(r, s, out=spare)  # the residual of B x = rhs
+            norm_r = math.sqrt(ddot(u, u))
         if norm_r <= stop or k == solver.cap:  # no direction after the last step
             break
-        if metric.factor is None:
-            z = np.divide(r, metric.diag, out=spare)
+        if factor is None:
+            spare[...] = r
+            z, rz_next = spare, rr
         else:
-            z = metric.factor.solve(r)
-        rz_next = ddot(r, z)
-        if rz_next < 0.0:
-            raise PcgBreakdown(f"indefinite inner preconditioner: r'z = {rz_next:.3e}")
+            z = factor.solve(r)
+            rz_next = ddot(r, z)
+            if rz_next < 0.0:
+                raise PcgBreakdown(f"indefinite inner preconditioner: r'z = {rz_next:.3e}")
         spare, p = p, daxpy(p, z, a=rz_next / rz)
         rz = rz_next
     if norm_r > stop and counters is not None:
         counters.pcg_capped += 1
         counters.pcg_residual = max(counters.pcg_residual, norm_r / norm_rhs)
-    return x
+    return x if s is None else np.multiply(x, s, out=x)

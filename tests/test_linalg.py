@@ -54,9 +54,9 @@ from gepsolve.errors import (
     StaleFactor,
     ZeroDiagonal,
 )
-from gepsolve import linalg
+from gepsolve import linalg, precond
 from gepsolve.cli import main
-from gepsolve.linalg import dominant_eigenvalue
+from gepsolve.linalg import diagonal_congruence, dominant_eigenvalue
 from gepsolve.solvers import METHODS
 
 
@@ -710,7 +710,8 @@ def test_pcg_ichol_inner_converges_faster():
 
 # (cap, inner) -> (pcg_inner, ||x||, x'r, x'w) for the right-hand side r
 # below and w = (1, 2, ..., n); Jacobi and no preconditioner take the same
-# steps here because the pencil's diagonal is constant
+# steps here because the pencil's diagonal is constant (see
+# test_jacobi_pcg_on_a_varying_diagonal_takes_the_textbook_steps for one that is not)
 PCG_GRID_PINS = {
     (4, "jacobi"): (4, 3.3722700121698237, 30.364049228615766, -31.273356790741573),
     (4, "ichol"): (4, 3.6156862972434127, 30.800072004226028, -54.23489359158151),
@@ -778,6 +779,46 @@ def textbook_solve_spd(solver, b, rhs, counters, update=fused_update):
     return x
 
 
+def scaled_textbook_solve_spd(solver, b, rhs, counters, update=fused_update):
+    """Jacobi PCG as plain CG on S B S with S = diag(s) = D^{-1/2} (split
+    preconditioning, Saad §9.2.1), on fresh arrays as ``textbook_solve_spd``:
+    the right-hand side is S rhs, the answer S x^, and every step tests the
+    residual of B x = rhs, r = r^ / s."""
+    counters.solves += 1
+    s = 1.0 / np.sqrt(b.diagonal())
+    scaled = diagonal_congruence(b, s)
+    x = np.zeros_like(rhs)
+    norm_rhs = math.sqrt(rhs.dot(rhs))
+    if norm_rhs == 0.0:
+        return x
+    r = rhs * s
+    p = r.copy()
+    rz = float(r.dot(r))
+    for _ in range(solver.cap):
+        counters.pcg_inner += 1
+        bp = scaled.matvec(p, counters)
+        alpha = rz / float(p.dot(bp))
+        x = update(x, p, alpha)
+        r = update(r, bp, -alpha)
+        norm_r = math.sqrt((r / s).dot(r / s))
+        if norm_r <= solver.tol * norm_rhs:
+            break
+        rz_next = float(r.dot(r))
+        p = update(r, p, rz_next / rz)
+        rz = rz_next
+    else:
+        counters.pcg_capped += 1
+        counters.pcg_residual = max(counters.pcg_residual, norm_r / norm_rhs)
+    return x * s
+
+
+def assert_same_steps(got, got_counters, want, want_counters):
+    """Equal counters but pcg_residual, and x and pcg_residual within 1e-13."""
+    assert replace(want_counters, pcg_residual=0.0) == replace(got_counters, pcg_residual=0.0)
+    assert want_counters.pcg_residual == pytest.approx(got_counters.pcg_residual, rel=1e-13)
+    assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+
 def grid_pencil_b():
     """B = Laplacian + 0.5 I on the 12 x 12 grid, as the PCG pins use."""
     lap = grid_laplacian(12)
@@ -810,24 +851,92 @@ def test_pcg_matches_textbook_loop_bitwise(inner, cap, storage):
     loop making the same fused daxpy updates on fresh arrays (so a buffer
     that p, z and the spare share wrongly shows here), for runs stopped by
     the cap (4) and by the tolerance (500), and for a zero right-hand side.
-    Against the loop with numpy's twice-rounded updates the counters are
-    equal, and x and the residual agree to 1e-13, ``PCG_GRID_PINS``'s tolerance."""
+    For Jacobi that loop is the scaled one, and the left-preconditioned loop
+    takes the same steps. Against the left-preconditioned loop with numpy's
+    twice-rounded updates the counters are equal, and x and the residual
+    agree to 1e-13, ``PCG_GRID_PINS``'s tolerance."""
     mat = grid_pencil_b()
     if storage == "dense":
         mat = SymmetricMatrix.from_dense(mat.dense())
     solver = LinearSolver.pcg(mat, cap=cap, tol=1e-10, inner=inner)
     rng = np.random.default_rng(31)
     got_counters, want_counters, numpy_counters = Counters(), Counters(), Counters()
+    left_counters = Counters()
     for rhs in (rng.standard_normal(mat.n), rng.standard_normal(mat.n), np.zeros(mat.n)):
         got = solve_spd(solver, mat, rhs, got_counters)
-        want = textbook_solve_spd(solver, mat, rhs, want_counters)
+        if inner == "jacobi":
+            want = scaled_textbook_solve_spd(solver, mat, rhs, want_counters)
+            left = textbook_solve_spd(solver, mat, rhs, left_counters)
+            assert_same_steps(got, got_counters, left, left_counters)
+        else:
+            want = textbook_solve_spd(solver, mat, rhs, want_counters)
         assert got.tobytes() == want.tobytes()
         assert got_counters == want_counters
         rounded_twice = textbook_solve_spd(solver, mat, rhs, numpy_counters, numpy_update)
-        assert replace(numpy_counters, pcg_residual=0.0) == replace(got_counters, pcg_residual=0.0)
-        assert numpy_counters.pcg_residual == pytest.approx(got_counters.pcg_residual, rel=1e-13)
-        assert np.linalg.norm(got - rounded_twice) <= 1e-13 * np.linalg.norm(rounded_twice)
+        assert_same_steps(got, got_counters, rounded_twice, numpy_counters)
     assert got_counters.pcg_capped == (2 if cap == 4 else 0)
+
+
+def varying_diagonal_b(storage):
+    """A B whose diagonal varies: the 16 x 16 Laplacian plus a permuted
+    diag(linspace(0.5, 50)) as CSR, or gen_synthetic(64, 100, 0)'s dense B."""
+    if storage == "dense":
+        return gen_synthetic(SyntheticSpec(n=64, kappa_b=100.0, seed=0)).b
+    lap = grid_laplacian(16)
+    d = np.linspace(0.5, 50.0, lap.n)[np.random.default_rng(0).permutation(lap.n)]
+    return SymmetricMatrix.from_sparse(lap._m + scipy.sparse.diags_array(d, format="csr"))
+
+
+@pytest.mark.parametrize("cap", [4, 30, 500])
+@pytest.mark.parametrize("storage", ["csr", "dense"])
+def test_jacobi_pcg_on_a_varying_diagonal_takes_the_textbook_steps(cap, storage):
+    """Where Jacobi is no uniform scale, the scaled loop still takes the steps
+    of the left-preconditioned textbook loop: equal pcg_inner and pcg_capped,
+    x and pcg_residual within 1e-13, and the scaled textbook loop's bytes."""
+    mat = varying_diagonal_b(storage)
+    assert mat.kind == storage
+    assert np.ptp(mat.diagonal()) > 0.1 * np.max(mat.diagonal())
+    solver = LinearSolver.pcg(mat, cap=cap, tol=1e-10, inner="jacobi")
+    rng = np.random.default_rng(5)
+    got_counters, left_counters, scaled_counters = Counters(), Counters(), Counters()
+    for rhs in (rng.standard_normal(mat.n), rng.standard_normal(mat.n)):
+        got = solve_spd(solver, mat, rhs, got_counters)
+        left = textbook_solve_spd(solver, mat, rhs, left_counters)
+        assert_same_steps(got, got_counters, left, left_counters)
+        assert got.tobytes() == scaled_textbook_solve_spd(solver, mat, rhs,
+                                                          scaled_counters).tobytes()
+        assert got_counters == scaled_counters
+    # the CSR B's solves converge in 12 steps each, the dense B's in about 50
+    assert got_counters.pcg_capped == (2 if cap == 4 or (cap, storage) == (30, "dense") else 0)
+
+
+def count_congruences(monkeypatch):
+    """The orders ``precond.diagonal_congruence`` is called with, as the calls happen."""
+    calls, real = [], precond.diagonal_congruence
+
+    def counted(b, s):
+        calls.append(b.n)
+        return real(b, s)
+    monkeypatch.setattr(precond, "diagonal_congruence", counted)
+    return calls
+
+
+@pytest.mark.parametrize("inner", ["jacobi", "ichol", None])
+def test_one_scaled_b_per_pcg_handle(monkeypatch, inner):
+    """A Jacobi handle forms S B S at its first solve, not when it is built,
+    and once across power, split-merge and lanczos runs and every ``top_k``
+    stage that share it; the IC(0) and identity kinds form none."""
+    calls = count_congruences(monkeypatch)
+    pair = gen_synthetic(SyntheticSpec(n=24, kappa_b=10.0, seed=3))
+    x0 = np.random.default_rng(0).standard_normal(pair.n)
+    solver = LinearSolver.pcg(pair.b, cap=40, inner=inner)
+    assert calls == []
+    for method in ("power", "split-merge", "lanczos"):
+        config = SolverConfig(method=method, tol=1e-6, linear_solver=solver)
+        assert solve(pair, config, x0).converged
+    config = SolverConfig(method="split-merge", tol=1e-6, linear_solver=solver)
+    assert len(top_k(pair, 3, config, x0)) == 3
+    assert calls == ([24] if inner == "jacobi" else [])
 
 
 @pytest.mark.parametrize("inner", ["jacobi", "ichol", None])

@@ -2,17 +2,20 @@
 
     python3 tools/compare_counts.py BASELINE_TREE [--seeds 0 1 2]
 
-Runs every ``solves()`` call of the benchmark workloads dense-loop, grid-ci
-and sparse-pcg at each seed, once in this tree and once in BASELINE_TREE
-(a checkout of another commit, e.g. from ``git archive``). Each tree runs in
-its own subprocess, with its own ``src/`` and ``perfbench/`` first on
-``sys.path`` and one BLAS thread, so both sides run the same workload code
-that their commit ships. Nothing is timed, and only temporary folders are
-written.
+Runs every ``solves()`` call and every ``top_k`` call of a round of the
+benchmark workloads dense-loop, grid-ci and sparse-pcg at each seed, once in
+this tree and once in BASELINE_TREE (a checkout of another commit, e.g. from
+``git archive``). Each tree runs in its own subprocess, with its own ``src/``
+and ``perfbench/`` first on ``sys.path`` and one BLAS thread, so both sides
+run the same workload code that their commit ships. The ``top_k`` calls are
+those the workload's ``round()`` makes, collected by a stand-in for the
+benchmark's run object, and a counting wrapper of A keeps each stage's
+counters. Nothing is timed, and only temporary folders are written.
 
-Prints every run whose status, iterations or counters differ between the
-trees, with split-merge's ``fallback_steps`` and both final lambdas, and
-then the largest relative lambda gap among the runs that agree.
+Prints every call whose status, iterations or counters (per stage for
+``top_k``) differ between the trees, with split-merge's ``fallback_steps``
+and both sides' final lambdas, and then the largest relative lambda gap
+among the calls that agree.
 """
 
 import argparse
@@ -28,14 +31,74 @@ WORKLOADS = ("dense-loop", "grid-ci", "sparse-pcg")
 COUNTERS = ("matvecs", "solves", "pcg_inner", "pcg_capped")
 
 
+class CountedA:
+    """The A operand, keeping every Counters object a counted product passes:
+    each runner call, so each top_k stage, makes its own."""
+
+    def __init__(self, base):
+        self.base, self.n, self.stages = base, base.n, {}
+
+    def matvec(self, x, counters=None):
+        if counters is not None:
+            self.stages.setdefault(id(counters), counters)  # held, so ids stay unique
+        return self.base.matvec(x, counters)
+
+
+class TopKCalls:
+    """Stands in for perfbench's ``Run`` in a workload's ``round()``: keeps the
+    arguments of its ``top_k`` calls and does nothing else."""
+
+    def __init__(self, tracer):
+        self.tracer, self.calls = tracer, []
+
+    def top_k(self, pair, config, x0, lams_ref, label):
+        self.calls.append((pair, config, x0, label))
+
+    def solve(self, *args):
+        pass
+
+    timed = outcome = solve
+
+    def lambda_problem(self, *args):
+        return None
+
+
 def emit(tree: Path, seeds: list[int]) -> None:
-    """Worker: one JSON line per runner call of ``tree``'s workloads."""
+    """Worker: one JSON line per runner and top_k call of ``tree``'s workloads."""
     sys.path[:0] = [str(tree / "src"), str(tree / "perfbench")]
     import gepsolve
     assert Path(gepsolve.__file__).is_relative_to(tree), gepsolve.__file__
     from tracing import Tracer
+    from workloads import TOPK, call_runner
     from workloads import WORKLOADS as KINDS
-    from workloads import call_runner
+
+    def row(key, method, run):
+        out = {"key": key, "method": method, "iterations": None, "counters": None,
+               "fallback": None, "lams": None}
+        try:
+            out.update(run())
+        except Exception as exc:  # a raising call is an outcome too
+            out["status"] = f"raised {type(exc).__name__}"
+        print(json.dumps(out), flush=True)
+
+    def runner(method, pair, config, x0):
+        trace = call_runner(method, pair, config, x0)
+        c = trace.counters
+        return {"status": trace.status, "iterations": trace.iterations,
+                "counters": [getattr(c, k) for k in COUNTERS],
+                "fallback": trace.diagnostics.get("fallback_steps"),
+                "lams": [trace.final().lam]}
+
+    def topk(pair, config, x0):
+        counted = CountedA(pair.a)
+        try:
+            found, status = gepsolve.top_k(gepsolve.MatrixPair(counted, pair.b), TOPK,
+                                           config, x0), "found"
+        except gepsolve.StageFailure as exc:  # the stages before it still count
+            found, status = exc.pairs, f"failed at stage {exc.stage}"
+        return {"status": status, "lams": [lam for lam, _ in found],
+                "counters": [[getattr(c, k) for k in COUNTERS]
+                             for c in counted.stages.values()]}
 
     for name in WORKLOADS:
         for seed in seeds:
@@ -44,19 +107,12 @@ def emit(tree: Path, seeds: list[int]) -> None:
                 workload.prepare(seed, Path(tmp))
                 ops = workload.set_up(Tracer(False))
                 for method, pair, config, x0, _, label in workload.solves(ops):
-                    row = {"key": [name, seed, label], "method": method}
-                    try:
-                        trace = call_runner(method, pair, config, x0)
-                    except Exception as exc:  # a raising run is an outcome too
-                        row.update(status=f"raised {type(exc).__name__}", iterations=None,
-                                   counters=None, fallback=None, lam=None)
-                    else:
-                        c = trace.counters
-                        row.update(status=trace.status, iterations=trace.iterations,
-                                   counters=[getattr(c, k) for k in COUNTERS],
-                                   fallback=trace.diagnostics.get("fallback_steps"),
-                                   lam=trace.final().lam)
-                    print(json.dumps(row), flush=True)
+                    row([name, seed, label], method,
+                        lambda: runner(method, pair, config, x0))
+                calls = TopKCalls(Tracer(False))
+                workload.round(ops, calls)
+                for pair, config, x0, label in calls.calls:
+                    row([name, seed, label], "top_k", lambda: topk(pair, config, x0))
 
 
 def collect(tree: Path, seeds: list[int]) -> dict:
@@ -69,11 +125,17 @@ def collect(tree: Path, seeds: list[int]) -> dict:
     return {tuple(row["key"]): row for row in rows}
 
 
+def counts(values) -> str:
+    return " ".join(f"{k}={v}" for k, v in zip(COUNTERS, values))
+
+
 def outcome(row) -> str:
     if row["counters"] is None:
         return row["status"]
-    counts = " ".join(f"{k}={v}" for k, v in zip(COUNTERS, row["counters"]))
-    return f"{row['status']} it={row['iterations']} {counts}"
+    if row["method"] == "top_k":
+        return row["status"] + "".join(f" | stage {s}: {counts(c)}"
+                                       for s, c in enumerate(row["counters"], 1))
+    return f"{row['status']} it={row['iterations']} {counts(row['counters'])}"
 
 
 def compare(base: dict, head: dict) -> int:
@@ -86,18 +148,21 @@ def compare(base: dict, head: dict) -> int:
         if (old["status"], old["iterations"], old["counters"]) != \
                 (new["status"], new["iterations"], new["counters"]):
             moved.append(key)
-        elif old["lam"] is not None and old["lam"] != 0.0:
-            rel = abs(new["lam"] - old["lam"]) / abs(old["lam"])
-            if at is None or rel > gap:
-                gap, at = rel, key
-    print(f"{len(base)} runs, {len(moved)} with other status, iterations or counters")
+            continue
+        for lam_old, lam_new in zip(old["lams"] or [], new["lams"] or []):
+            if lam_old != 0.0:
+                rel = abs(lam_new - lam_old) / abs(lam_old)
+                if at is None or rel > gap:
+                    gap, at = rel, key
+    print(f"{len(base)} calls, {len(moved)} with other status, iterations or counters")
     for key in moved:
         old, new = base[key], head[key]
         print(f"{key[0]} seed {key[1]} {key[2]}:")
-        print(f"  baseline  {outcome(old)} fallback_steps={old['fallback']} lam={old['lam']!r}")
-        print(f"  this tree {outcome(new)} fallback_steps={new['fallback']} lam={new['lam']!r}")
+        for side, row in (("baseline ", old), ("this tree", new)):
+            print(f"  {side} {outcome(row)} fallback_steps={row['fallback']} "
+                  f"lam={', '.join(map(repr, row['lams'] or [None]))}")
     if at is not None:
-        print(f"largest relative lambda gap among the other runs: {gap:.2e} "
+        print(f"largest relative lambda gap among the other calls: {gap:.2e} "
               f"({at[0]} seed {at[1]} {at[2]})")
     return 0
 
