@@ -20,6 +20,8 @@ Outcomes covered:
     grid pencil and on ``gen_synthetic`` (64, 10, 0), whose B's diagonal
     varies, so that Jacobi is no uniform scale there; and pmd in the grid
     pencil's IC(0) metric;
+  - power and split-merge over ``LinearSolver.pcg(cap=30)`` on the grid
+    pencil, where every solve stops at its cap;
   - ``top_k(3)`` for each method;
   - a two-cell ``run_suite`` report without its ``elapsed_ns`` statistics;
   - ``reference_solution``'s lambda and u for every pencil.
@@ -131,6 +133,11 @@ def outcomes(folder: Path):
             config = SolverConfig(method=method, tol=TOL, max_iterations=CAP, linear_solver=pcg)
             yield f"{name}/{method}/pcg40", *outcome(lambda: solve(pair, config, x0))
     name, pair, seed = pencils[-1]
+    x0 = np.random.default_rng(seed).standard_normal(pair.n)
+    pcg = LinearSolver.pcg(pair.b, cap=30)
+    for method in ("power", "split-merge"):
+        config = SolverConfig(method=method, tol=TOL, max_iterations=CAP, linear_solver=pcg)
+        yield f"{name}/{method}/pcg30", *outcome(lambda: solve(pair, config, x0))
     x0 = np.random.default_rng(seed).standard_normal(pair.n)
     ic0 = build_preconditioner(pair.b, "incomplete-cholesky")
     config = SolverConfig(method="pmd", tol=TOL, max_iterations=CAP, preconditioner=ic0)
