@@ -47,10 +47,6 @@ from .precond import LinearSolver, Preconditioner, apply_gram_inverse, \
 
 TRACE_HEADER = "k,f,lambda,sin_theta,matvecs,solves,elapsed_ns"
 
-# A nonpositive surrogate margin doubles rho at most this many times per
-# step before the step gives up with NumericalError.
-RHO_DOUBLING_CAP = 30
-
 
 @dataclass
 class SolverConfig:
@@ -343,6 +339,8 @@ class _SplitMerge(_Ray):
         self.diagnostics["rho_escalations"] += state.doublings
         self.diagnostics["fallback_steps"] += 1 if state.fallback else 0
         norm = math.sqrt(ddot(x_next, x_next))
+        if not 0.0 < norm < math.inf:  # from solves that overflowed
+            raise NumericalError(f"split-merge step has norm {norm}")
         self.bq = ddot(x_next, state.b_next) / (norm * norm)
         return x_next / norm
 
@@ -596,9 +594,10 @@ class SplitMergeState:
     """Scalars and cached vectors of one surrogate step.
 
     In solver notation ax = Ax, w = B^{-1}Ax, h = Aw and t = B^{-1}h.
-    resid_energy is the A-energy of the part of w A-orthogonal to x, and
-    pd_margin the positivity margin of the corrected surrogate at rho_used,
-    the rho after ``doublings`` escalations; w_second weights t in the step.
+    resid_energy is d'(Ad), the A-energy of d = w - (b/a) x, the part of w
+    A-orthogonal to x (a = x'Ax, b = ax'w), and pd_margin the positivity
+    margin of the corrected surrogate at rho_used, the rho after
+    ``doublings`` escalations; w_second weights t - (b/a) w in the step.
     b_next is B x_next from solve byproducts (exact for exact solves).
     fallback marks a step whose second direction carried no new energy,
     which returns the double power step t / (2 sqrt(a) r) with w_second = 0.
@@ -625,13 +624,16 @@ def split_merge_step(pair: MatrixPair, x: np.ndarray, rho: float, solver: Linear
                      ax: np.ndarray | None = None) -> tuple[np.ndarray, SplitMergeState]:
     """One Split-Merge step x+ = w_first B^{-1}Ax + w_second B^{-1}AB^{-1}Ax.
 
-    Exactly two solves, two A-matvecs, and four inner products: a = x'Ax,
-    b = g'w, c = g't, and z'B^{-1}z with B^{-1}z formed from the vectors
-    already solved (t - (b/a) w). When the second direction carries no new
-    energy (resid_energy <= 1e-14 b^2/a, which also absorbs roundoff
-    negatives) the step returns the double power step t / (2 sqrt(a) r),
-    r = b/a, from the two solves already paid for. A nonpositive margin
-    doubles rho until positive, up to RHO_DOUBLING_CAP times.
+    With g = Ax, w = B^{-1}g, h = Aw, t = B^{-1}h, a = x'Ax and r = b/a,
+    b = g'w, it is merged as x+ = w/(2 sqrt(a)) + w_second e, e = t - r w.
+    Exactly two solves, two A-matvecs, and four inner products: a, b,
+    d'(Ad) with d = w - r x and Ad = h - r g, and Ad'e = z'B^{-1}z, z = Ad.
+    When the second direction carries no new energy (d'(Ad) <= 1e-14 b^2/a,
+    which also absorbs roundoff negatives) the step returns the double
+    power step t / (2 sqrt(a) r) from the two solves already paid for. A
+    nonpositive margin doubles rho until positive, with no cap: rho reaches
+    inf at the latest, where the margin is 1. A NaN margin raises
+    NumericalError.
 
     ``ax`` may carry a precomputed A x (the run loop shares it with its
     bookkeeping). A ``rho`` below 1 (or NaN) raises InputError.
@@ -649,32 +651,29 @@ def split_merge_step(pair: MatrixPair, x: np.ndarray, rho: float, solver: Linear
     quad_ab = ddot(g, w)
     h = pair.a.matvec(w, counters)
     t = solve_spd(solver, pair.b, h, counters)
-    quad_aba = ddot(g, t)
 
     ratio = quad_ab / quad_a
-    resid_energy = quad_aba - quad_ab * ratio
+    ad = daxpy(h, g * -ratio)
+    resid_energy = ddot(daxpy(w, x * -ratio), ad)  # d'(Ad)
     if resid_energy <= DEGENERATE_STEP_RTOL * quad_ab * ratio:
         s = 1.0 / (2.0 * root_a * ratio)  # t s: the double power step, B t = h
         return t * s, SplitMergeState(resid_energy, 1.0, 0.0, rho, 0, True, g, w, h, t, h * s)
 
-    resid_gram = ddot(daxpy(h, g * -ratio), daxpy(t, w * -ratio))
+    e = daxpy(t, w * -ratio)
+    resid_gram = ddot(ad, e)
 
     rho_k = float(rho)
     doublings = 0
-    while True:
-        margin = 1.0 - resid_gram / (2.0 * rho_k * root_a * resid_energy)
-        if margin > 0.0:
-            break
-        doublings += 1
-        if doublings > RHO_DOUBLING_CAP:
-            raise NumericalError(
-                f"margin stayed nonpositive after {RHO_DOUBLING_CAP} rho doublings")
+    while (margin := 1.0 - resid_gram / (2.0 * rho_k * root_a * resid_energy)) <= 0.0:
         rho_k *= 2.0
+        doublings += 1
+    if not margin > 0.0:
+        raise NumericalError(f"surrogate margin is {margin} at rho = {rho_k}")
 
     w_second = 1.0 / (4.0 * margin * rho_k * quad_a)
-    w_first = 1.0 / (2.0 * root_a) - w_second * ratio
-    x_next = w_first * w + w_second * t
-    b_next = w_first * g + w_second * h
+    w_power = 1.0 / (2.0 * root_a)
+    x_next = daxpy(e, w * w_power, a=w_second)
+    b_next = daxpy(ad, g * w_power, a=w_second)
     return x_next, SplitMergeState(resid_energy, margin, w_second, rho_k, doublings,
                                    False, g, w, h, t, b_next)
 

@@ -1072,7 +1072,7 @@ def test_capped_solves_reach_the_trace_counters():
 CAPPED_PCG_PINS = {
     "power": ("converged", 140, 4482, 140, 4200, 140, 6.928501735441708e-08,
               0.9701682098975846),
-    "split-merge": ("converged", 27, 1703, 54, 1620, 54, 6.772738081707302e-08,
+    "split-merge": ("converged", 27, 1703, 54, 1620, 54, 6.772738084523873e-08,
                     0.9701682099111544),
     "lanczos": ("converged", 20, 643, 20, 600, 20, 7.589114475782244e-08,
                 0.9701682116821926),

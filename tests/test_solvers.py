@@ -303,7 +303,7 @@ def test_non_finite_or_fractional_knobs_rejected_up_front(method, field, value):
 @pytest.mark.parametrize("method", METHODS)
 def test_non_finite_start_rejected_up_front(method, bad):
     # unchecked, gd, pmd and power spend their cap on lambda = nan,
-    # split-merge doubles rho 30 times and lanczos meets a NaN Ritz value
+    # split-merge meets a NaN margin and lanczos a NaN Ritz value
     pair = diag_pair([2.0, 1.0, 0.5], [1.0, 1.0, 1.0])
     x0 = np.array([1.0, bad, 1.0])
     with pytest.raises(NonFiniteEntries, match="start vector"):

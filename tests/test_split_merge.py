@@ -14,6 +14,7 @@ from hypothesis import assume, given, settings, strategies
 from scipy.linalg.blas import ddot
 
 from gepsolve import (
+    CholeskyFactor,
     Counters,
     LinearSolver,
     MatrixPair,
@@ -262,18 +263,81 @@ def test_step_identity_metric_reduction():
                             atol=1e-12 * float(np.linalg.norm(want)))
 
 
-def test_step_tiny_scale_exhausts_doublings():
-    # A vanishing iterate scale drives the margin ratio to ~1e20, beyond
-    # what 30 doublings can repair; the step must fail loudly, not stall.
+def test_step_tiny_scale_doubles_rho_to_the_first_positive_margin():
+    # A vanishing iterate scale drives the margin ratio to ~1e20; rho doubles
+    # (65 times here) until the margin is positive, and no sooner.
     pair = make_pair(6, 9, cond_a=10.0, cond_b=5.0)
+    a, b = pair.a.dense(), pair.b.dense()
     x = 1e-20 * np.linspace(1.0, 2.0, 6)
-    with pytest.raises(NumericalError):
-        split_merge_step(pair, x, 1.0, LinearSolver.exact(pair.b))
+    got, st = split_merge_step(pair, x, 1.0, LinearSolver.exact(pair.b))
+    assert not st.fallback
+    assert st.rho_used == 2.0 ** st.doublings
+    want, margin, _ = dense_step(a, b, x, st.rho_used)
+    npt.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * float(np.linalg.norm(want)))
+    npt.assert_allclose(st.pd_margin, margin, rtol=1e-9)
+    margins = [dense_step(a, b, x, 2.0 ** j)[1] for j in range(st.doublings + 1)]
+    assert all(m <= 0.0 for m in margins[:-1])
+    assert margins[-1] > 0.0
+
+
+def test_step_with_an_overflowing_second_solve_raises():
+    # B^{-1}AB^{-1}Ax overflows, so the margin is NaN and no rho repairs it.
+    pair = MatrixPair(SymmetricMatrix.from_dense(1e-20 * rand_spd(6, 9, 10.0)),
+                      SymmetricMatrix.from_dense(1e-180 * rand_spd(6, 10, 5.0)))
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(NumericalError, match="margin"):
+        split_merge_step(pair, np.linspace(1.0, 2.0, 6), 1.0, LinearSolver.exact(pair.b))
+
+
+def test_run_whose_step_overflows_raises():
+    # At lambda ~ 1e120, g'w overflows: the step's energy is inf and its
+    # double power step is scaled to zero, which the run must not divide by.
+    pair = diag_pair(1e120 * np.array([2.0, 1.0, 0.5]), [1.0, 1.0, 1.0])
+    config = SolverConfig(method="split-merge", tol=1e-10, reference=np.array([1.0, 0.0, 0.0]))
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(NumericalError, match="step has norm 0.0"):
+        solve(pair, config, np.ones(3))
+
+
+@pytest.mark.parametrize("kappa_b", [1e10, 1e12])
+def test_run_on_an_ill_conditioned_b_needs_no_rho_cap(kappa_b):
+    # The first step needs rho >= 4.7e9 at kappa_B = 1e10: 33 doublings, 39 at
+    # 1e12, where a cap of 30 raised NumericalError and power converged.
+    pair = gen_synthetic(SyntheticSpec(n=256, kappa_b=kappa_b, seed=0))
+    ref = reference_solution(pair)
+    for seed in range(3):
+        x0 = np.random.default_rng(seed).standard_normal(pair.n)
+        trace = solve(pair, SolverConfig(method="split-merge", tol=1e-8, reference=ref.u), x0)
+        assert trace.converged
+        assert trace.diagnostics["rho_escalations"] >= 31
+        assert abs(trace.final().lam - ref.lam) <= 1e-6 * ref.lam
+
+
+def test_counts_hold_when_the_exact_solve_route_changes(monkeypatch):
+    # The fallback test reads d'(Ad), which has no cancelling terms, so a
+    # last-bit change in every B-solve moves no count; with g't - (g'w)^2/a
+    # 13 of these 24 counts moved.
+    def counts():
+        out = []
+        for seed in range(3):
+            pair = gen_synthetic(SyntheticSpec(n=256, kappa_b=10.0, seed=seed))
+            ref = reference_solution(pair)
+            for start in range(8):
+                x0 = np.random.default_rng(start).standard_normal(pair.n)
+                config = SolverConfig(method="split-merge", tol=1e-7, reference=ref.u)
+                trace = solve(pair, config, x0)
+                out.append((trace.status, trace.iterations, trace.diagnostics["fallback_steps"]))
+        return out
+
+    dsymv_route = counts()
+    monkeypatch.setattr(CholeskyFactor, "solve",
+                        lambda self, b: self.solve_upper(self.solve_lower(b)))
+    assert counts() == dsymv_route
 
 
 @pytest.mark.parametrize("rho", [math.nan, 0.5])
 def test_step_rejects_rho_below_one_before_any_product(rho):
-    # unchecked, a NaN rho surfaces only after 30 doublings, as NumericalError
+    # unchecked, a NaN rho makes a NaN margin, which raises NumericalError
     pair = gen_synthetic(SyntheticSpec(n=8, kappa_b=5.0, seed=0))
     counters = Counters()
     with pytest.raises(InputError, match="rho must be at least 1"):

@@ -138,7 +138,6 @@ def outcomes(folder: Path):
     for method in ("power", "split-merge"):
         config = SolverConfig(method=method, tol=TOL, max_iterations=CAP, linear_solver=pcg)
         yield f"{name}/{method}/pcg30", *outcome(lambda: solve(pair, config, x0))
-    x0 = np.random.default_rng(seed).standard_normal(pair.n)
     ic0 = build_preconditioner(pair.b, "incomplete-cholesky")
     config = SolverConfig(method="pmd", tol=TOL, max_iterations=CAP, preconditioner=ic0)
     yield f"{name}/pmd/ic0", *outcome(lambda: solve(pair, config, x0))
