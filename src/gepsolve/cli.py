@@ -153,6 +153,10 @@ def _cmd_solve(args) -> int:
     print(f"criterion   {trace.criterion} = {trace.criterion_values[-1]:.3e}")
     print(f"matvecs     {trace.counters.matvecs}")
     print(f"solves      {trace.counters.solves}")
+    if trace.diagnostics.get("solver_mode") == "pcg":
+        print(f"pcg_inner   {trace.counters.pcg_inner}")
+        print(f"pcg_capped  {trace.counters.pcg_capped}")
+        print(f"pcg_residual {trace.counters.pcg_residual:.3e}")
     print(f"elapsed_ms  {final.elapsed_ns / 1e6:.3f}")
     return {"converged": EXIT_OK, "degenerate": EXIT_DEGENERATE,
             "diverged": EXIT_DIVERGED}.get(trace.status, EXIT_CAP)

@@ -42,10 +42,6 @@ class DeflatedOperator:
         y = self.base.matvec(daxpy(x, self.u * -ddot(self.bu, x)), counters)
         return daxpy(y, self.bu * -ddot(self.u, y))
 
-    def diagonal(self) -> np.ndarray:
-        # row i of P A P' needs the full correction: materializes it per call
-        return np.diagonal(self.dense()).copy()
-
     def dense(self) -> np.ndarray:
         base = self.base.dense()
         p = np.eye(self.n) - np.outer(self.bu, self.u)

@@ -48,7 +48,7 @@ class StaleFactor(InputError):
 
 
 class PcgBreakdown(NumericalError):
-    """PCG met a nonpositive curvature or inner-product value."""
+    """PCG met a nonpositive curvature p'Bp."""
 
 
 class ZeroDiagonal(NumericalError):

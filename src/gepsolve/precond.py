@@ -5,10 +5,9 @@ Supported kinds: 'cholesky' (P = L' from B = LL', the exact metric),
 'diagonal' (P = diag(sqrt(b_ii))), 'incomplete-cholesky' (P = L~' from
 IC(0)), and 'identity'. The solvers only ever need P through the inverse
 Gram application (P'P)^{-1} g, provided here. A :class:`LinearSolver`
-solves B x = r either exactly in the cholesky kind or by capped PCG whose
-inner preconditioner is one of the other kinds (see ``INNER_KINDS``). PCG is
-that change of variables too: with the diagonal kind it is plain CG on
-P^{-T} B P^{-1} = S B S, S = D^{-1/2}, in y = S^{-1} x, so no step divides.
+solves B x = r either exactly in the cholesky kind or by capped Jacobi PCG
+in the diagonal kind. PCG is that change of variables too: it is plain CG
+on P^{-T} B P^{-1} = S B S, S = D^{-1/2}, in y = S^{-1} x, so no step divides.
 """
 
 from __future__ import annotations
@@ -24,9 +23,6 @@ from .linalg import CholeskyFactor, Counters, SymmetricMatrix, as_vector, diagon
     dominant_eigenvalue, incomplete_cholesky
 
 KINDS = ("cholesky", "diagonal", "incomplete-cholesky", "identity")
-
-# PCG's inner preconditioner names and the metric kinds they build
-INNER_KINDS = {"jacobi": "diagonal", "ichol": "incomplete-cholesky", None: "identity"}
 
 
 @dataclass
@@ -117,31 +113,29 @@ def transformed_dominant_eigenvalue(b: SymmetricMatrix, p: Preconditioner) -> fl
 class LinearSolver:
     """Solver handle for systems B x = r with B symmetric positive definite.
 
-    A cholesky ``metric`` solves exactly (mode 'cholesky'); any other kind is
-    the inner preconditioner of conjugate gradients capped at ``cap`` inner
-    iterations (mode 'pcg'). Both modes keep the B they were built for and
-    refuse a matrix whose stored entries differ from it later. A diagonal
-    (Jacobi) handle forms S B S at its first solve and keeps it, in B's
-    storage kind (a dense B's n^2 doubles once more), for every later solve.
+    A cholesky ``metric`` solves exactly (mode 'cholesky'); a diagonal one
+    runs Jacobi PCG capped at ``cap`` inner iterations (mode 'pcg'). Both
+    modes keep the B they were built for and refuse a matrix whose stored
+    entries differ from it later. A PCG handle forms S B S at its first
+    solve and keeps it, in B's storage kind (a dense B's n^2 doubles once
+    more), for every later solve.
     """
 
     matrix: SymmetricMatrix
     metric: Preconditioner
     cap: int = 30
     tol: float = 1e-10
-    # (S B S, s, floor) for the diagonal kind, formed by the first solve
+    # (S B S, s, floor), formed by the first PCG solve
     _scaled: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def mode(self) -> str:
         return "cholesky" if self.metric.kind == "cholesky" else "pcg"
 
-    def _cg_operands(self, b: SymmetricMatrix) -> tuple:
-        """(operator, s, floor) for PCG on B: the diagonal kind's S B S with
-        S = diag(s) = D^{-1/2}, built from the handle's own B once, and floor,
-        for which floor * ||r^|| is below ||D^{1/2} r^||; else ``b``, None and 1."""
-        if self.metric.kind != "diagonal":
-            return b, None, 1.0
+    def _cg_operands(self) -> tuple:
+        """(S B S, s, floor) for PCG: S = diag(s) = D^{-1/2}, S B S built from
+        the handle's own B once, and floor, for which floor * ||r^|| is below
+        ||D^{1/2} r^||."""
         if self._scaled is None:
             s = 1.0 / self.metric.scale
             # ||D^{1/2} r^|| >= ||r^|| / max(s), and each computed norm is within
@@ -157,12 +151,12 @@ class LinearSolver:
 
     @classmethod
     def pcg(cls, b: SymmetricMatrix, cap: int = 30, tol: float = 1e-10,
-            inner: str | None = "jacobi") -> "LinearSolver":
-        if inner not in INNER_KINDS:
-            raise ValueError(f"unknown inner preconditioner {inner!r}")
+            inner: str = "jacobi") -> "LinearSolver":
+        if inner != "jacobi":
+            raise ValueError(f"unknown inner preconditioner {inner!r}; PCG runs 'jacobi'")
         if cap < 1:
             raise InputError(f"PCG cap must be at least 1, got {cap}")
-        return cls(b, build_preconditioner(b, INNER_KINDS[inner]), cap=cap, tol=tol)
+        return cls(b, build_preconditioner(b, "diagonal"), cap=cap, tol=tol)
 
 
 def solve_spd(solver: LinearSolver, b: SymmetricMatrix, r: np.ndarray,
@@ -171,9 +165,9 @@ def solve_spd(solver: LinearSolver, b: SymmetricMatrix, r: np.ndarray,
 
     Counts one solve per call; PCG mode adds its inner B-matvecs (matvecs),
     inner steps (pcg_inner) and, if the cap stops it, pcg_capped/pcg_residual.
-    PCG stops once ||r|| <= tol ||r_0|| for the residual r of B x = r_0 itself,
-    whatever the inner kind. A ``b`` other than the handle's own matrix must
-    match its stored entries bit for bit.
+    PCG stops once ||r|| <= tol ||r_0|| for the residual r of B x = r_0 itself.
+    ``b`` is only checked: one other than the handle's own matrix must match
+    its stored entries bit for bit.
     """
     n = solver.metric.n
     r = as_vector(r, n, "rhs")
@@ -183,30 +177,23 @@ def solve_spd(solver: LinearSolver, b: SymmetricMatrix, r: np.ndarray,
         counters.solves += 1
     if solver.metric.kind == "cholesky":  # exact; r's shape is checked above
         return solver.metric.factor.solve(r)
-    return _pcg(solver, b, r, counters)
+    return _pcg(solver, r, counters)
 
 
-def _pcg(solver: LinearSolver, b: SymmetricMatrix, rhs: np.ndarray,
-         counters: Counters | None) -> np.ndarray:
-    # Saad, Alg. 9.1, with each vector update one in-place daxpy, which rounds
-    # once where numpy's multiply-then-add rounds twice. Jacobi runs plain CG on
-    # S B S for x^ = S^{-1} x (split preconditioning, Saad §9.2.1): r^ = S r,
-    # r^'r^ is r'z, and no step divides. p = z + beta p lands in z's buffer, a
-    # copy of r^ or the factor's solve, so the spare takes p's old one.
+def _pcg(solver: LinearSolver, rhs: np.ndarray, counters: Counters | None) -> np.ndarray:
+    # Saad, Alg. 9.1, as plain CG on S B S for x^ = S^{-1} x (split
+    # preconditioning, Saad §9.2.1): r^ = S r, r^'r^ is r'z, and no step
+    # divides. Each vector update is one in-place daxpy, which rounds once
+    # where numpy's multiply-then-add rounds twice. p = r^ + beta p lands in
+    # the spare's copy of r^, so the spare takes p's old buffer.
     x, spare = np.zeros_like(rhs), np.empty_like(rhs)
     norm_rhs = norm_r = math.sqrt(ddot(rhs, rhs))
     if norm_rhs == 0.0:
         return x
-    (op, s, floor), factor = solver._cg_operands(b), solver.metric.factor
+    op, s, floor = solver._cg_operands()
     stop = solver.tol * norm_rhs
-    r = rhs.copy() if s is None else rhs * s
-    if factor is None:
-        p, rz = r.copy(), ddot(r, r)
-    else:
-        p = z = factor.solve(r)
-        rz = ddot(r, z)
-        if rz < 0.0:
-            raise PcgBreakdown(f"indefinite inner preconditioner: r'z = {rz:.3e}")
+    r = rhs * s
+    p, rz = r.copy(), ddot(r, r)
     for k in range(1, solver.cap + 1):
         if counters is not None:
             counters.pcg_inner += 1
@@ -218,23 +205,16 @@ def _pcg(solver: LinearSolver, b: SymmetricMatrix, rhs: np.ndarray,
         x = daxpy(p, x, a=alpha)
         r = daxpy(bp, r, a=-alpha)
         rr = ddot(r, r)
-        norm_r = math.sqrt(rr) * floor  # ||r||, or below it while r is scaled
-        if s is not None and (norm_r <= stop or k == solver.cap):
+        norm_r = math.sqrt(rr) * floor  # at most ||r|| = ||D^{1/2} r^||
+        if norm_r <= stop or k == solver.cap:
             u = np.divide(r, s, out=spare)  # the residual of B x = rhs
             norm_r = math.sqrt(ddot(u, u))
-        if norm_r <= stop or k == solver.cap:  # no direction after the last step
-            break
-        if factor is None:
-            spare[...] = r
-            z, rz_next = spare, rr
-        else:
-            z = factor.solve(r)
-            rz_next = ddot(r, z)
-            if rz_next < 0.0:
-                raise PcgBreakdown(f"indefinite inner preconditioner: r'z = {rz_next:.3e}")
-        spare, p = p, daxpy(p, z, a=rz_next / rz)
-        rz = rz_next
+            if norm_r <= stop or k == solver.cap:  # no direction after the last step
+                break
+        spare[...] = r
+        spare, p = p, daxpy(p, spare, a=rr / rz)
+        rz = rr
     if norm_r > stop and counters is not None:
         counters.pcg_capped += 1
         counters.pcg_residual = max(counters.pcg_residual, norm_r / norm_rhs)
-    return x if s is None else np.multiply(x, s, out=x)
+    return np.multiply(x, s, out=x)

@@ -630,7 +630,8 @@ def split_merge_step(pair: MatrixPair, x: np.ndarray, rho: float, solver: Linear
     d'(Ad) with d = w - r x and Ad = h - r g, and Ad'e = z'B^{-1}z, z = Ad.
     When the second direction carries no new energy (d'(Ad) <= 1e-14 b^2/a,
     which also absorbs roundoff negatives) the step returns the double
-    power step t / (2 sqrt(a) r) from the two solves already paid for. A
+    power step t / (2 sqrt(a) r) from the two solves already paid for, and
+    raises NumericalError if its x'Bx is not positive and finite. A
     nonpositive margin doubles rho until positive, with no cap: rho reaches
     inf at the latest, where the margin is 1. A NaN margin raises
     NumericalError.
@@ -657,7 +658,11 @@ def split_merge_step(pair: MatrixPair, x: np.ndarray, rho: float, solver: Linear
     resid_energy = ddot(daxpy(w, x * -ratio), ad)  # d'(Ad)
     if resid_energy <= DEGENERATE_STEP_RTOL * quad_ab * ratio:
         s = 1.0 / (2.0 * root_a * ratio)  # t s: the double power step, B t = h
-        return t * s, SplitMergeState(resid_energy, 1.0, 0.0, rho, 0, True, g, w, h, t, h * s)
+        x_next, b_next = t * s, h * s
+        if not 0.0 < (xbx := ddot(x_next, b_next)) < math.inf:  # from solves that overflowed
+            raise NumericalError(f"double power step has norm {math.sqrt(ddot(x_next, x_next))}"
+                                 f" and x'Bx = {xbx}")
+        return x_next, SplitMergeState(resid_energy, 1.0, 0.0, rho, 0, True, g, w, h, t, b_next)
 
     e = daxpy(t, w * -ratio)
     resid_gram = ddot(ad, e)

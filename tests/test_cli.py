@@ -325,6 +325,24 @@ def test_bench_no_methods_or_no_suite_file_exit_three(tmp_path, capsys, monkeypa
     assert not (tmp_path / "report").exists()
 
 
+def test_solve_prints_what_the_capped_solves_did(tmp_path, capsys):
+    """A PCG run prints its inner steps, capped solves and their largest
+    relative residual after ``solves``; an exact run prints no pcg_ line."""
+    a_path, b_path = gen_files(tmp_path, n=40, kappa_b=100.0, seed=1)
+    main(["solve", "--a", a_path, "--b", b_path, "--method", "power",
+          "--linsolve", "pcg", "--pcg-cap", "3", "--max-iters", "5"])
+    lines = capsys.readouterr().out.splitlines()
+    names = [line.split()[0] for line in lines]
+    assert names[names.index("solves"):][:4] == ["solves", "pcg_inner", "pcg_capped",
+                                                 "pcg_residual"]
+    fields = dict(line.split(None, 1) for line in lines)
+    assert int(fields["pcg_inner"]) == 3 * int(fields["solves"])
+    assert int(fields["pcg_capped"]) > 0
+    assert float(fields["pcg_residual"]) > 1e-10
+    assert main(["solve", "--a", a_path, "--b", b_path, "--method", "power"]) == 0
+    assert "pcg_" not in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("cap", ["0", "-3"])
 def test_solve_pcg_cap_below_one_exit_three(tmp_path, capsys, cap):
     a_path, b_path = gen_files(tmp_path, n=6, kappa_b=5.0, seed=8)

@@ -673,11 +673,10 @@ def test_pcg_cap_limits_inner_iterations():
 
 def test_solver_mode_follows_its_metric():
     """The mode is derived: 'cholesky' exactly for the Cholesky metric, which
-    only ``exact`` builds; every PCG inner kind gives 'pcg'."""
+    only ``exact`` builds; the Jacobi PCG handle gives 'pcg'."""
     mat = SymmetricMatrix.from_dense(rand_spd(8, 2))
     assert LinearSolver.exact(mat).mode == "cholesky"
-    for inner in ("jacobi", "ichol", None):
-        assert LinearSolver.pcg(mat, inner=inner).mode == "pcg"
+    assert LinearSolver.pcg(mat, inner="jacobi").mode == "pcg"
     pair = MatrixPair(SymmetricMatrix.from_dense(rand_spd(8, 3)), mat)
     x0 = np.ones(8)
     for method in ("power", "split-merge", "lanczos"):
@@ -693,39 +692,18 @@ def test_pcg_cap_below_one_rejected(cap):
         LinearSolver.pcg(mat, cap=cap)
 
 
-def test_pcg_ichol_inner_converges_faster():
-    """The IC(0) inner preconditioner needs no more iterations than Jacobi
-    on a grid operator."""
-    mat = grid_laplacian(12)
-    rng = np.random.default_rng(16)
-    r = rng.standard_normal(mat.n)
-    it_counts = {}
-    for inner in ("jacobi", "ichol"):
-        solver = LinearSolver.pcg(mat, cap=500, tol=1e-10, inner=inner)
-        counters = Counters()
-        solve_spd(solver, mat, r, counters)
-        it_counts[inner] = counters.pcg_inner
-    assert it_counts["ichol"] <= it_counts["jacobi"]
-
-
 # (cap, inner) -> (pcg_inner, ||x||, x'r, x'w) for the right-hand side r
-# below and w = (1, 2, ..., n); Jacobi and no preconditioner take the same
-# steps here because the pencil's diagonal is constant (see
-# test_jacobi_pcg_on_a_varying_diagonal_takes_the_textbook_steps for one that is not)
+# below and w = (1, 2, ..., n)
 PCG_GRID_PINS = {
     (4, "jacobi"): (4, 3.3722700121698237, 30.364049228615766, -31.273356790741573),
-    (4, "ichol"): (4, 3.6156862972434127, 30.800072004226028, -54.23489359158151),
-    (4, None): (4, 3.3722700121698233, 30.364049228615762, -31.27335679074163),
     (500, "jacobi"): (34, 3.615626066359716, 30.800104486063283, -54.21253729745912),
-    (500, "ichol"): (12, 3.615626066348425, 30.800104486063283, -54.21253729204615),
-    (500, None): (34, 3.6156260663597157, 30.80010448606328, -54.21253729745918),
 }
 
 
 @pytest.mark.parametrize("cap, inner", list(PCG_GRID_PINS))
 def test_pcg_inner_kinds_pinned_on_grid_pencil(cap, inner):
-    """PCG on B = Laplacian + 0.5 I (12 x 12 grid): inner iteration counts
-    exactly, the solution to 1e-13, for every inner preconditioner."""
+    """Jacobi PCG on B = Laplacian + 0.5 I (12 x 12 grid): inner iteration
+    counts exactly, the solution to 1e-13."""
     lap = grid_laplacian(12)
     mat = SymmetricMatrix.from_sparse(
         lap._m + 0.5 * scipy.sparse.eye_array(lap.n, format="csr"))
@@ -826,7 +804,7 @@ def grid_pencil_b():
         lap._m + 0.5 * scipy.sparse.eye_array(lap.n, format="csr"))
 
 
-@pytest.mark.parametrize("inner", ["jacobi", "ichol", None])
+@pytest.mark.parametrize("inner", ["jacobi"])
 @pytest.mark.parametrize("cap", [4, 500])
 def test_pcg_is_independent_of_the_rhs_layout(inner, cap):
     """A strided right-hand side gives its contiguous copy's bytes and
@@ -843,18 +821,18 @@ def test_pcg_is_independent_of_the_rhs_layout(inner, cap):
     assert runs[0] == runs[1]
 
 
-@pytest.mark.parametrize("inner", ["jacobi", "ichol", None])
+@pytest.mark.parametrize("inner", ["jacobi"])
 @pytest.mark.parametrize("cap", [4, 500])
 @pytest.mark.parametrize("storage", ["csr", "dense"])
 def test_pcg_matches_textbook_loop_bitwise(inner, cap, storage):
-    """The in-place PCG loop returns the bytes and counters of the textbook
-    loop making the same fused daxpy updates on fresh arrays (so a buffer
-    that p, z and the spare share wrongly shows here), for runs stopped by
-    the cap (4) and by the tolerance (500), and for a zero right-hand side.
-    For Jacobi that loop is the scaled one, and the left-preconditioned loop
-    takes the same steps. Against the left-preconditioned loop with numpy's
-    twice-rounded updates the counters are equal, and x and the residual
-    agree to 1e-13, ``PCG_GRID_PINS``'s tolerance."""
+    """The in-place PCG loop returns the bytes and counters of the scaled
+    textbook loop making the same fused daxpy updates on fresh arrays (so a
+    buffer that p and the spare share wrongly shows here), for runs stopped
+    by the cap (4) and by the tolerance (500), and for a zero right-hand
+    side; the left-preconditioned loop takes the same steps. Against the
+    left-preconditioned loop with numpy's twice-rounded updates the counters
+    are equal, and x and the residual agree to 1e-13, ``PCG_GRID_PINS``'s
+    tolerance."""
     mat = grid_pencil_b()
     if storage == "dense":
         mat = SymmetricMatrix.from_dense(mat.dense())
@@ -864,12 +842,9 @@ def test_pcg_matches_textbook_loop_bitwise(inner, cap, storage):
     left_counters = Counters()
     for rhs in (rng.standard_normal(mat.n), rng.standard_normal(mat.n), np.zeros(mat.n)):
         got = solve_spd(solver, mat, rhs, got_counters)
-        if inner == "jacobi":
-            want = scaled_textbook_solve_spd(solver, mat, rhs, want_counters)
-            left = textbook_solve_spd(solver, mat, rhs, left_counters)
-            assert_same_steps(got, got_counters, left, left_counters)
-        else:
-            want = textbook_solve_spd(solver, mat, rhs, want_counters)
+        want = scaled_textbook_solve_spd(solver, mat, rhs, want_counters)
+        left = textbook_solve_spd(solver, mat, rhs, left_counters)
+        assert_same_steps(got, got_counters, left, left_counters)
         assert got.tobytes() == want.tobytes()
         assert got_counters == want_counters
         rounded_twice = textbook_solve_spd(solver, mat, rhs, numpy_counters, numpy_update)
@@ -921,11 +896,11 @@ def count_congruences(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("inner", ["jacobi", "ichol", None])
+@pytest.mark.parametrize("inner", ["jacobi"])
 def test_one_scaled_b_per_pcg_handle(monkeypatch, inner):
-    """A Jacobi handle forms S B S at its first solve, not when it is built,
+    """A PCG handle forms S B S at its first solve, not when it is built,
     and once across power, split-merge and lanczos runs and every ``top_k``
-    stage that share it; the IC(0) and identity kinds form none."""
+    stage that share it."""
     calls = count_congruences(monkeypatch)
     pair = gen_synthetic(SyntheticSpec(n=24, kappa_b=10.0, seed=3))
     x0 = np.random.default_rng(0).standard_normal(pair.n)
@@ -936,10 +911,10 @@ def test_one_scaled_b_per_pcg_handle(monkeypatch, inner):
         assert solve(pair, config, x0).converged
     config = SolverConfig(method="split-merge", tol=1e-6, linear_solver=solver)
     assert len(top_k(pair, 3, config, x0)) == 3
-    assert calls == ([24] if inner == "jacobi" else [])
+    assert calls == [24]
 
 
-@pytest.mark.parametrize("inner", ["jacobi", "ichol", None])
+@pytest.mark.parametrize("inner", ["jacobi"])
 def test_pcg_reports_capped_solves_and_their_residual(inner):
     """At cap 3 every solve on the grid pencil stops short of tol 1e-10 and
     reports the relative residual it left; a generous cap reports none."""
@@ -969,7 +944,7 @@ def stored_arrays(*objects):
                                                               "offsets") if hasattr(value, name))
 
 
-@pytest.mark.parametrize("inner", ["jacobi", "ichol", None, "exact"])
+@pytest.mark.parametrize("inner", ["jacobi", "exact"])
 @pytest.mark.parametrize("storage", ["csr", "dense"])
 def test_solve_spd_never_writes_the_rhs(inner, storage):
     """The caller's rhs keeps its bytes, and the solution is a new array that
@@ -1105,8 +1080,11 @@ def test_outer_runs_on_capped_pcg_are_pinned(method):
 
 
 def test_pcg_unknown_inner_rejected():
-    with pytest.raises(ValueError):
-        LinearSolver.pcg(grid_laplacian(3), inner="gauss-seidel")
+    """PCG runs Jacobi only: IC(0) and the identity are pmd metrics, not
+    inner preconditioners."""
+    for inner in ("gauss-seidel", "ichol", None):
+        with pytest.raises(ValueError):
+            LinearSolver.pcg(grid_laplacian(3), inner=inner)
 
 
 def test_pcg_zero_diagonal_rejected():
@@ -1116,10 +1094,12 @@ def test_pcg_zero_diagonal_rejected():
 
 
 def test_pcg_breakdown_on_indefinite():
-    mat = SymmetricMatrix.from_dense(np.diag([1.0, -2.0]))
-    solver = LinearSolver.pcg(mat, inner=None)
-    with pytest.raises(PcgBreakdown):
-        solve_spd(solver, mat, np.array([1.0, 1.0]))
+    """An indefinite B with a positive diagonal passes the Jacobi build, and
+    its first step meets p'Bp = -2."""
+    mat = SymmetricMatrix.from_dense(np.array([[1.0, 2.0], [2.0, 1.0]]))
+    solver = LinearSolver.pcg(mat, inner="jacobi")
+    with pytest.raises(PcgBreakdown, match="-2.000e"):
+        solve_spd(solver, mat, np.array([1.0, -1.0]))
 
 
 # ---------------------------------------------------------------------------

@@ -289,6 +289,18 @@ def test_step_with_an_overflowing_second_solve_raises():
         split_merge_step(pair, np.linspace(1.0, 2.0, 6), 1.0, LinearSolver.exact(pair.b))
 
 
+@pytest.mark.parametrize("seed", [6, 10, 37])
+def test_fallback_step_from_overflowed_solves_raises(seed):
+    # w = B^{-1}Ax is near 1e160, so d'(Ad) is -inf and passes the fallback
+    # test, while t = B^{-1}AB^{-1}Ax overflows: the step would be inf.
+    p = gen_synthetic(SyntheticSpec(n=6, kappa_b=5.0, kappa_a=10.0, seed=seed))
+    pair = MatrixPair(SymmetricMatrix.from_dense(1e-10 * p.a.dense()),
+                      SymmetricMatrix.from_dense(1e-170 * p.b.dense()))
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(NumericalError, match="double power step has norm inf"):
+        split_merge_step(pair, np.linspace(1.0, 2.0, 6), 1.0, LinearSolver.exact(pair.b))
+
+
 def test_run_whose_step_overflows_raises():
     # At lambda ~ 1e120, g'w overflows: the step's energy is inf and its
     # double power step is scaled to zero, which the run must not divide by.
