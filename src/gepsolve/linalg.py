@@ -16,6 +16,7 @@ concurrent runs cannot interfere. The B-solves built on the factors
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import math
 import warnings
@@ -25,7 +26,7 @@ from functools import partial
 import numpy as np
 import scipy.sparse
 import scipy.sparse.linalg
-from scipy.linalg.blas import ddot, dsymv
+from scipy.linalg.blas import ddot, dscal, dsymv
 from scipy.linalg.lapack import dpotri, dtrtrs
 from scipy.sparse._sparsetools import csr_matvec, dia_matvec  # private; tests pin both
 
@@ -529,7 +530,8 @@ def dominant_eigenvalue(apply_op, n: int, rtol: float = 1e-6) -> float:
     successive estimates agree to ``rtol``, or after 20000 steps, and starts
     from a fixed seed, so repeated calls are bitwise identical. Where w'w
     under- or overflows for a nonzero finite w, the norm of w is taken after
-    scaling by its largest entry."""
+    scaling by its largest entry. ``apply_op`` must return a new array on
+    every call: the loop normalizes that array in place."""
     rng = np.random.default_rng(180)
     v = rng.standard_normal(n)
     v /= np.linalg.norm(v)
@@ -543,9 +545,11 @@ def dominant_eigenvalue(apply_op, n: int, rtol: float = 1e-6) -> float:
             if 0.0 < scale < math.inf:
                 w_scaled = w / scale
                 norm_w = scale * math.sqrt(ddot(w_scaled, w_scaled))
-        if norm_w == 0.0:
-            return 0.0
-        v = w / norm_w
+            if norm_w == 0.0:
+                return 0.0
+            v = w / norm_w  # 1/norm_w may be subnormal or infinite here
+        else:  # the root of a positive finite w'w: 1/norm_w is a normal double
+            v = dscal(1.0 / norm_w, w)
         if abs(lam_next - lam) <= rtol * max(abs(lam_next), 1e-300):
             lam = lam_next
             break
@@ -555,6 +559,23 @@ def dominant_eigenvalue(apply_op, n: int, rtol: float = 1e-6) -> float:
 
 # ---------------------------------------------------------------------------
 # Matrix I/O
+
+
+@contextlib.contextmanager
+def _ascii_file(path):
+    """``path`` opened as ASCII text; a byte outside ASCII is a ParseError."""
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            yield fh
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"non-ASCII byte 0x{exc.object[exc.start]:02x}") from exc
+
+
+def _integer(token: str) -> int:
+    """``int(token)``, less the digit-group underscores numpy's parser rejects."""
+    if "_" in token:
+        raise ValueError(f"invalid integer {token!r}")
+    return int(token)
 
 
 def read_matrix_market(path) -> SymmetricMatrix:
@@ -567,7 +588,7 @@ def read_matrix_market(path) -> SymmetricMatrix:
     (there a dense product is also faster), CSR otherwise. A file that may
     be dense is scattered straight into dense storage, and built as CSR only
     when the rule then says so."""
-    with open(path, "r", encoding="ascii") as fh:
+    with _ascii_file(path) as fh:
         header = fh.readline()
         if not header.startswith("%%MatrixMarket"):
             raise ParseError("missing %%MatrixMarket header")
@@ -596,7 +617,7 @@ def read_matrix_market(path) -> SymmetricMatrix:
             if len(parts) != 3:
                 raise ParseError(f"line {lineno}: expected 'rows cols nnz'")
             try:
-                sizes = tuple(int(p) for p in parts)
+                sizes = tuple(_integer(p) for p in parts)
             except ValueError as exc:
                 raise ParseError(f"line {lineno}: {exc}") from exc
         nrows, ncols, nnz = sizes
@@ -672,12 +693,12 @@ def read_dense_text(path) -> SymmetricMatrix:
     values in row-major order, whitespace separated. The values are checked
     finite and mirrored once, by ``_scattered``'s symmetric branch, into
     dense storage."""
-    with open(path, "r", encoding="ascii") as fh:
+    with _ascii_file(path) as fh:
         tokens = fh.read().split()
     if not tokens:
         raise ParseError("empty file")
     try:
-        n = int(tokens[0])
+        n = _integer(tokens[0])
     except ValueError as exc:
         raise ParseError(f"bad order {tokens[0]!r}") from exc
     if n <= 0:
@@ -686,10 +707,10 @@ def read_dense_text(path) -> SymmetricMatrix:
     values = tokens[1:]
     if len(values) != expected:
         raise ParseError(f"expected {expected} values for order {n}, found {len(values)}")
-    try:
-        flat = np.array([float(t) for t in values], dtype=np.float64)
+    try:  # the Matrix Market reader's number syntax: no digit-group underscores
+        flat = np.loadtxt(values, dtype=np.float64, comments=None, ndmin=1)
     except ValueError as exc:
-        raise ParseError(str(exc)) from exc
+        raise ParseError(f"values: {exc}") from exc
     _check_finite(flat)
     rows, cols = np.tril_indices(n)
     return _scattered(n, rows, cols, flat, True)

@@ -276,14 +276,15 @@ class _FirstOrder(_Runner):
             raise _Degenerate(xbx)
         root = math.sqrt(xax)
         lam = 2.0 * root
-        g = self.g = daxpy(bx, np.divide(ax, -root), a=2.0)  # 2 bx - ax/root: 2 bx is exact
+        # 2 bx - ax/root in bx's own buffer: 2 bx is exact, the daxpy rounds once
+        g = self.g = daxpy(ax, dscal(2.0, bx), a=-1.0 / root)
         ratio = math.sqrt(ddot(g, g)) / lam if self.gradient_stop else None
         return xbx - root, lam, ratio, xx
 
     def advance(self, x, counters):
         g = self.g
         d = g if self.precond is None else apply_gram_inverse(self.precond, g, counters)
-        return x - dscal(self.alpha, d)
+        return daxpy(d, x, a=-self.alpha)  # x - alpha d, in the run's own iterate
 
 
 class _Ray(_Runner):
@@ -323,7 +324,7 @@ class _Power(_Ray):
         if norm_w == 0.0:
             raise _Degenerate(0.0)
         self.bq = ddot(w, self.ax) / (norm_w * norm_w)
-        return w / norm_w
+        return dscal(1.0 / norm_w, w)  # the solve's fresh array
 
 
 class _SplitMerge(_Ray):
@@ -342,7 +343,7 @@ class _SplitMerge(_Ray):
         if not 0.0 < norm < math.inf:  # from solves that overflowed
             raise NumericalError(f"split-merge step has norm {norm}")
         self.bq = ddot(x_next, state.b_next) / (norm * norm)
-        return x_next / norm
+        return dscal(1.0 / norm, x_next)  # the step's fresh array
 
 
 class _Lanczos(_Runner):

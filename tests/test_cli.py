@@ -153,6 +153,16 @@ def test_solve_corrupt_file_exit_three(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("fmt", ["mm", "dense"])
+def test_solve_non_ascii_file_exit_three(tmp_path, capsys, fmt):
+    a_path, b_path = gen_files(tmp_path, n=4, fmt=fmt)
+    with open(b_path, "ab") as fh:  # a last value of 2\u00e9
+        fh.write("2\u00e9\n".encode("utf-8"))
+    rc = main(["solve", "--a", a_path, "--b", b_path, "--format", fmt])
+    assert rc == 3
+    assert "error: non-ASCII byte 0xc3" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("sizes", ["0 0 0", "-1 -1 0"])
 def test_solve_order_below_one_exit_three(tmp_path, capsys, sizes):
     bad = tmp_path / "bad.mtx"

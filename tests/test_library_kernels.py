@@ -299,14 +299,22 @@ COEFFICIENTS = st.floats(1e-8, 1e8).flatmap(lambda a: st.sampled_from([a, -a]))
 @given(n=LENGTHS, seed=st.integers(0, 2**32 - 1), a=COEFFICIENTS)
 def test_level1_blas_forms_equal_their_numpy_forms_bitwise(n, seed, a):
     """Every BLAS form the loops use against the numpy expression it
-    replaced. Outside PCG ``daxpy`` only adds with coefficient 1, -1 or 2:
-    those products are exact, so its fused multiply-add rounds once, as
-    numpy's add does. PCG's updates take a general coefficient and round
-    once where numpy rounds twice, so they stay within both roundings."""
+    replaced. Where ``daxpy`` adds with coefficient 1 or -1 the products are
+    exact, so its fused multiply-add rounds once, as numpy's add does. The
+    PCG updates, the gd/pmd step and the gd gradient take a general
+    coefficient and round once where numpy rounds twice, so they stay within
+    both roundings; the gradient and the normalizations multiply by a
+    rounded reciprocal, which moves the quotient by less than one ulp more."""
     x, y, z = vectors(n, seed, 3)
 
     def same(got, want):
         assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+    def within(got, want, *rounded):
+        """|got - want| within half an ulp of each value: got, want and each
+        rounding that one form makes and the other does not."""
+        ulps = sum(np.spacing(np.abs(v)) for v in (got, want, *rounded))
+        assert np.all(np.abs(got - want) <= ulps / 2)
 
     for u, v in ((x, y), (x, x), (y, z)):
         if n > 1:
@@ -314,16 +322,16 @@ def test_level1_blas_forms_equal_their_numpy_forms_bitwise(n, seed, a):
         else:  # numpy returns a lone product, keeping -0.0; ddot adds it to +0.0
             assert ddot(u, v) == u.dot(v)
     same(dscal(a, x.copy()), a * x)
-    same(x - dscal(a, y.copy()), x - a * y)                      # gd/pmd step
-    fused, product = daxpy(y, x.copy(), a=a), a * y              # PCG updates
-    twice = x + product
-    ulps = np.spacing(np.abs(fused)) + np.spacing(np.abs(product)) + np.spacing(np.abs(twice))
-    assert np.all(np.abs(fused - twice) <= ulps / 2)
+    within(daxpy(y, x.copy(), a=a), x + a * y, a * y)             # PCG updates
+    within(daxpy(y, x.copy(), a=-a), x - a * y, a * y)            # gd/pmd step
     same(daxpy(x, dscal(-a, y.copy())), x - a * y)                # Rayleigh residuals
     same(daxpy(dscal(-a, y.copy()), x.copy()), x - a * y)         # Lanczos w
     same(daxpy(x, y * -a), x - y * a)                             # deflation, sin, split-merge
     root = abs(a)
-    same(daxpy(x, np.divide(y, -root), a=2.0), 2.0 * x - y / root)  # gd gradient
+    quotient = y / root
+    within(daxpy(y, dscal(2.0, x.copy()), a=-1.0 / root), 2.0 * x - quotient,  # gd gradient
+           quotient, quotient, quotient)
+    within(dscal(1.0 / root, y.copy()), quotient, quotient, quotient)  # normalizations
 
 
 def test_strided_numpy_dots_can_differ_from_contiguous_ddot():
@@ -360,10 +368,34 @@ def test_pcg_and_gd_call_level1_blas(monkeypatch):
     assert {name for module, name in calls if module == "gepsolve.precond"} == \
         {"ddot", "daxpy"}
     calls.clear()
+    divides = []
+    real_divide = np.divide
+
+    def divide(*args, **kwargs):
+        divides.append(args)
+        return real_divide(*args, **kwargs)
+    monkeypatch.setattr(np, "divide", divide)
     pair = gen_synthetic(SyntheticSpec(n=16, kappa_b=10.0, seed=0))
     solve(pair, SolverConfig(method="gd", max_iterations=1), np.ones(pair.n))
     assert {name for module, name in calls if module == "gepsolve.solvers"} == \
         {"ddot", "dscal", "daxpy"}
+    assert divides == []
+
+    # every power and split-merge step normalizes its new direction by dscal
+    units = []
+    spied = gepsolve.solvers.dscal
+
+    def dscal_unit(alpha, x, *args, **kwargs):
+        out = spied(alpha, x, *args, **kwargs)
+        units.append(abs(ddot(out, out) - 1.0) <= 1e-14)
+        return out
+    monkeypatch.setattr(gepsolve.solvers, "dscal", dscal_unit)
+    ref = reference_solution(pair).u
+    for method in ("power", "split-merge"):
+        units.clear()
+        trace = solve(pair, SolverConfig(method=method, max_iterations=3, reference=ref),
+                      np.ones(pair.n))
+        assert trace.iterations == 3 and sum(units) == 3, method
 
 
 def test_lanczos_ritz_step_calls_lapack_directly(monkeypatch):

@@ -1351,6 +1351,47 @@ def test_read_matrix_market_rejects_non_finite(tmp_path, symmetry, entry):
         read_matrix_market(path)
 
 
+# a non-ASCII byte in the first block the text layer decodes (the header
+# read), or past it (numpy's entry parser)
+NON_ASCII_BODIES = {
+    "matrix-market": "%%MatrixMarket matrix coordinate real symmetric\n2 2 2\n1 1 1.0\n2 2 2\u00e9\n",
+    "matrix-market-late": ("%%MatrixMarket matrix coordinate real symmetric\n2 2 2001\n"
+                           + "1 1 1.0\n" * 2000 + "2 2 2\u00e9\n"),
+    "dense": "2\n1.0\n0.0 2\u00e9\n",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(NON_ASCII_BODIES))
+def test_readers_reject_non_ascii_bytes(tmp_path, kind):
+    path = tmp_path / "m.txt"
+    path.write_bytes(NON_ASCII_BODIES[kind].encode("utf-8"))
+    read = read_dense_text if kind == "dense" else read_matrix_market
+    with pytest.raises(ParseError):
+        read(path)
+
+
+@pytest.mark.parametrize("body", ["2\n1.0\n0.0 1_0\n", "2_0\n" + "1.0 " * 210],
+                         ids=["value", "order"])
+def test_read_dense_text_rejects_digit_group_underscores(tmp_path, body):
+    """Python's float() and int() read 1_0 as 10; the readers do not."""
+    path = tmp_path / "m.txt"
+    path.write_text(body)
+    with pytest.raises(ParseError):
+        read_dense_text(path)
+    path.write_text(body.replace("_", ""))
+    assert read_dense_text(path).n in (2, 20)
+
+
+@pytest.mark.parametrize("body", ["2 2 2\n1 1 1.0\n2 2 1_0\n", "2 2 2\n1 1 1.0\n2 1_0 1.0\n",
+                                  "1_0 10 1\n1 1 1.0\n"], ids=["value", "index", "size"])
+def test_read_matrix_market_rejects_digit_group_underscores(tmp_path, body):
+    path = tmp_path / "m.mtx"
+    header = "%%MatrixMarket matrix coordinate real symmetric\n"
+    path.write_text(header + body)
+    with pytest.raises(ParseError):
+        read_matrix_market(path)
+
+
 def test_matrix_market_round_trip(tmp_path):
     """Write then read reproduces the stored entry set exactly."""
     for trial in range(5):

@@ -1,6 +1,7 @@
 """One SHA-256 over gepsolve's seeded outcomes, to show a change leaves them bit-identical.
 
     python3 tools/seeded_digest.py
+    python3 tools/seeded_digest.py --against BASELINE_TREE
 
 Run from anywhere in a source checkout; the package is imported from that
 checkout's ``src`` directory, with one BLAS thread. It prints one ``name
@@ -9,8 +10,16 @@ last line. The summary is for reading: a run's status, iterations, counters
 and final lambda (floats as ``repr``), a ``top_k``'s lambdas, a reference's
 lambda and route. Only the canonical text behind each sha256 is hashed. Run
 it on two trees and compare: equal last lines mean every outcome below has
-the same bytes, and ``diff`` of the two listings is a before/after table of
-the outcomes that moved.
+the same bytes.
+
+With ``--against``, the outcomes below are run once with BASELINE_TREE's
+package (a checkout of another commit, e.g. from ``git archive``) and once
+with this checkout's, each in its own subprocess, as ``compare_counts.py``
+does. Only the outcomes whose sha256 moved are printed, each with both
+summaries, and then how many moved and how many of those changed their
+status or counts: a run's status, iterations and integer counters, a
+``top_k``'s number of pairs, a reference's route, the suite's per-method
+successes, failures and mean counts; not lambda or ``pcg_residual``.
 
 Outcomes covered:
   - all five methods, with and without a reference, on ``gen_synthetic``
@@ -35,14 +44,19 @@ import os
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
+import argparse  # noqa: E402
 import hashlib  # noqa: E402
+import json  # noqa: E402
+import subprocess  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
 from dataclasses import asdict  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(ROOT / "src"))
+# the package of this checkout, or of the tree a worker (--emit TREE) runs
+TREE = Path(sys.argv[sys.argv.index("--emit") + 1]).resolve() if "--emit" in sys.argv else ROOT
+sys.path.insert(0, str(TREE / "src"))
 
 import numpy as np  # noqa: E402
 import scipy.sparse  # noqa: E402
@@ -74,22 +88,26 @@ def canonical(value) -> str:
     raise TypeError(f"no canonical form for {type(value).__name__}")
 
 
-def outcome(run) -> tuple[str, str]:
-    """``run()``'s trace, pairs or error in canonical form, and a summary."""
+def outcome(run) -> tuple[str, str, str]:
+    """``run()``'s trace, pairs or error in canonical form, a summary, and
+    its status and counts."""
     try:
         result = run()
     except GepSolveError as exc:
-        return f"error:{type(exc).__name__}:{exc}", f"error {type(exc).__name__}"
+        error = f"error {type(exc).__name__}"
+        return f"error:{type(exc).__name__}:{exc}", error, error
     if isinstance(result, list):  # top_k's (lambda, u) pairs
         return (canonical([[lam, u] for lam, u in result]),
-                f"lams={[lam for lam, _ in result]!r}")
+                f"lams={[lam for lam, _ in result]!r}", f"pairs={len(result)}")
     text = canonical([
         result.method, result.status, result.iterations, asdict(result.counters),
         [[r.k, r.f, r.lam, r.sin_theta, r.matvecs, r.solves] for r in result.records],
         result.criterion, result.criterion_values, result.x, result.diagnostics])
-    counters = " ".join(f"{k}={v!r}" for k, v in asdict(result.counters).items())
-    return text, (f"{result.status} iterations={result.iterations} {counters} "
-                  f"lam={result.final().lam!r}")
+    counters = asdict(result.counters)
+    head = f"{result.status} iterations={result.iterations}"
+    counts = " ".join(f"{k}={v!r}" for k, v in counters.items() if isinstance(v, int))
+    summary = " ".join(f"{k}={v!r}" for k, v in counters.items())
+    return text, f"{head} {summary} lam={result.final().lam!r}", f"{head} {counts}"
 
 
 def grid_pencil(m: int, folder: Path) -> MatrixPair:
@@ -117,7 +135,7 @@ def outcomes(folder: Path):
     for name, pair, seed in pencils:
         ref = reference_solution(pair)
         yield (f"{name}/reference", canonical([ref.lam, ref.u, ref.route]),
-               f"lam={ref.lam!r} route={ref.route}")
+               f"lam={ref.lam!r} route={ref.route}", f"route={ref.route}")
         x0 = np.random.default_rng(seed).standard_normal(pair.n)
         for method in METHODS:
             for reference in (None, ref.u):
@@ -151,21 +169,65 @@ def outcomes(folder: Path):
     suite = SuiteConfig(cells=[SuiteCell(16, 10.0), SuiteCell(24, 100.0)],
                         methods=list(METHODS), trials=2, tol=TOL, max_iterations=CAP, seed=7)
     report = run_suite(suite).to_dict()
+    counts = []
     for cell in report["cells"]:
         for stats in cell["methods"]:
             stats.pop("elapsed_ns_median")
             stats.pop("elapsed_ns_mean")
-    yield "run_suite", canonical(report), f"cells={len(report['cells'])}"
+            counts.append([stats[key] for key in ("method", "successes", "failures",
+                                                  "iterations_mean", "matvecs_mean",
+                                                  "solves_mean", "pcg_inner_mean")])
+    yield "run_suite", canonical(report), f"cells={len(report['cells'])}", repr(counts)
+
+
+def listing(emit: bool) -> None:
+    """Print every outcome, as text lines and the total, or as JSON lines
+    [name, sha256, summary, counts] for ``--against``."""
+    total = hashlib.sha256()
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, text, summary, counts in outcomes(Path(tmp)):
+            entry = f"{name}\n{text}\n".encode()
+            total.update(entry)
+            sha = hashlib.sha256(entry).hexdigest()
+            print(json.dumps([name, sha, summary, counts]) if emit else f"{name} {sha} {summary}")
+    if not emit:
+        print(total.hexdigest())
+
+
+def collect(tree: Path) -> dict:
+    """name -> (sha256, summary, counts) of every outcome with ``tree``'s package."""
+    env = {**os.environ, "PYTHONPATH": ""}
+    out = subprocess.run([sys.executable, str(Path(__file__).resolve()), "--emit", str(tree)],
+                         env=env, stdout=subprocess.PIPE, text=True, check=True).stdout
+    return {name: rest for name, *rest in map(json.loads, out.splitlines())}
+
+
+def against(baseline: Path) -> None:
+    """Print the outcomes whose sha256 differs between ``baseline`` and this tree."""
+    base, head = collect(baseline), collect(ROOT)
+    for side, names in (("baseline", base.keys() - head.keys()),
+                        ("this tree", head.keys() - base.keys())):
+        for name in sorted(names):
+            print(f"only in {side}: {name}")
+    moved = [name for name in head if name in base and base[name][0] != head[name][0]]
+    for name in moved:
+        print(name)
+        print(f"  baseline  {base[name][1]}")
+        print(f"  this tree {head[name][1]}")
+    changed = sum(base[name][2] != head[name][2] for name in moved)
+    print(f"{len(moved)} of {len(head.keys() & base.keys())} outcomes moved, "
+          f"{changed} of them with another status or counts")
 
 
 def main() -> int:
-    total = hashlib.sha256()
-    with tempfile.TemporaryDirectory() as tmp:
-        for name, text, summary in outcomes(Path(tmp)):
-            entry = f"{name}\n{text}\n".encode()
-            total.update(entry)
-            print(name, hashlib.sha256(entry).hexdigest(), summary)
-    print(total.hexdigest())
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--against", metavar="TREE", help="the baseline tree to compare with")
+    parser.add_argument("--emit", help=argparse.SUPPRESS)
+    args = parser.parse_args()
+    if args.against:
+        against(Path(args.against).resolve())
+    else:
+        listing(emit=args.emit is not None)
     return 0
 
 
