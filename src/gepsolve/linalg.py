@@ -2,11 +2,11 @@
 
 A :class:`SymmetricMatrix` holds one operand, a dense array or a CSR array,
 and a :class:`CholeskyFactor` one lower factor of either kind; products run
-through the ndarray's ``dot`` (cheaper than ``@``) or scipy's ``dia_matvec``
-(nonzeros on few diagonals, see ``DIA_MAX_FILL``) or ``csr_matvec``. Dense
-operands, a dense factor's L' and its cached inverse start on a 64-byte
-boundary: 16 to 48 bytes off it, OpenBLAS's ``dgemv`` and ``dtrtrs`` took up
-to 47% and 26% longer at n = 256, and gave the same bytes.
+through BLAS ``dsymv`` on one triangle of a dense array, or scipy's
+``dia_matvec`` (nonzeros on few diagonals, see ``DIA_MAX_FILL``) or
+``csr_matvec``. Dense operands, a dense factor's L' and its cached inverse
+start on a 64-byte boundary: 8 to 48 bytes off it, OpenBLAS's ``dsymv`` and
+``dtrtrs`` took up to 21% and 26% longer at n = 256, and gave the same bytes.
 Construction symmetrizes and validates; everything downstream can then
 assume exact symmetry. Operation counts are accumulated in explicit
 :class:`Counters` objects passed by the caller, never in module globals, so
@@ -113,25 +113,32 @@ def _aligned(a: np.ndarray, order: str = "C") -> np.ndarray:
 
 class SymmetricMatrix:
     """Square symmetric matrix held as one operand: a C-ordered ndarray on a
-    64-byte boundary (``kind`` 'dense'; there a ``dgemv`` took 6.5 µs at n = 256
-    against 9.6 at +16 or +48 bytes) or a sorted CSR array (``kind`` 'csr').
+    64-byte boundary (``kind`` 'dense') or a sorted CSR array (``kind`` 'csr').
 
     Use :meth:`from_dense` or :meth:`from_sparse`; the constructor is not
-    part of the public surface. NaN and infinite entries are rejected on
-    entry, symmetry is checked against ``SYMMETRY_RTOL`` relative to the
-    largest entry, and the stored data is exactly symmetrized afterwards. A
-    CSR product calls a compiled kernel bound here, skipping ``@``'s ~6 µs of
-    dispatch: ``dia_matvec`` on a diagonal-storage copy when ``DIA_MAX_FILL``
-    allows (10.6 vs 16.3 µs by CSR for an n = 4096 grid), else ``csr_matvec``.
-    Both equal ``csr_array @ x`` bitwise for finite x: ascending offsets are
-    each row's column order, and a padded slot adds 0.0 * x[j] = ±0.0. With a
-    non-finite x[j] that slot adds NaN, which CSR never does.
+    part of the public surface, and it rejects order 0. NaN and infinite
+    entries are rejected on entry, symmetry is checked against
+    ``SYMMETRY_RTOL`` relative to the largest entry, and the stored data is
+    exactly symmetrized afterwards. A dense product is one BLAS ``dsymv`` on
+    the upper triangle of the stored array's transpose, an F-ordered view, and
+    returns a new array: it reads half the entries a full ``dgemv`` read (183
+    against 344 µs at n = 1024; at n = 256, 6.9-7.3 µs on the line against
+    8.1-8.3 at +8, +16 or +48 bytes). A CSR product calls a compiled kernel
+    bound here, skipping ``@``'s ~6 µs of dispatch: ``dia_matvec`` on a
+    diagonal-storage copy when ``DIA_MAX_FILL`` allows (10.6 vs 16.3 µs by CSR
+    for an n = 4096 grid), else ``csr_matvec``. Both equal ``csr_array @ x``
+    bitwise for finite x: ascending offsets are each row's column order, and
+    a padded slot adds 0.0 * x[j] = ±0.0. With a non-finite x[j] that slot
+    adds NaN, which CSR never does.
     """
 
     def __init__(self, m):
         self.n = n = m.shape[0]
+        if n == 0:
+            raise DimensionMismatch("order 0: an operand needs at least one row")
         self.kind = "dense" if isinstance(m, np.ndarray) else "csr"
         self._m = _aligned(m) if self.kind == "dense" else m
+        self._mt = self._m.T if self.kind == "dense" else None  # the view dsymv reads
         self._kernel = None
         if self.kind == "csr":
             # diagonal j - i + n of each nonzero; a bincount, not a sort
@@ -193,7 +200,7 @@ class SymmetricMatrix:
         if counters is not None:
             counters.matvecs += 1
         if self._kernel is None:
-            return self._m.dot(x)
+            return dsymv(1.0, self._mt, x)
         self._kernel(x, y := np.zeros(self.n))
         return y
 

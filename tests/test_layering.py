@@ -1,15 +1,15 @@
 """Storage stays private to the module that owns it: only linalg.py reads a
-SymmetricMatrix's operand, its bound product kernel or its cached Cholesky
-factor, or a CholeskyFactor's L, row order and SuperLU handle, and no module reads the
-retired per-kind fields or CSR-array tuple. B's factor has one owner: only
-linalg.py calls ``cholesky_factorize``; every other module asks
-``b.cholesky()``."""
+SymmetricMatrix's operand or its transposed view, its bound product kernel
+or its cached Cholesky factor, or a CholeskyFactor's L, row order and
+SuperLU handle, and no module reads the retired per-kind fields or
+CSR-array tuple. B's factor has one owner: only linalg.py calls
+``cholesky_factorize``; every other module asks ``b.cholesky()``."""
 
 import pathlib
 import re
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "gepsolve"
-OWNED = re.compile(r"\._(?:m|kernel|chol|l|lu|perm)\b")
+OWNED = re.compile(r"\._(?:m|mt|kernel|chol|l|lu|perm)\b")
 RETIRED = re.compile(r"\._(?:dense|sparse|strict|diag|csr)\b")
 
 

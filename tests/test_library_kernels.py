@@ -9,14 +9,16 @@ LAPACK's `trtrs` directly; the wrapper's Python overhead cost more than the
 substitution itself at the grid's orders. For the same reason the Lanczos
 Ritz step calls LAPACK's `dstebz` and `dstein` directly, not the
 `eigh_tridiagonal` wrapper around them. A dense exact B-solve is one BLAS
-`dsymv` on the inverse that the factor's first solve formed. CSR products call scipy's compiled
+`dsymv` on the inverse that the factor's first solve formed, and a dense
+product is one `dsymv` on the operand's own upper triangle, never
+`ndarray.dot`, into a new array. CSR products call scipy's compiled
 `dia_matvec` when the nonzeros lie on few diagonals and `csr_matvec`
 otherwise; both live in a private module, and their contract
 with `csr_array @ x` is pinned here. The iteration loops' inner products,
 scalings and unit-coefficient updates call BLAS level 1 (`ddot`, `dscal`,
 `daxpy`) through scipy's wrappers; each form used equals its numpy form bit
 for bit on contiguous vectors, which is pinned here too. Dense operands and
-the dense factor's L' start on a 64-byte line, where `dgemv` and `dtrtrs`
+the dense factor's L' start on a 64-byte line, where `dsymv` and `dtrtrs`
 run fastest; their results do not depend on that placement.
 """
 
@@ -29,7 +31,7 @@ import scipy.linalg
 import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg.blas import daxpy, ddot, dscal
+from scipy.linalg.blas import daxpy, ddot, dscal, dsymv
 from scipy.linalg.lapack import dtrtrs
 
 import gepsolve.linalg
@@ -99,11 +101,12 @@ def test_dense_b_solves_avoid_solve_triangular(monkeypatch):
 
 def test_dense_exact_b_solves_make_one_dsymv_call(monkeypatch):
     """Each dense exact B-solve is one dsymv on the inverse its first solve
-    formed: no dtrtrs, and never solve_triangular."""
+    formed: no dtrtrs, and never solve_triangular. Dense products are dsymv
+    calls too, told apart by their matrix: an operand's own storage."""
     calls = []
     for name in ("dsymv", "dtrtrs"):
         def spy(*args, _real=getattr(gepsolve.linalg, name), _name=name):
-            calls.append(_name)
+            calls.append((_name, args[1]))
             return _real(*args)
         monkeypatch.setattr(gepsolve.linalg, name, spy)
 
@@ -118,7 +121,48 @@ def test_dense_exact_b_solves_make_one_dsymv_call(monkeypatch):
         solve_spd(LinearSolver.exact(pair.b), pair.b, rhs, counters)
     trace = solve(pair, SolverConfig(method="power", tol=1e-6), rhs)
     assert trace.converged
-    assert calls == ["dsymv"] * (3 + trace.counters.solves)
+    inverse, operands = pair.b.cholesky()._inv, (pair.a._mt, pair.b._mt)
+    solves = [name for name, m in calls if m is inverse]
+    products = [name for name, m in calls if any(m is op for op in operands)]
+    assert solves == ["dsymv"] * (3 + trace.counters.solves)
+    assert products == ["dsymv"] * (len(calls) - len(solves)) and products
+
+
+class DotSpy(np.ndarray):
+    """An operand array that records every ``dot`` called on it."""
+
+    calls = []
+
+    def dot(self, *args, **kwargs):
+        DotSpy.calls.append(self.shape)
+        return super().dot(*args, **kwargs)
+
+
+def test_dense_products_make_one_dsymv_call_on_the_operand(monkeypatch):
+    """Each dense product is one dsymv on the operand's own storage and no
+    ndarray.dot, and returns a new array: gd scales B x in place."""
+    base = gen_synthetic(SyntheticSpec(n=32, kappa_b=10.0, seed=0))
+    pair = MatrixPair(*(SymmetricMatrix(m._m.view(DotSpy)) for m in (base.a, base.b)))
+    names = {id(pair.a._mt): "A", id(pair.b._mt): "B"}
+    calls, outs = [], []
+    real = gepsolve.linalg.dsymv
+
+    def spy(alpha, m, x, *args, **kwargs):
+        calls.append(names.get(id(m), "other"))
+        outs.append(real(alpha, m, x, *args, **kwargs))
+        return outs[-1]
+    monkeypatch.setattr(gepsolve.linalg, "dsymv", spy)
+    DotSpy.calls.clear()
+    x = np.random.default_rng(0).standard_normal(pair.n)
+    got = [pair.a.matvec(x), pair.a.matvec(x), pair.b.matvec(x)]
+    assert calls == ["A", "A", "B"] and [id(y) for y in got] == [id(y) for y in outs]
+    assert got[0].tobytes() == got[1].tobytes() == base.a.matvec(x).tobytes()
+    calls.clear()
+    trace = solve(pair, SolverConfig(method="gd", max_iterations=5), x)
+    assert trace.iterations == 5 and calls.count("A") >= 5 and calls.count("B") >= 5
+    assert set(calls) == {"A", "B"} and DotSpy.calls == []
+    assert len({id(y) for y in outs}) == len(outs)  # all held, so ids cannot repeat
+    assert all(y.flags.owndata and not np.shares_memory(y, x) for y in outs)
 
 
 def csr_cases(tmp_path):
@@ -502,5 +546,6 @@ def test_operand_placement_leaves_results_unchanged(n):
                         trace.counters.matvecs, trace.counters.solves))
         results.append([r.tobytes() if isinstance(r, np.ndarray) else r for r in got])
     assert results[0] == results[1]
-    assert results[0][:3] == [off_a.dot(x).tobytes(), dtrtrs(off_lt, x, 0, 1)[0].tobytes(),
+    assert results[0][:3] == [dsymv(1.0, off_a.T, x).tobytes(),
+                              dtrtrs(off_lt, x, 0, 1)[0].tobytes(),
                               dtrtrs(off_lt, x, 0, 0)[0].tobytes()]

@@ -96,6 +96,18 @@ def test_from_dense_rejects_nonsquare():
         SymmetricMatrix.from_dense(np.ones((2, 3)))
 
 
+@pytest.mark.parametrize("build", [
+    lambda: SymmetricMatrix.from_dense(np.zeros((0, 0))),
+    lambda: SymmetricMatrix.from_sparse(scipy.sparse.csr_array((0, 0))),
+    lambda: SymmetricMatrix.from_lower_entries(0, [], [], []),
+], ids=["dense", "csr", "lower-entries"])
+def test_order_zero_operands_are_rejected(build):
+    """Both readers reject order 0 already; the constructor does too, in
+    either storage kind, before a product could reach BLAS with no rows."""
+    with pytest.raises(DimensionMismatch, match="order 0"):
+        build()
+
+
 def test_from_dense_rejects_asymmetric():
     with pytest.raises(AsymmetricEntries):
         SymmetricMatrix.from_dense(np.array([[1.0, 2.0], [0.5, 1.0]]))

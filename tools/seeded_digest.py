@@ -25,6 +25,8 @@ Outcomes covered:
   - all five methods, with and without a reference, on ``gen_synthetic``
     (64, 10, 0), (128, 100, 1) and (256, 10, 2), and on a 16x16 grid pencil
     written to and read back from ``.mtx``;
+  - power with a reference on ``gen_synthetic`` (1024, 10, 3), a dense
+    product at an order where ``dsymv``'s one triangle saves most;
   - power, split-merge and lanczos over ``LinearSolver.pcg(cap=40)`` on the
     grid pencil and on ``gen_synthetic`` (64, 10, 0), whose B's diagonal
     varies, so that Jacobi is no uniform scale there; and pmd in the grid
@@ -69,6 +71,7 @@ from gepsolve.bench import SuiteCell, SuiteConfig, run_suite  # noqa: E402
 from gepsolve.solvers import METHODS  # noqa: E402
 
 SYNTHETIC = ((64, 10.0, 0), (128, 100.0, 1), (256, 10.0, 2))
+LARGE = (1024, 10.0, 3)  # power with a reference only
 TOL = 1e-6
 CAP = 3000
 
@@ -143,6 +146,13 @@ def outcomes(folder: Path):
                                       seed=seed, reference=reference)
                 label = "ref" if reference is not None else "gradient"
                 yield f"{name}/{method}/{label}", *outcome(lambda: solve(pair, config, x0))
+
+    n, kb, seed = LARGE
+    pair = gen_synthetic(SyntheticSpec(n=n, kappa_b=kb, seed=seed))
+    config = SolverConfig(method="power", tol=TOL, max_iterations=CAP, seed=seed,
+                          reference=reference_solution(pair).u)
+    x0 = np.random.default_rng(seed).standard_normal(n)
+    yield f"synthetic{n}-{kb:g}-{seed}/power/ref", *outcome(lambda: solve(pair, config, x0))
 
     for name, pair, seed in (pencils[-1], pencils[0]):
         x0 = np.random.default_rng(seed).standard_normal(pair.n)
