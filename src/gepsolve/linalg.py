@@ -121,8 +121,8 @@ class SymmetricMatrix:
     ``SYMMETRY_RTOL`` relative to the largest entry, and the stored data is
     exactly symmetrized afterwards. A dense product is one BLAS ``dsymv`` on
     the upper triangle of the stored array's transpose, an F-ordered view, and
-    returns a new array: it reads half the entries a full ``dgemv`` read (183
-    against 344 µs at n = 1024; at n = 256, 6.9-7.3 µs on the line against
+    returns a new array: it reads half the entries a full ``dgemv`` read (175
+    against 334 µs at n = 1024; at n = 256, 6.9-7.3 µs on the line against
     8.1-8.3 at +8, +16 or +48 bytes). A CSR product calls a compiled kernel
     bound here, skipping ``@``'s ~6 µs of dispatch: ``dia_matvec`` on a
     diagonal-storage copy when ``DIA_MAX_FILL`` allows (10.6 vs 16.3 µs by CSR
